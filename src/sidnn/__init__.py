@@ -25,7 +25,6 @@ from .inference import (
     bench_inference_time,
     bench_training_time,
     evaluate_rmse,
-    fast_ar_step,
     simulate,
 )
 from .models import (
@@ -34,13 +33,14 @@ from .models import (
     Model,
     ModelSpec,
     ParamStore,
+    conv_cache_step,
+    gru_backward,
     gru_cell,
     gru_forward,
-    gru_forward_ar,
     init_params,
     receptive_field,
+    tcn_backward,
     tcn_forward,
-    tcn_forward_ar,
 )
 from .training import (
     TrainConfig,

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numkit as nk
 from .data import Standardizer
 from .errors import CorruptionError, FormatError
 from .models import ModelSpec, ParamStore
@@ -89,13 +90,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     version = r.take(1)[0]
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        header = json.loads(r.take(r.u32()).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorruptionError(f"{path}: unreadable checkpoint header: {exc}") from None
     spec = ModelSpec(**header["spec"])
     s = header["standardizer"]
     standardizer = Standardizer(
         u_mean=np.asarray(s["u_mean"]), u_std=np.asarray(s["u_std"]),
         y_mean=np.asarray(s["y_mean"]), y_std=np.asarray(s["y_std"]),
     )
+    for key, value in vars(standardizer).items():
+        nk.check_finite(f"{path}: standardizer {key}", value)
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.take(r.u32()).decode("utf-8")
@@ -103,7 +109,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         shape = tuple(r.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         raw = r.take(count * 8)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        arrays[name] = nk.check_finite(f"{path}: tensor '{name}'", arr)
     params = ParamStore(arrays)
     params.validate_for(spec)
     return Checkpoint(version=version, spec=spec, standardizer=standardizer, params=params)

@@ -9,15 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import SequenceData, load_descriptor
+from .data import load_descriptor
 from .errors import (
     CompatibilityError,
     ReportError,
@@ -28,6 +25,7 @@ from .hpo import SearchSpace, run_search
 from .inference import (
     bench_inference_time,
     bench_training_time,
+    pooled_rmse,
     simulate,
     simulate_report,
 )
@@ -154,8 +152,8 @@ def cmd_train(config_path: str, seed: int | None = None, out: str | None = None)
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, spec, result.standardizer, result.params)
     write_history_csv(out_dir / "history.csv", result.history)
-    est_rmse = _pooled_rmse(model, data, result.standardizer, data.transient_n,
-                            meta["unit_scale"])
+    y_hats = [simulate(model, u, result.standardizer) for u, _ in data.sequences]
+    est_rmse = pooled_rmse(y_hats, data, meta["unit_scale"])
     summary = {
         "kind": "training",
         "dataset_name": meta["name"],
@@ -172,18 +170,6 @@ def cmd_train(config_path: str, seed: int | None = None, out: str | None = None)
     print(f"trained {spec.arch}-{spec.mode}: best valid RMSE {result.best_valid_rmse:.6g} "
           f"(epoch {result.best_epoch}), checkpoint at {ckpt_path}")
     return out_dir
-
-
-def _pooled_rmse(model: Model, data: SequenceData, std, transient_n: int,
-                 unit_scale: float) -> float:
-    sq, n = 0.0, 0
-    for u, y in data.sequences:
-        y_hat = simulate(model, u, std)
-        skip = min(transient_n, y.shape[0] - 1)
-        d = y_hat[skip:] - y[skip:]
-        sq += float(np.sum(d * d))
-        n += d.size
-    return math.sqrt(sq / max(n, 1)) * unit_scale
 
 
 def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None) -> dict:
@@ -206,8 +192,7 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None
             writer = csv.writer(fh)
             writer.writerow(data.y_names)
             writer.writerows(rep.y_hat.tolist())
-    pooled = _pooled_rmse(model, data, ckpt.standardizer, data.transient_n,
-                          meta["unit_scale"])
+    pooled = pooled_rmse([r.y_hat for r in reports], data, meta["unit_scale"])
     summary = {
         "kind": "evaluation",
         "dataset_name": meta["name"],
@@ -287,7 +272,7 @@ def cmd_bench(lengths: list[int], repeats: int, out: str | None, seed: int = 0) 
         for spec in specs:
             use = lengths
             if spec.arch == "tcn":
-                need = receptive_field(spec.depth)
+                need = receptive_field(spec.depth, spec.kernel)
                 use = [L for L in lengths if L >= need]
                 skipped = [L for L in lengths if L < need]
                 if skipped:

@@ -107,12 +107,11 @@ def fit_standardizer(train: SequenceData) -> Standardizer:
 
 
 def split_estimation(
-    data: SequenceData, valid_fraction: float, seed: int = 0
+    data: SequenceData, valid_fraction: float
 ) -> tuple[SequenceData, SequenceData]:
     """Per-sequence contiguous tail split; validation keeps unbroken dynamics.
 
-    The split point is a deterministic function of the fraction; the seed is
-    accepted for interface stability and does not affect the result.
+    The split point is a deterministic function of the fraction.
     """
     if not 0.0 < valid_fraction < 0.5:
         raise ParameterError(f"valid_fraction must be in (0, 0.5), got {valid_fraction}")
@@ -156,8 +155,10 @@ def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> Sequence
                 raise ParseError(f"{path}: row {lineno}: {exc}") from None
     if not u_rows:
         raise DataError(f"{path}: no data rows")
+    u = nk.check_finite(f"{path}: input columns", nk.as_f64(u_rows))
+    y = nk.check_finite(f"{path}: output columns", nk.as_f64(y_rows))
     return SequenceData(
-        sequences=[(nk.as_f64(u_rows), nk.as_f64(y_rows))],
+        sequences=[(u, y)],
         u_names=list(u_cols), y_names=list(y_cols),
     )
 

@@ -20,11 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .data import SequenceData
-from .errors import BookkeepingError, ParameterError, SidnnError
+from .errors import BookkeepingError, ParameterError, SidnnError, TrainingError
 from .models import Model, ModelSpec
 from .training import TrainConfig, fit
-
-STATUSES = ("running", "stopped", "promoted", "completed", "failed")
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,11 @@ def run_search(
     """Run ASHA until `budget` trials have been sampled and all work drained.
 
     Workers pull either a pending promotion or a freshly sampled config.
-    Trial failures are recorded and skipped; the search continues. Returns
-    the records sorted by best achieved validation RMSE plus the event log.
+    Trial failures are recorded and skipped; the search continues. Any other
+    exception from a trial is also recorded as a failure, but stops the hand-out
+    of new work; once every worker has returned it is raised as a
+    TrainingError. Returns the records sorted by best achieved validation
+    RMSE plus the event log.
     """
     if budget < 1 or workers < 1:
         raise ParameterError("budget and workers must be >= 1")
@@ -220,6 +221,7 @@ def run_search(
     cond = threading.Condition(lock)
     sampled = 0
     in_flight = 0
+    crashes: list[tuple[int, Exception]] = []  # non-SidnnError trial exceptions
     log_fh = open(out_path, "a", encoding="utf-8") if out_path is not None else None
 
     def emit(trial_id: int, rung_index: int, loss: float, decision: str) -> None:
@@ -234,6 +236,8 @@ def run_search(
         nonlocal sampled, in_flight
         with cond:
             while True:
+                if crashes:
+                    return None
                 if pending:
                     job = pending.pop(0)
                     in_flight += 1
@@ -252,11 +256,11 @@ def run_search(
                     return None
                 cond.wait()
 
-    def complete(trial_id: int, rung_index: int, loss: float | None, failed: bool) -> None:
+    def complete(trial_id: int, rung_index: int, loss: float | None) -> None:
         nonlocal in_flight
         with cond:
             record = records[trial_id]
-            if failed:
+            if loss is None:
                 record.status = "failed"
                 emit(trial_id, rung_index, math.nan, "fail")
             else:
@@ -283,12 +287,18 @@ def run_search(
                 return
             trial_id, rung_index = job
             overlay = records[trial_id].config
+            loss = None
             try:
-                loss = trial_runner(overlay, rungs[rung_index].resource,
-                                    _trial_seed(seed, trial_id))
-                complete(trial_id, rung_index, float(loss), failed=False)
+                loss = float(trial_runner(overlay, rungs[rung_index].resource,
+                                          _trial_seed(seed, trial_id)))
             except SidnnError:
-                complete(trial_id, rung_index, None, failed=True)
+                pass  # a failed trial: logged, and the search goes on
+            except Exception as exc:
+                with cond:
+                    crashes.append((trial_id, exc))
+            finally:
+                # release the job whatever happened, or peers wait forever
+                complete(trial_id, rung_index, loss)
 
     try:
         if workers == 1:
@@ -302,6 +312,11 @@ def run_search(
     finally:
         if log_fh is not None:
             log_fh.close()
+    if crashes:
+        trial_id, exc = crashes[0]
+        raise TrainingError(
+            f"trial {trial_id} raised {type(exc).__name__}: {exc}"
+        ) from exc
     ranked = sorted(records.values(), key=lambda r: (r.best_loss, r.trial_id))
     return ranked, events
 

@@ -1,11 +1,12 @@
-"""Free-running simulation, RMSE evaluation with transient skip, the cached
-fast AR-TCN generator, and wall-clock timing harnesses for training and
-inference cost versus sequence length.
+"""Free-running simulation, RMSE evaluation with transient skip, and
+wall-clock timing harnesses for training and inference cost versus sequence
+length. AR-TCN streaming one sample at a time is `models.conv_cache_step`.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import statistics
 import threading
 import time
@@ -14,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .data import Standardizer
+from .data import SequenceData, Standardizer
 from .errors import DimensionError, InputError, ParameterError, UsageError
-from .models import (
-    ConvCache,
-    Model,
-    ModelSpec,
-    conv_cache_step,
-    receptive_field,
-)
+from .models import Model, ModelSpec, receptive_field
 
 Array = np.ndarray
 
@@ -71,13 +66,6 @@ def simulate_report(
     return SimReport(y_hat=y_hat, rmse=rmse, transient_skipped=transient_n, wall_seconds=wall)
 
 
-def fast_ar_step(cache: ConvCache, x_t: Array) -> tuple[Array, ConvCache]:
-    """One cached AR-TCN step: per-layer taps come from ring buffers, so the
-    cost is depth * hidden^2 regardless of how much history has passed."""
-    y_t = conv_cache_step(cache, x_t)
-    return y_t, cache
-
-
 def evaluate_rmse(y_hat: Array, y: Array, transient_n: int, unit_scale: float = 1.0) -> float:
     """sqrt(mean((y_hat - y)^2)) over t >= transient_n, scaled for reporting."""
     y_hat = nk.as_f64(y_hat)
@@ -89,6 +77,18 @@ def evaluate_rmse(y_hat: Array, y: Array, transient_n: int, unit_scale: float = 
         raise ParameterError(f"transient_n {transient_n} must be in [0, {T})")
     d = y_hat[transient_n:] - y[transient_n:]
     return float(np.sqrt(np.mean(d * d))) * unit_scale
+
+
+def pooled_rmse(y_hats: list[Array], data: SequenceData, unit_scale: float = 1.0) -> float:
+    """RMSE over the samples of all sequences pooled, each skipping its first
+    min(transient_n, T-1) samples; y_hats[i] is the trajectory of sequence i."""
+    sq, n = 0.0, 0
+    for y_hat, (_, y) in zip(y_hats, data.sequences):
+        skip = min(data.transient_n, y.shape[0] - 1)
+        d = y_hat[skip:] - y[skip:]
+        sq += float(np.sum(d * d))
+        n += d.size
+    return math.sqrt(sq / max(n, 1)) * unit_scale
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def _check_tcn_lengths(specs: list[ModelSpec], seq_lengths: list[int]) -> None:
     for spec in specs:
         if spec.arch != "tcn":
             continue
-        need = receptive_field(spec.depth)
+        need = receptive_field(spec.depth, spec.kernel)
         short = [L for L in seq_lengths if L < need]
         if short:
             raise ParameterError(

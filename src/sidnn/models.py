@@ -10,14 +10,18 @@ Conventions:
       r/h gates), "tcn.{l}.kernel", "tcn.{l}.bias", "tcn.{l}.proj",
       "head.W", "head.b"
 
-The AR variants feed their previous output back as an extra input channel,
-so gradients flow through the feedback path inside a chunk; truncation
-happens only at chunk boundaries (the carried state is plain values).
+Each architecture has one forward and one backward for both modes: an AR
+model is the NAR model with its previous output fed back as extra input
+channels, so gradients flow through the feedback path inside a chunk;
+truncation happens only at chunk boundaries (the carried state is plain
+values). The GRU runs one recurrence for both modes (NAR carries a
+zero-width feedback). The AR-TCN advances per-layer ring buffers one step at
+a time, in training, simulation and `conv_cache_step` streaming alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -73,21 +77,18 @@ class ModelSpec:
         return self.input_dim + (self.output_dim if self.mode == "ar" else 0)
 
 
-def receptive_field(depth: int) -> int:
-    """Warm-up sample count of a depth-layer kernel-2 dilated stack: 2**depth - 1.
+def receptive_field(depth: int, kernel: int = 2) -> int:
+    """Warm-up sample count of a dilated causal stack: (kernel-1)*(2**depth - 1).
 
-    Note: such a stack formally spans 2**depth input samples including the
-    current one; this convention counts only the look-back and is the length
-    used for loss masking and minimum-sequence checks.
+    This is the look-back one output reads (the left pad of the stack,
+    excluding the current sample); it is the length used for loss masking,
+    minimum-sequence checks and the NAR-TCN carried input tail.
     """
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
-    return 2 ** depth - 1
-
-
-def history_span(spec: ModelSpec) -> int:
-    """Total left-pad of the conv stack: samples of history one output reads."""
-    return (spec.kernel - 1) * (2 ** spec.depth - 1)
+    if kernel < 1:
+        raise ParameterError(f"kernel must be >= 1, got {kernel}")
+    return (kernel - 1) * (2 ** depth - 1)
 
 
 class ParamStore:
@@ -190,22 +191,24 @@ class ConvCache:
     """Per-layer ring buffers of the last (kernel-1)*2**l layer inputs.
 
     Buffer slot for time step t is t % len(buffer); unwritten slots are zero,
-    which is exactly the left zero-padding of a fresh sequence.
+    which is exactly the left zero-padding of a fresh sequence. The cache is
+    state only: the weights are passed to each step.
     """
 
     spec: ModelSpec
-    params: ParamStore
     buffers: list[Array]  # layer l: ((kernel-1)*2**l, B, C_in_l)
     steps: int = 0
 
+    @staticmethod
+    def buffer_shape(spec: ModelSpec, l: int, batch: int) -> tuple[int, int, int]:
+        """Layer l's buffer; kernel 1 keeps one unused slot."""
+        c_in = spec.feed_dim if l == 0 else spec.hidden
+        return (max((spec.kernel - 1) * 2 ** l, 1), batch, c_in)
+
     @classmethod
-    def init(cls, spec: ModelSpec, params: ParamStore, batch: int) -> "ConvCache":
-        buffers = []
-        for l in range(spec.depth):
-            c_in = spec.feed_dim if l == 0 else spec.hidden
-            length = (spec.kernel - 1) * 2 ** l
-            buffers.append(np.zeros((max(length, 1), batch, c_in)))
-        return cls(spec=spec, params=params, buffers=buffers)
+    def init(cls, spec: ModelSpec, batch: int) -> "ConvCache":
+        buffers = [np.zeros(cls.buffer_shape(spec, l, batch)) for l in range(spec.depth)]
+        return cls(spec=spec, buffers=buffers)
 
     def check(self, batch: int) -> None:
         if self.steps < 0:
@@ -215,20 +218,12 @@ class ConvCache:
                 f"cache holds {len(self.buffers)} layer buffers, expected {self.spec.depth}"
             )
         for l, buf in enumerate(self.buffers):
-            c_in = self.spec.feed_dim if l == 0 else self.spec.hidden
-            length = max((self.spec.kernel - 1) * 2 ** l, 1)
-            if buf.shape != (length, batch, c_in):
-                raise StateError(
-                    f"layer {l} buffer has shape {buf.shape}, expected {(length, batch, c_in)}"
-                )
+            expected = self.buffer_shape(self.spec, l, batch)
+            if buf.shape != expected:
+                raise StateError(f"layer {l} buffer has shape {buf.shape}, expected {expected}")
 
     def copy(self) -> "ConvCache":
-        return ConvCache(
-            spec=self.spec,
-            params=self.params,
-            buffers=[b.copy() for b in self.buffers],
-            steps=self.steps,
-        )
+        return replace(self, buffers=[b.copy() for b in self.buffers])
 
 
 @dataclass
@@ -246,13 +241,13 @@ class HiddenState:
     last_output: Array | None = None
 
 
-def initial_state(spec: ModelSpec, params: ParamStore, batch: int) -> HiddenState:
+def initial_state(spec: ModelSpec, batch: int) -> HiddenState:
     """Zero state for a fresh sequence."""
     state = HiddenState()
     if spec.arch == "gru":
         state.gru_h = [np.zeros((batch, spec.hidden)) for _ in range(spec.depth)]
     elif spec.mode == "ar":
-        state.conv = ConvCache.init(spec, params, batch)
+        state.conv = ConvCache.init(spec, batch)
     else:
         state.input_tail = np.zeros((batch, 0, spec.feed_dim))
     if spec.mode == "ar":
@@ -333,45 +328,10 @@ def _dropout_masks(spec: ModelSpec, batch: int, training: bool, rng):
     ]
 
 
-def _gru_forward_core(u, h0, params, spec, *, training=False, rng=None):
-    # scratch arrays are time-major (T, B, .) so each step touches one
-    # contiguous block; (B, T, .) slicing thrashes caches for long chunks
-    B, T, _ = u.shape
-    H = spec.hidden
-    L = spec.depth
-    mats = [_gru_layer_mats(params, l) for l in range(L)]
-    masks = _dropout_masks(spec, B, training, rng)
-    u_tm = np.ascontiguousarray(u.transpose(1, 0, 2))
-    hs = [h.copy() for h in h0]
-    Hs = [np.empty((T, B, H)) for _ in range(L)]
-    Zs = [np.empty((T, B, H)) for _ in range(L)]
-    Rs = [np.empty((T, B, H)) for _ in range(L)]
-    Cs = [np.empty((T, B, H)) for _ in range(L)]
-    # layer 0 input projections are known upfront: hoist them out of the loop
-    w0, b0, _, _ = mats[0]
-    proj0 = (u_tm.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
-    for t in range(T):
-        x = None
-        for l in range(L):
-            w_cat, b_cat, u_zr, u_h = mats[l]
-            proj_t = proj0[t] if l == 0 else x @ w_cat + b_cat
-            h_new, z, r, c = _gru_step(proj_t, hs[l], u_zr, u_h, H)
-            hs[l] = h_new
-            Hs[l][t] = h_new
-            Zs[l][t] = z
-            Rs[l][t] = r
-            Cs[l][t] = c
-            if l < L - 1:
-                x = h_new * masks[l] if masks else h_new
-    cache = {"u_tm": u_tm, "h0": h0, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
-             "masks": masks, "mats": mats, "spec": spec, "shape": (B, T)}
-    return hs, cache
-
-
 def _gru_weight_grads(cache, GA):
     """Stacked-matmul weight/bias gradients from per-step gate adjoints."""
     spec = cache["spec"]
-    u_tm, h0 = cache["u_tm"], cache["h0"]
+    h0 = cache["h0"]
     Hs, Rs = cache["H"], cache["R"]
     masks = cache["masks"]
     B, T = cache["shape"]
@@ -379,7 +339,8 @@ def _gru_weight_grads(cache, GA):
     grads: dict[str, Array] = {}
     for l in range(spec.depth):
         if l == 0:
-            x_stack = u_tm.reshape(T * B, -1)
+            # the layer-0 input is u plus the fed-back outputs (none in NAR)
+            x_stack = np.concatenate([cache["u_tm"], cache["FB"]], axis=2).reshape(T * B, -1)
         else:
             below = Hs[l - 1]
             x = below * masks[l - 1] if masks else below
@@ -404,38 +365,6 @@ def _gru_weight_grads(cache, GA):
     return grads
 
 
-def _gru_backward_core(cache, g_top, *, need_input_grad):
-    """Reverse sweep for the NAR stack; g_top is time-major (T, B, H)."""
-    spec = cache["spec"]
-    u_tm, h0 = cache["u_tm"], cache["h0"]
-    Hs, Zs, Rs, Cs = cache["H"], cache["Z"], cache["R"], cache["C"]
-    masks, mats = cache["masks"], cache["mats"]
-    B, T = cache["shape"]
-    H = spec.hidden
-    L = spec.depth
-    GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
-    gh_carry = [np.zeros((B, H)) for _ in range(L)]
-    gu = np.empty((T, B, u_tm.shape[2])) if need_input_grad else None
-    for t in range(T - 1, -1, -1):
-        g_above = g_top[t]
-        for l in range(L - 1, -1, -1):
-            _, _, u_zr, u_h = mats[l]
-            g = gh_carry[l] + g_above
-            h_prev = Hs[l][t - 1] if t > 0 else h0[l]
-            gh_carry[l] = _gru_step_backward(
-                g, h_prev, Zs[l][t], Rs[l][t], Cs[l][t], u_zr, u_h, GA[l][t]
-            )
-            if l > 0:
-                gx = GA[l][t] @ mats[l][0].T
-                g_above = gx * masks[l - 1] if masks else gx
-            elif need_input_grad:
-                gu[t] = GA[0][t] @ mats[0][0].T
-    grads = _gru_weight_grads(cache, GA)
-    if gu is not None:
-        gu = np.ascontiguousarray(gu.transpose(1, 0, 2))
-    return grads, gu, gh_carry
-
-
 def _check_seq_input(u: Array, spec: ModelSpec) -> None:
     if u.ndim != 3:
         raise DimensionError(f"expected (batch, time, channels) input, got shape {u.shape}")
@@ -449,54 +378,7 @@ def _check_seq_input(u: Array, spec: ModelSpec) -> None:
 
 def gru_forward(
     u: Array,
-    h0: HiddenState | None,
-    params: ParamStore,
-    spec: ModelSpec,
-    *,
-    training: bool = False,
-    rng=None,
-    return_cache: bool = False,
-):
-    """Stacked NAR GRU over a sequence; returns (y, final state[, cache])."""
-    if spec.mode != "nar" or spec.arch != "gru":
-        raise UsageError(f"gru_forward requires a gru/nar spec, got {spec.arch}/{spec.mode}")
-    _check_seq_input(u, spec)
-    B, T, _ = u.shape
-    if h0 is None or h0.gru_h is None:
-        h0_list = [np.zeros((B, spec.hidden)) for _ in range(spec.depth)]
-    else:
-        h0_list = h0.gru_h
-    hs, cache = _gru_forward_core(u, h0_list, params, spec, training=training, rng=rng)
-    w_y, b_y = params["head.W"], params["head.b"]
-    y_tm = (cache["H"][-1].reshape(T * B, spec.hidden) @ w_y + b_y)
-    y = np.ascontiguousarray(y_tm.reshape(T, B, spec.output_dim).transpose(1, 0, 2))
-    state = HiddenState(gru_h=hs)
-    if return_cache:
-        cache["y"] = y
-        cache["params"] = params
-        return y, state, cache
-    return y, state
-
-
-def gru_nar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
-    """Gradients of a cached gru_forward run; g_y matches the output shape."""
-    params = cache["params"]
-    spec = cache["spec"]
-    B, T = cache["shape"]
-    H = spec.hidden
-    w_y = params["head.W"]
-    h_top_flat = cache["H"][-1].reshape(T * B, H)
-    g_flat = np.ascontiguousarray(g_y.transpose(1, 0, 2)).reshape(T * B, -1)
-    g_top = (g_flat @ w_y.T).reshape(T, B, H)
-    grads, gu, _ = _gru_backward_core(cache, g_top, need_input_grad=need_input_grad)
-    grads["head.W"] = h_top_flat.T @ g_flat
-    grads["head.b"] = g_flat.sum(axis=0)
-    return grads, gu
-
-
-def gru_forward_ar(
-    u: Array,
-    h0: HiddenState | None,
+    state: HiddenState | None,
     params: ParamStore,
     spec: ModelSpec,
     *,
@@ -505,39 +387,50 @@ def gru_forward_ar(
     rng=None,
     return_cache: bool = False,
 ):
-    """Free-running AR GRU: input at t is concat(u_t, previous output).
+    """Stacked GRU over one chunk; returns (y, final state[, cache]).
 
-    The fed-back value is the model's own standardized output unless a
-    teacher sequence (standardized ground truth) is supplied.
+    In AR mode the layer-0 input at t is concat(u_t, fb), where fb is the
+    model's own previous standardized output, or the teacher sample
+    (standardized ground truth) when a teacher sequence is supplied. NAR has
+    no feedback, so its layer-0 input projections are hoisted out of the
+    time loop.
     """
-    if spec.mode != "ar" or spec.arch != "gru":
-        raise UsageError(f"gru_forward_ar requires a gru/ar spec, got {spec.arch}/{spec.mode}")
     _check_seq_input(u, spec)
     B, T, _ = u.shape
     H, L, O = spec.hidden, spec.depth, spec.output_dim
-    if h0 is None:
-        h0 = initial_state(spec, params, B)
-    if h0.last_output is None:
+    ar = spec.mode == "ar"
+    if state is None:
+        state = initial_state(spec, B)
+    if ar and state.last_output is None:
         raise StateError("AR forward needs state.last_output (zero for a fresh sequence)")
-    h0_list = h0.gru_h if h0.gru_h is not None else [np.zeros((B, H)) for _ in range(L)]
+    h0 = state.gru_h if state.gru_h is not None else [np.zeros((B, H)) for _ in range(L)]
     mats = [_gru_layer_mats(params, l) for l in range(L)]
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
+    # scratch arrays are time-major (T, B, .) so each step touches one
+    # contiguous block; (B, T, .) slicing thrashes caches for long chunks
     u_tm = np.ascontiguousarray(u.transpose(1, 0, 2))
-    hs = [h.copy() for h in h0_list]
+    hs = [h.copy() for h in h0]
     Hs = [np.empty((T, B, H)) for _ in range(L)]
     Zs = [np.empty((T, B, H)) for _ in range(L)]
     Rs = [np.empty((T, B, H)) for _ in range(L)]
     Cs = [np.empty((T, B, H)) for _ in range(L)]
-    FB = np.empty((T, B, O))
+    FB = np.empty((T, B, O if ar else 0))
     Y = np.empty((T, B, O))
-    fb = h0.last_output
+    fb = state.last_output
+    w0, b0, _, _ = mats[0]
+    if not ar:
+        proj0 = (u_tm.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
     for t in range(T):
-        FB[t] = fb
-        x = np.concatenate([u_tm[t], fb], axis=1)
+        if ar:
+            FB[t] = fb
+            proj_t = np.concatenate([u_tm[t], fb], axis=1) @ w0 + b0
+        else:
+            proj_t = proj0[t]
         for l in range(L):
             w_cat, b_cat, u_zr, u_h = mats[l]
-            proj_t = x @ w_cat + b_cat
+            if l > 0:
+                proj_t = x @ w_cat + b_cat
             h_new, z, r, c = _gru_step(proj_t, hs[l], u_zr, u_h, H)
             hs[l] = h_new
             Hs[l][t] = h_new
@@ -546,41 +439,52 @@ def gru_forward_ar(
             Cs[l][t] = c
             if l < L - 1:
                 x = h_new * masks[l] if masks else h_new
-        y_t = Hs[L - 1][t] @ w_y + b_y
-        Y[t] = y_t
-        fb = teacher[:, t] if teacher is not None else y_t
+        if ar:
+            y_t = Hs[L - 1][t] @ w_y + b_y
+            Y[t] = y_t
+            fb = teacher[:, t] if teacher is not None else y_t
+    if not ar:
+        Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
-    state = HiddenState(gru_h=hs, last_output=fb.copy())
+    new_state = HiddenState(gru_h=hs, last_output=fb.copy() if ar else None)
     if return_cache:
-        cache = {"u_tm": u_tm, "h0": h0_list, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
+        cache = {"u_tm": u_tm, "FB": FB, "h0": h0, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
                  "masks": masks, "mats": mats, "spec": spec, "params": params,
-                 "FB": FB, "y": y, "shape": (B, T),
-                 "teacher_forced": teacher is not None}
-        return y, state, cache
-    return y, state
+                 "shape": (B, T), "teacher_forced": ar and teacher is not None}
+        return y, new_state, cache
+    return y, new_state
 
 
-def gru_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
-    """Gradients of a cached gru_forward_ar run, including feedback paths."""
+def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
+    """Reverse sweep through a cached gru_forward chunk; returns (grads, du).
+
+    In AR mode each output's adjoint also collects the adjoint of the next
+    step's fed-back input, unless that input was teacher-forced.
+    """
     params = cache["params"]
     spec = cache["spec"]
-    u_tm, h0 = cache["u_tm"], cache["h0"]
+    h0 = cache["h0"]
     Hs, Zs, Rs, Cs = cache["H"], cache["Z"], cache["R"], cache["C"]
     masks, mats = cache["masks"], cache["mats"]
-    teacher_forced = cache["teacher_forced"]
     B, T = cache["shape"]
     H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
+    ar = spec.mode == "ar"
+    feedback = ar and not cache["teacher_forced"]
     w_y = params["head.W"]
-    g_tm = np.ascontiguousarray(g_y.transpose(1, 0, 2))
+    # a copy, never a view of g_y: the feedback adjoint accumulates in place
+    GY = g_y.transpose(1, 0, 2).copy()
+    if not ar:
+        g_top = (GY.reshape(T * B, O) @ w_y.T).reshape(T, B, H)
     GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
-    GY = np.empty((T, B, O))
     gh_carry = [np.zeros((B, H)) for _ in range(L)]
     gu = np.empty((T, B, I)) if need_input_grad else None
     g_fb = np.zeros((B, O))
     for t in range(T - 1, -1, -1):
-        g_out = g_tm[t] + g_fb
-        GY[t] = g_out
-        g_above = g_out @ w_y.T
+        if ar:
+            GY[t] += g_fb
+            g_above = GY[t] @ w_y.T
+        else:
+            g_above = g_top[t]
         for l in range(L - 1, -1, -1):
             _, _, u_zr, u_h = mats[l]
             g = gh_carry[l] + g_above
@@ -591,19 +495,13 @@ def gru_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
             if l > 0:
                 gx = GA[l][t] @ mats[l][0].T
                 g_above = gx * masks[l - 1] if masks else gx
-            else:
-                gx0 = GA[0][t] @ mats[0][0].T
-                if teacher_forced:
-                    g_fb = np.zeros((B, O))
-                else:
-                    g_fb = gx0[:, I:]
-                if need_input_grad:
-                    gu[t] = gx0[:, :I]
-    # feed the AR input stack (u plus fed-back outputs) into the shared
-    # weight-gradient accumulation by swapping it in as the layer-0 input
-    ar_cache = dict(cache)
-    ar_cache["u_tm"] = np.concatenate([u_tm, cache["FB"]], axis=2)
-    grads = _gru_weight_grads(ar_cache, GA)
+        if feedback or need_input_grad:
+            gx0 = GA[0][t] @ mats[0][0].T
+            if feedback:
+                g_fb = gx0[:, I:]
+            if need_input_grad:
+                gu[t] = gx0[:, :I]
+    grads = _gru_weight_grads(cache, GA)
     gy_flat = GY.reshape(T * B, O)
     grads["head.W"] = Hs[L - 1].reshape(T * B, H).T @ gy_flat
     grads["head.b"] = gy_flat.sum(axis=0)
@@ -617,15 +515,18 @@ def gru_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _tcn_layer_params(params: ParamStore, spec: ModelSpec, l: int):
-    k = params[f"tcn.{l}.kernel"]
-    bias = params[f"tcn.{l}.bias"]
-    proj = params[f"tcn.{l}.proj"] if f"tcn.{l}.proj" in params else None
-    identity_skip = spec.residual and proj is None
-    return k, bias, proj, identity_skip
+def _tcn_layers(params: ParamStore, spec: ModelSpec) -> list:
+    """(kernel, bias, proj or None, identity_skip) of every layer."""
+    layers = []
+    for l in range(spec.depth):
+        proj = params[f"tcn.{l}.proj"] if f"tcn.{l}.proj" in params else None
+        identity_skip = spec.residual and proj is None
+        kernel, bias = params[f"tcn.{l}.kernel"], params[f"tcn.{l}.bias"]
+        layers.append((kernel, bias, proj, identity_skip))
+    return layers
 
 
-def _tcn_forward_ctx(u: Array, ctx: Array | None, params: ParamStore, spec: ModelSpec):
+def _tcn_nar_forward(u: Array, ctx: Array | None, params: ParamStore, spec: ModelSpec):
     """Conv stack over [ctx, u]; outputs for the u region only.
 
     ctx is raw network input history (B, T_ctx, feed); it re-creates the
@@ -633,16 +534,13 @@ def _tcn_forward_ctx(u: Array, ctx: Array | None, params: ParamStore, spec: Mode
     chunked NAR-TCN processing is exact.
     """
     B, T, _ = u.shape
-    if ctx is not None and ctx.shape[1] > 0:
-        x = np.concatenate([ctx, u], axis=1)
-    else:
-        x = u
+    x = np.concatenate([ctx, u], axis=1) if ctx is not None and ctx.shape[1] else u
     n_ctx = x.shape[1] - T
+    tail = x[:, max(x.shape[1] - receptive_field(spec.depth, spec.kernel), 0):].copy()
     x = np.ascontiguousarray(x.transpose(0, 2, 1))  # (B, C, n_ctx + T)
     xs = [x]
     pres = []
-    for l in range(spec.depth):
-        k, bias, proj, identity_skip = _tcn_layer_params(params, spec, l)
+    for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
         pre = nk.causal_conv1d(x, k, 2 ** l)
         pre += bias[None, :, None]
         a = nk.relu(pre)
@@ -661,31 +559,13 @@ def _tcn_forward_ctx(u: Array, ctx: Array | None, params: ParamStore, spec: Mode
         B, T, spec.output_dim
     )
     cache = {"xs": xs, "pres": pres, "n_ctx": n_ctx, "spec": spec, "params": params,
-             "u_shape": u.shape, "y": y}
-    return y, cache
+             "u_shape": u.shape}
+    return y, HiddenState(input_tail=tail), cache
 
 
-def tcn_forward(
-    u: Array,
-    params: ParamStore,
-    spec: ModelSpec,
-    *,
-    ctx: Array | None = None,
-    return_cache: bool = False,
-):
-    """Stateless NAR TCN: dilation 2**l at layer l, ReLU, optional residual."""
-    if spec.mode != "nar" or spec.arch != "tcn":
-        raise UsageError(f"tcn_forward requires a tcn/nar spec, got {spec.arch}/{spec.mode}")
-    _check_seq_input(u, spec)
-    y, cache = _tcn_forward_ctx(u, ctx, params, spec)
-    if return_cache:
-        return y, cache
-    return y
-
-
-def tcn_nar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
-    """Gradients of a cached tcn_forward run; context-region input grads are
-    discarded (the context is carried data, not part of the chunk's graph)."""
+def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
+    """Context-region input grads are discarded (the context is carried
+    data, not part of the chunk's graph)."""
     spec = cache["spec"]
     params = cache["params"]
     xs, pres, n_ctx = cache["xs"], cache["pres"], cache["n_ctx"]
@@ -700,8 +580,9 @@ def tcn_nar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     }
     g_x = np.zeros_like(xs[-1])
     g_x[:, :, n_ctx:] = (g_flat @ w_y.T).reshape(B, T, H).transpose(0, 2, 1)
+    layers = _tcn_layers(params, spec)
     for l in range(spec.depth - 1, -1, -1):
-        k, _, proj, identity_skip = _tcn_layer_params(params, spec, l)
+        k, _, proj, identity_skip = layers[l]
         g_out = g_x
         g_pre = nk.relu_backward(g_out, pres[l])
         dx, dk = nk.causal_conv1d_backward(g_pre, xs[l], k, 2 ** l)
@@ -727,31 +608,29 @@ def _conv_step(k: Array, bias: Array, taps: list[Array]) -> Array:
     return pre
 
 
-def conv_cache_step(cache: ConvCache, x_t: Array) -> Array:
-    """Advance the cached conv stack one step; cost independent of history.
+def _tcn_step(layers: list, conv: ConvCache, v: Array, record=None) -> Array:
+    """Advance every layer's ring buffer one time step; returns the top output.
 
-    x_t is the full network input vector (B, feed_dim); returns the head
-    output (B, output_dim). Reads per-layer taps from exactly
-    (kernel-1-j)*2**l steps ago, then pushes the current layer input.
+    layers is _tcn_layers(params, spec). Layer l reads tap j from exactly
+    (kernel-1-j)*2**l steps ago, then pushes its current input. record=(xs,
+    pres, t) also stores each layer's input at row len_l + t of xs[l] (after
+    len_l rows of context), its pre-activation at pres[l][t], and the top
+    output at xs[depth][t].
     """
-    spec, params = cache.spec, cache.params
-    B = x_t.shape[0]
-    if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
-        raise DimensionError(f"step input shape {x_t.shape} != (B, {spec.feed_dim})")
-    cache.check(B)
-    K = spec.kernel
-    v = x_t
-    t = cache.steps
-    for l in range(spec.depth):
-        k, bias, proj, identity_skip = _tcn_layer_params(params, spec, l)
+    K = conv.spec.kernel
+    step = conv.steps
+    if record is not None:
+        xs, pres, t = record
+    for l, (k, bias, proj, identity_skip) in enumerate(layers):
         d = 2 ** l
         length = (K - 1) * d
-        buf = cache.buffers[l]
-        taps = []
-        for j in range(K - 1):
-            taps.append(buf[(t - (K - 1 - j) * d) % length])
+        buf = conv.buffers[l]
+        taps = [buf[(step - (K - 1 - j) * d) % length] for j in range(K - 1)]
         taps.append(v)
         pre = _conv_step(k, bias, taps)
+        if record is not None:
+            xs[l][length + t] = v
+            pres[l][t] = pre
         a = nk.relu(pre)
         if identity_skip:
             out = a + v
@@ -760,116 +639,75 @@ def conv_cache_step(cache: ConvCache, x_t: Array) -> Array:
         else:
             out = a
         if length > 0:
-            buf[t % length] = v
+            buf[step % length] = v
         v = out
-    cache.steps = t + 1
-    return v @ params["head.W"] + params["head.b"]
+    if record is not None:
+        xs[-1][t] = v
+    conv.steps = step + 1
+    return v
 
 
-def tcn_forward_ar(
-    u: Array,
-    state: HiddenState | None,
-    params: ParamStore,
-    spec: ModelSpec,
-    *,
-    teacher: Array | None = None,
-    return_cache: bool = False,
-):
-    """Free-running AR TCN via the per-layer activation cache.
+def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
+    """Advance the cached conv stack one step; cost independent of history.
+
+    x_t is the full network input vector (B, feed_dim); returns the head
+    output (B, output_dim). For streaming one sample at a time; whole
+    chunks go through tcn_forward, which resolves the weights once.
+    """
+    spec = cache.spec
+    if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
+        raise DimensionError(f"step input shape {x_t.shape} != (B, {spec.feed_dim})")
+    cache.check(x_t.shape[0])
+    top = _tcn_step(_tcn_layers(params, spec), cache, x_t)
+    return top @ params["head.W"] + params["head.b"]
+
+
+def _tcn_ar_forward(u, state, params, spec, teacher, record):
+    """Free-running AR TCN through the ring buffers.
 
     Sequential generation with input concat(u_t, previous output); equals a
-    naive full-history recompute. When return_cache is set, full per-layer
-    input arrays are kept so the chunk can be backpropagated.
+    naive full-history recompute. With record set, each layer's inputs
+    (preceded by the carried context) and pre-activations are kept in dense
+    time-major arrays so the chunk can be backpropagated.
     """
-    if spec.mode != "ar" or spec.arch != "tcn":
-        raise UsageError(f"tcn_forward_ar requires a tcn/ar spec, got {spec.arch}/{spec.mode}")
-    _check_seq_input(u, spec)
     B, T, _ = u.shape
-    O = spec.output_dim
     if state is None:
-        state = initial_state(spec, params, B)
+        state = initial_state(spec, B)
     if state.last_output is None:
         raise StateError("AR forward needs state.last_output (zero for a fresh sequence)")
     if state.conv is None:
         raise StateError("AR TCN forward needs state.conv ring buffers")
-    conv = state.conv
-    conv.check(B)
-    if not return_cache:
-        work = conv.copy()
-        Y = np.empty((B, T, O))
-        fb = state.last_output
-        for t in range(T):
-            x_t = np.concatenate([u[:, t], fb], axis=1)
-            y_t = conv_cache_step(work, x_t)
-            Y[:, t] = y_t
-            fb = teacher[:, t] if teacher is not None else y_t
-        return Y, HiddenState(conv=work, last_output=fb.copy())
-
-    # training path: dense time-major per-layer input arrays (context + chunk)
-    K = spec.kernel
-    depth = spec.depth
-    lens = [(K - 1) * 2 ** l for l in range(depth)]
-    u_tm = np.ascontiguousarray(u.transpose(1, 0, 2))
-    a_pad: list[Array] = []
-    for l in range(depth):
-        c_in = spec.feed_dim if l == 0 else spec.hidden
-        arr = np.zeros((lens[l] + T, B, c_in))
-        buf = conv.buffers[l]
-        for m in range(1, lens[l] + 1):
-            src_t = conv.steps - m
-            if src_t >= 0:
-                arr[lens[l] - m] = buf[src_t % lens[l]]
-        a_pad.append(arr)
-    a_pad.append(np.zeros((T, B, spec.hidden)))  # top-layer outputs, no context
-    pres = [np.empty((T, B, spec.hidden)) for _ in range(depth)]
-    layer_p = [_tcn_layer_params(params, spec, l) for l in range(depth)]
+    state.conv.check(B)
+    conv = state.conv.copy()
+    layers = _tcn_layers(params, spec)
     w_y, b_y = params["head.W"], params["head.b"]
-    Y = np.empty((T, B, O))
-    FB = np.empty((T, B, O))
+    u_tm = np.ascontiguousarray(u.transpose(1, 0, 2))
+    cache = None
+    if record:
+        lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
+        a_pad = []
+        for n, buf in zip(lens, conv.buffers):
+            arr = np.empty((n + T,) + buf.shape[1:])
+            # oldest first; slots of steps before the sequence start are zero
+            arr[:n] = buf[(conv.steps + np.arange(n)) % max(n, 1)]
+            a_pad.append(arr)
+        a_pad.append(np.empty((T, B, spec.hidden)))  # top-layer outputs, no context
+        pres = [np.empty((T, B, spec.hidden)) for _ in range(spec.depth)]
+        cache = {"a_pad": a_pad, "pres": pres, "lens": lens, "spec": spec,
+                 "params": params, "shape": (B, T), "teacher_forced": teacher is not None}
+    Y = np.empty((T, B, spec.output_dim))
     fb = state.last_output
     for t in range(T):
-        FB[t] = fb
-        v = np.concatenate([u_tm[t], fb], axis=1)
-        a_pad[0][lens[0] + t] = v
-        for l in range(depth):
-            k, bias, proj, identity_skip = layer_p[l]
-            d = 2 ** l
-            taps = [a_pad[l][lens[l] + t - (K - 1 - j) * d] for j in range(K - 1)]
-            taps.append(v)
-            pre = _conv_step(k, bias, taps)
-            pres[l][t] = pre
-            a = nk.relu(pre)
-            if identity_skip:
-                out = a + v
-            elif proj is not None:
-                out = a + v @ proj[:, :, 0].T
-            else:
-                out = a
-            a_pad[l + 1][(lens[l + 1] if l + 1 < depth else 0) + t] = out
-            v = out
+        rec = (a_pad, pres, t) if record else None
+        v = _tcn_step(layers, conv, np.concatenate([u_tm[t], fb], axis=1), rec)
         y_t = v @ w_y + b_y
         Y[t] = y_t
         fb = teacher[:, t] if teacher is not None else y_t
-
-    new_conv = ConvCache(spec=spec, params=params,
-                         buffers=[b.copy() for b in conv.buffers],
-                         steps=conv.steps + T)
-    for l in range(depth):
-        if lens[l] == 0:
-            continue
-        for m in range(1, lens[l] + 1):
-            new_conv.buffers[l][(conv.steps + T - m) % lens[l]] = a_pad[l][lens[l] + T - m]
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
-    new_state = HiddenState(conv=new_conv, last_output=fb.copy())
-    cache = {"a_pad": a_pad, "pres": pres, "FB": FB, "y": y, "lens": lens,
-             "spec": spec, "params": params, "shape": (B, T),
-             "teacher_forced": teacher is not None}
-    if return_cache:
-        return y, new_state, cache
-    return y, new_state
+    return y, HiddenState(conv=conv, last_output=fb.copy()), cache
 
 
-def tcn_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
+def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     """Reverse-time adjoint sweep through the cached AR-TCN chunk.
 
     Adjoints only ever flow from later to earlier time steps (conv taps and
@@ -885,18 +723,17 @@ def tcn_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     O = spec.output_dim
     K = spec.kernel
     depth = spec.depth
-    layer_p = [_tcn_layer_params(params, spec, l) for l in range(depth)]
+    layer_p = _tcn_layers(params, spec)
     w_y = params["head.W"]
-    g_tm = np.ascontiguousarray(g_y.transpose(1, 0, 2))
+    # a copy, never a view of g_y: the feedback adjoint accumulates in place
+    GY = g_y.transpose(1, 0, 2).copy()
     g_a = [np.zeros_like(a) for a in a_pad]
     g_pres = [np.empty((T, B, spec.hidden)) for _ in range(depth)]
-    GY = np.empty((T, B, O))
     g_fb = np.zeros((B, O))
     gu = np.empty((T, B, I)) if need_input_grad else None
     for t in range(T - 1, -1, -1):
-        g_out_t = g_tm[t] + g_fb
-        GY[t] = g_out_t
-        g_a[depth][t] += g_out_t @ w_y.T
+        GY[t] += g_fb
+        g_a[depth][t] += GY[t] @ w_y.T
         for l in range(depth - 1, -1, -1):
             k, _, proj, identity_skip = layer_p[l]
             d = 2 ** l
@@ -941,6 +778,40 @@ def tcn_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     return grads, gu
 
 
+def tcn_forward(
+    u: Array,
+    state: HiddenState | None,
+    params: ParamStore,
+    spec: ModelSpec,
+    *,
+    teacher: Array | None = None,
+    return_cache: bool = False,
+):
+    """TCN over one chunk: dilation 2**l at layer l, ReLU, optional residual;
+    returns (y, new state[, cache]).
+
+    NAR convolves the whole chunk at once after the carried input tail. AR
+    generates step by step through the ring buffers; its fed-back value is
+    the model's own output unless a teacher sequence is supplied.
+    """
+    _check_seq_input(u, spec)
+    if spec.mode == "nar":
+        ctx = state.input_tail if state is not None else None
+        y, new_state, cache = _tcn_nar_forward(u, ctx, params, spec)
+    else:
+        y, new_state, cache = _tcn_ar_forward(u, state, params, spec, teacher, return_cache)
+    if return_cache:
+        return y, new_state, cache
+    return y, new_state
+
+
+def tcn_backward(cache, g_y: Array, *, need_input_grad: bool = False):
+    """Gradients of a cached tcn_forward chunk; returns (grads, du)."""
+    if cache["spec"].mode == "nar":
+        return _tcn_nar_backward(cache, g_y, need_input_grad)
+    return _tcn_ar_backward(cache, g_y, need_input_grad)
+
+
 # ---------------------------------------------------------------------------
 # unified model handle
 # ---------------------------------------------------------------------------
@@ -948,7 +819,7 @@ def tcn_ar_backward(cache, g_y: Array, *, need_input_grad: bool = False):
 
 @dataclass
 class Model:
-    """A spec plus its parameters, with variant-dispatched forward/backward."""
+    """A spec plus its parameters, with arch-dispatched forward/backward."""
 
     spec: ModelSpec
     params: ParamStore
@@ -958,7 +829,7 @@ class Model:
         return cls(spec=spec, params=init_params(spec, seed))
 
     def initial_state(self, batch: int) -> HiddenState:
-        return initial_state(self.spec, self.params, batch)
+        return initial_state(self.spec, batch)
 
     def clone(self) -> "Model":
         return Model(spec=self.spec, params=self.params.copy())
@@ -974,33 +845,13 @@ class Model:
         return_cache: bool = False,
     ):
         """Run one chunk; returns (y, new_state[, cache])."""
-        spec, params = self.spec, self.params
-        if spec.arch == "gru" and spec.mode == "nar":
-            return gru_forward(u, state, params, spec, training=training, rng=rng,
-                               return_cache=return_cache)
-        if spec.arch == "gru":
-            return gru_forward_ar(u, state, params, spec, teacher=teacher,
-                                  training=training, rng=rng, return_cache=return_cache)
-        if spec.mode == "nar":
-            ctx = state.input_tail if state is not None else None
-            out = tcn_forward(u, params, spec, ctx=ctx, return_cache=return_cache)
-            span = history_span(spec)
-            joined = u if ctx is None or ctx.shape[1] == 0 else np.concatenate([ctx, u], axis=1)
-            tail = joined[:, max(joined.shape[1] - span, 0):].copy()
-            new_state = HiddenState(input_tail=tail)
-            if return_cache:
-                return out[0], new_state, out[1]
-            return out, new_state
-        return tcn_forward_ar(u, state, params, spec, teacher=teacher,
-                              return_cache=return_cache)
+        if self.spec.arch == "gru":
+            return gru_forward(u, state, self.params, self.spec, teacher=teacher,
+                               training=training, rng=rng, return_cache=return_cache)
+        return tcn_forward(u, state, self.params, self.spec, teacher=teacher,
+                           return_cache=return_cache)
 
     def backward(self, cache, g_y: Array, *, need_input_grad: bool = False):
         """Gradients for a cached forward chunk; returns (grads, du)."""
-        spec = self.spec
-        if spec.arch == "gru" and spec.mode == "nar":
-            return gru_nar_backward(cache, g_y, need_input_grad=need_input_grad)
-        if spec.arch == "gru":
-            return gru_ar_backward(cache, g_y, need_input_grad=need_input_grad)
-        if spec.mode == "nar":
-            return tcn_nar_backward(cache, g_y, need_input_grad=need_input_grad)
-        return tcn_ar_backward(cache, g_y, need_input_grad=need_input_grad)
+        backward = gru_backward if self.spec.arch == "gru" else tcn_backward
+        return backward(cache, g_y, need_input_grad=need_input_grad)

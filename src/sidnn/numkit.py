@@ -8,7 +8,6 @@ central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,20 +27,6 @@ def check_finite(name: str, a: Array) -> Array:
     if not np.all(np.isfinite(a)):
         raise DataError(f"non-finite values in '{name}'")
     return a
-
-
-@dataclass
-class GradPair:
-    """A value array paired with a gradient of identical shape."""
-
-    value: Array
-    grad: Array
-
-    def __post_init__(self) -> None:
-        if self.grad.shape != self.value.shape:
-            raise DimensionError(
-                f"grad shape {self.grad.shape} != value shape {self.value.shape}"
-            )
 
 
 # ---------------------------------------------------------------------------

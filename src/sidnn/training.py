@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     TrainingError,
 )
+from .inference import pooled_rmse, simulate
 from .models import HiddenState, Model, ModelSpec, ParamStore, receptive_field
 
 Array = np.ndarray
@@ -137,7 +138,7 @@ def masked_mse_grad(
 def resolved_warmup_mask(spec: ModelSpec, config: TrainConfig) -> int:
     """Leading samples excluded from the loss in each training window."""
     if spec.arch == "tcn":
-        return receptive_field(spec.depth)
+        return receptive_field(spec.depth, spec.kernel)
     if config.warmup_mask_n is not None:
         return config.warmup_mask_n
     return min(2 ** spec.depth - 1, config.chunk_len // 2)
@@ -427,21 +428,6 @@ class FitResult:
     wall_seconds: float
 
 
-def _pooled_validation_rmse(model: Model, valid: SequenceData, std: Standardizer,
-                            transient_n: int) -> float:
-    from .inference import simulate
-
-    sq = 0.0
-    n = 0
-    for u, y in valid.sequences:
-        y_hat = simulate(model, u, std)
-        skip = min(transient_n, y.shape[0] - 1)
-        d = y_hat[skip:] - y[skip:]
-        sq += float(np.sum(d * d))
-        n += d.size
-    return math.sqrt(sq / max(n, 1))
-
-
 def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
     """Train with a constant-lr phase, then cosine annealing after a plateau.
 
@@ -450,7 +436,7 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
     Returns the best-validation checkpoint; the model is left holding it.
     """
     t_start = time.perf_counter()
-    train, valid = split_estimation(data, config.valid_fraction, config.seed)
+    train, valid = split_estimation(data, config.valid_fraction)
     std = fit_standardizer(train)
     train_std = std.apply_data(train)
     lr_max = config.lr_max
@@ -468,7 +454,7 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
                                        state.cosine_total)
         t0 = time.perf_counter()
         metrics = train_epoch(model, train_std, config, state)
-        valid_rmse = _pooled_validation_rmse(model, valid, std, data.transient_n)
+        valid_rmse = pooled_rmse([simulate(model, u, std) for u, _ in valid.sequences], valid)
         wall = time.perf_counter() - t0
         train_rmse_phys = math.sqrt(
             float(np.sum(std.y_std ** 2 * metrics.channel_sq))

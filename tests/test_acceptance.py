@@ -175,7 +175,7 @@ def test_criterion_3_cache_oracle():
         for t in range(T):
             fb_hist = np.concatenate([np.zeros((1, 1, 1)), y_naive[:, :t]], axis=1)
             hist = np.concatenate([u[:, : t + 1], fb_hist], axis=2)
-            y_naive[:, t] = tcn_forward(hist, model.params, nar_twin)[:, -1]
+            y_naive[:, t] = tcn_forward(hist, None, model.params, nar_twin)[0][:, -1]
         worst = max(worst, float(np.abs(y_cached - y_naive).max()))
     wall = time.perf_counter() - t0
     ok = worst < 1e-9 and wall < 120

@@ -3,7 +3,7 @@ import pytest
 
 from sidnn.checkpoint import load_checkpoint, save_checkpoint
 from sidnn.data import Standardizer
-from sidnn.errors import CorruptionError, FormatError
+from sidnn.errors import CorruptionError, DataError, FormatError
 from sidnn.models import ModelSpec, init_params
 
 
@@ -66,5 +66,23 @@ def test_truncation_mid_tensor_reports_offset(tmp_path):
 def test_truncation_in_header_detected(tmp_path):
     path, *_ = _fixture(tmp_path)
     path.write_bytes(path.read_bytes()[:8])
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
+
+
+def test_nan_tensor_rejected(tmp_path):
+    path, spec, std, params = _fixture(tmp_path)
+    params["head.b"] = np.array([np.nan])
+    save_checkpoint(path, spec, std, params)
+    with pytest.raises(DataError) as exc:
+        load_checkpoint(path)
+    assert "head.b" in str(exc.value)
+
+
+def test_corrupt_header_json_is_corruption_error(tmp_path):
+    path, *_ = _fixture(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[10] = 0xFF  # first header byte (after magic, version, length)
+    path.write_bytes(bytes(blob))
     with pytest.raises(CorruptionError):
         load_checkpoint(path)

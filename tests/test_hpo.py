@@ -178,6 +178,41 @@ def test_failed_trial_does_not_abort_search():
     assert any(e.decision == "fail" and e.trial_id == 5 for e in events)
 
 
+def test_untyped_trial_error_neither_hangs_nor_escapes_untyped(tmp_path):
+    import json
+    import threading
+
+    calls = []
+    lock = threading.Lock()
+
+    def runner(config, epochs, trial_seed):
+        with lock:
+            calls.append(trial_seed)
+            first = len(calls) == 1
+        if first:
+            raise ValueError("synthetic crash")
+        return 0.5
+
+    out = tmp_path / "trials.jsonl"
+    raised = []
+
+    def search():
+        try:
+            run_search(SearchSpace(), 9, 2, None, eta=3, seed=8, trial_runner=runner,
+                       out_path=out)
+        except Exception as exc:  # collected for the asserts below
+            raised.append(exc)
+
+    th = threading.Thread(target=search, daemon=True)
+    th.start()
+    th.join(timeout=30)
+    assert not th.is_alive(), "search deadlocked after a trial raised ValueError"
+    assert len(raised) == 1 and isinstance(raised[0], TrainingError)
+    assert isinstance(raised[0].__cause__, ValueError)
+    decisions = [json.loads(line)["decision"] for line in out.read_text().splitlines()]
+    assert "fail" in decisions
+
+
 def test_no_trial_runs_a_rung_twice_and_resources_increase():
     losses = [r / 10.0 for r in _rank_table_27()]
     runner = _make_runner(losses, seed=5)

@@ -10,11 +10,10 @@ from sidnn.inference import (
     bench_inference_time,
     bench_training_time,
     evaluate_rmse,
-    fast_ar_step,
     simulate,
     _bench_lock,
 )
-from sidnn.models import ConvCache, Model, ModelSpec, gru_forward, tcn_forward
+from sidnn.models import ConvCache, Model, ModelSpec, conv_cache_step, gru_forward, tcn_forward
 from sidnn.training import masked_mse
 
 
@@ -69,18 +68,18 @@ def test_simulate_rejects_channel_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# fast_ar_step
+# conv_cache_step
 # ---------------------------------------------------------------------------
 
 
 def test_fast_ar_step_first_step_equals_length_one_forward():
     spec = ModelSpec(arch="tcn", mode="ar", input_dim=1, hidden=4, depth=3)
     model = Model.create(spec, 5)
-    cache = ConvCache.init(spec, model.params, batch=1)
+    cache = ConvCache.init(spec, batch=1)
     x = np.array([[0.7, -0.3]])  # concat(u_0, zero feedback)
-    y_step, _ = fast_ar_step(cache, x)
+    y_step = conv_cache_step(cache, model.params, x)
     nar_twin = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=4, depth=3)
-    y_full = tcn_forward(x[:, None, :], model.params, nar_twin)
+    y_full, _ = tcn_forward(x[:, None, :], None, model.params, nar_twin)
     np.testing.assert_allclose(y_step, y_full[:, 0], atol=1e-12)
 
 
@@ -90,11 +89,11 @@ def test_fast_ar_step_matches_naive_recompute():
     rng = np.random.default_rng(6)
     T = 256
     u = rng.standard_normal((1, T, 1))
-    cache = ConvCache.init(spec, model.params, batch=1)
+    cache = ConvCache.init(spec, batch=1)
     y = np.empty((1, T, 1))
     fb = np.zeros((1, 1))
     for t in range(T):
-        y_t, cache = fast_ar_step(cache, np.concatenate([u[:, t], fb], axis=1))
+        y_t = conv_cache_step(cache, model.params, np.concatenate([u[:, t], fb], axis=1))
         y[:, t] = y_t
         fb = y_t
     nar_twin = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=3, depth=4)
@@ -102,14 +101,14 @@ def test_fast_ar_step_matches_naive_recompute():
     for t in range(T):
         fb_hist = np.concatenate([np.zeros((1, 1, 1)), y_naive[:, :t]], axis=1)
         hist = np.concatenate([u[:, : t + 1], fb_hist], axis=2)
-        y_naive[:, t] = tcn_forward(hist, model.params, nar_twin)[:, -1]
+        y_naive[:, t] = tcn_forward(hist, None, model.params, nar_twin)[0][:, -1]
     assert np.abs(y - y_naive).max() < 1e-9
 
 
 def test_fast_ar_step_cost_is_history_independent():
     spec = ModelSpec(arch="tcn", mode="ar", input_dim=1, hidden=8, depth=6)
     model = Model.create(spec, 7)
-    cache = ConvCache.init(spec, model.params, batch=1)
+    cache = ConvCache.init(spec, batch=1)
     rng = np.random.default_rng(7)
 
     def step_time(n):
@@ -117,14 +116,14 @@ def test_fast_ar_step_cost_is_history_independent():
         for _ in range(n):
             x = np.concatenate([rng.standard_normal((1, 1)), np.zeros((1, 1))], axis=1)
             t0 = time.perf_counter()
-            fast_ar_step(cache, x)
+            conv_cache_step(cache, model.params, x)
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
     step_time(100)  # warm to t=100
     early = step_time(50)
     while cache.steps < 2000:
-        fast_ar_step(cache, np.zeros((1, 2)))
+        conv_cache_step(cache, model.params, np.zeros((1, 2)))
     late = step_time(50)
     assert late <= 2.0 * early
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sidnn.errors import ParameterError, StateError, UsageError
+from sidnn.errors import ParameterError, StateError
 from sidnn.models import (
     HiddenState,
     Model,
@@ -9,12 +9,10 @@ from sidnn.models import (
     ParamStore,
     gru_cell,
     gru_forward,
-    gru_forward_ar,
     init_params,
     param_shapes,
     receptive_field,
     tcn_forward,
-    tcn_forward_ar,
 )
 
 
@@ -75,7 +73,7 @@ def test_gru_cell_bptt_vs_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# gru_forward (NAR)
+# gru_forward, NAR mode
 # ---------------------------------------------------------------------------
 
 
@@ -106,14 +104,8 @@ def test_gru_forward_chunked_equals_monolithic():
     np.testing.assert_allclose(np.concatenate([y0, y1], axis=1), y_mono, atol=1e-12)
 
 
-def test_gru_forward_rejects_ar_spec():
-    params = init_params(GRU_AR, 0)
-    with pytest.raises(UsageError):
-        gru_forward(np.zeros((1, 4, 2)), None, params, GRU_AR)
-
-
 # ---------------------------------------------------------------------------
-# gru_forward_ar
+# gru_forward, AR mode
 # ---------------------------------------------------------------------------
 
 
@@ -123,7 +115,7 @@ def test_gru_ar_zero_params_stable_zero():
     state = HiddenState(
         gru_h=[np.zeros((2, 3)) for _ in range(2)], last_output=np.zeros((2, 1))
     )
-    y, _ = gru_forward_ar(u, state, params, GRU_AR)
+    y, _ = gru_forward(u, state, params, GRU_AR)
     np.testing.assert_array_equal(y, np.zeros_like(y))
 
 
@@ -154,7 +146,7 @@ def test_gru_ar_missing_last_output_raises():
     model = Model.create(GRU_AR, 0)
     state = HiddenState(gru_h=[np.zeros((1, 3)) for _ in range(2)])
     with pytest.raises(StateError):
-        gru_forward_ar(np.zeros((1, 4, 2)), state, model.params, GRU_AR)
+        gru_forward(np.zeros((1, 4, 2)), state, model.params, GRU_AR)
 
 
 def test_ar_with_zero_feedback_weights_equals_nar():
@@ -181,7 +173,7 @@ def test_ar_with_zero_feedback_weights_equals_nar():
 
 
 # ---------------------------------------------------------------------------
-# tcn_forward
+# tcn_forward, NAR mode
 # ---------------------------------------------------------------------------
 
 
@@ -193,7 +185,7 @@ def test_tcn_depth1_pairwise_sums():
     params["tcn.0.kernel"] = np.array([[[1.0, 1.0]]])
     params["head.W"] = np.array([[1.0]])
     u = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    y = tcn_forward(u, params, spec)
+    y, _ = tcn_forward(u, None, params, spec)
     np.testing.assert_array_equal(y.ravel(), [1.0, 3.0, 5.0, 7.0])
 
 
@@ -201,11 +193,11 @@ def test_tcn_causality():
     model = Model.create(TCN_NAR, 9)
     rng = np.random.default_rng(9)
     u = rng.standard_normal((1, 20, 2))
-    base = tcn_forward(u, model.params, TCN_NAR)
+    base, _ = tcn_forward(u, None, model.params, TCN_NAR)
     t = 11
     up = u.copy()
     up[0, t, 0] += 1.0
-    out = tcn_forward(up, model.params, TCN_NAR)
+    out, _ = tcn_forward(up, None, model.params, TCN_NAR)
     np.testing.assert_array_equal(out[:, :t], base[:, :t])
 
 
@@ -217,28 +209,28 @@ def test_tcn_receptive_field_limit():
     span = receptive_field(spec.depth)  # 7
     T = 24
     u = rng.standard_normal((1, T, 1))
-    base = tcn_forward(u, model.params, spec)
+    base, _ = tcn_forward(u, None, model.params, spec)
     t_probe = 20
     up = u.copy()
     up[0, t_probe - span - 1, 0] += 10.0
-    out = tcn_forward(up, model.params, spec)
+    out, _ = tcn_forward(up, None, model.params, spec)
     np.testing.assert_array_equal(out[0, t_probe], base[0, t_probe])
     up2 = u.copy()
     up2[0, t_probe - span, 0] += 10.0
-    out2 = tcn_forward(up2, model.params, spec)
+    out2, _ = tcn_forward(up2, None, model.params, spec)
     assert np.any(out2[0, t_probe] != base[0, t_probe])
 
 
 def test_tcn_rejects_empty_sequence():
     model = Model.create(TCN_NAR, 0)
     with pytest.raises(Exception):
-        tcn_forward(np.zeros((1, 0, 2)), model.params, TCN_NAR)
+        tcn_forward(np.zeros((1, 0, 2)), None, model.params, TCN_NAR)
 
 
 def test_tcn_nar_chunked_with_context_equals_monolithic():
     model = Model.create(TCN_NAR, 11)
     u = np.random.default_rng(11).standard_normal((2, 64, 2))
-    y_mono = tcn_forward(u, model.params, TCN_NAR)
+    y_mono, _ = tcn_forward(u, None, model.params, TCN_NAR)
     state = model.initial_state(2)
     parts = []
     for c in range(4):
@@ -248,7 +240,7 @@ def test_tcn_nar_chunked_with_context_equals_monolithic():
 
 
 # ---------------------------------------------------------------------------
-# tcn_forward_ar
+# tcn_forward, AR mode
 # ---------------------------------------------------------------------------
 
 
@@ -274,7 +266,7 @@ def test_tcn_ar_equals_naive_recompute():
             [np.zeros((1, 1, 1)), y_naive[:, :t]], axis=1
         )
         hist = np.concatenate([u[:, : t + 1], fb_hist], axis=2)
-        out = tcn_forward(hist, model.params, nar_twin)
+        out, _ = tcn_forward(hist, None, model.params, nar_twin)
         y_naive[:, t] = out[:, -1]
     assert np.abs(y_cached - y_naive).max() < 1e-9
 
@@ -300,11 +292,15 @@ def test_receptive_field_values():
     assert receptive_field(10) == 1023
     assert receptive_field(1) == 1
     assert receptive_field(4) == 15
+    assert receptive_field(3, kernel=3) == 14
+    assert receptive_field(5, kernel=1) == 0
 
 
 def test_receptive_field_rejects_bad_depth():
     with pytest.raises(ParameterError):
         receptive_field(0)
+    with pytest.raises(ParameterError):
+        receptive_field(3, kernel=0)
 
 
 def test_init_params_deterministic():

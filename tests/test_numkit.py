@@ -174,9 +174,3 @@ def test_check_finite():
         nk.check_finite("bad", np.array([1.0, np.nan]))
     with pytest.raises(DataError):
         nk.check_finite("bad", np.array([1.0, np.inf]))
-
-
-def test_grad_pair_shape_invariant():
-    nk.GradPair(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        nk.GradPair(np.zeros((2, 3)), np.zeros((3, 2)))

@@ -337,29 +337,32 @@ def test_free_running_ignores_targets_in_pipeline():
 
 
 def test_masked_targets_leave_updates_bitwise_unchanged():
-    spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=4, depth=3)
     cfg = TrainConfig(window_len=32, chunk_len=32, batch_size=2, seed=9)
     data = _toy_data(T=256, seed=9)
     (batch,) = _window_batches(data, 32, 32, 2, seed=9)
-    mask = chunk_loss_mask(spec, cfg, batch)
-    assert mask is not None and mask[0].sum() == 7  # receptive_field(3)
+    # warm-up is (kernel-1)*(2**depth - 1): 7 for kernel 2, 14 for kernel 3
+    for kernel, n_warm in ((2, 7), (3, 14)):
+        spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=4, depth=3,
+                         kernel=kernel)
+        mask = chunk_loss_mask(spec, cfg, batch)
+        assert mask is not None and mask[0].sum() == n_warm
 
-    def updated_params(target_noise):
-        model = Model.create(spec, 10)
-        b = type(batch)(u=batch.u, y=batch.y + target_noise, chunk_index=0,
-                        n_chunks=1, offset=0, is_first=True, epoch=0)
-        state = model.initial_state(2)
-        _, grads, _, _, _ = _chunk_step(model, b, state, cfg, rng=None)
-        st = TrainState.init(model.params, lr=0.01)
-        radam_lookahead_step(model.params, grads, st, cfg)
-        return {k: v.copy() for k, v in model.params.items()}
+        def updated_params(target_noise):
+            model = Model.create(spec, 10)
+            b = type(batch)(u=batch.u, y=batch.y + target_noise, chunk_index=0,
+                            n_chunks=1, offset=0, is_first=True, epoch=0)
+            state = model.initial_state(2)
+            _, grads, _, _, _ = _chunk_step(model, b, state, cfg, rng=None)
+            st = TrainState.init(model.params, lr=0.01)
+            radam_lookahead_step(model.params, grads, st, cfg)
+            return {k: v.copy() for k, v in model.params.items()}
 
-    noise = np.zeros_like(batch.y)
-    noise[:, :7] = 123.456  # only masked positions perturbed
-    a = updated_params(np.zeros_like(batch.y))
-    b = updated_params(noise)
-    for name in a:
-        np.testing.assert_array_equal(a[name], b[name])
+        noise = np.zeros_like(batch.y)
+        noise[:, :n_warm] = 123.456  # only masked positions perturbed
+        a = updated_params(np.zeros_like(batch.y))
+        b = updated_params(noise)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
 
 
 def test_gradients_do_not_cross_chunk_boundaries():
