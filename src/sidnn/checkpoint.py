@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit as nk
-from .data import Standardizer
+from .data import Standardizer, atomic_open
 from .errors import CorruptionError, FormatError
-from .models import ModelSpec, ParamStore
+from .models import SPEC_TYPES, ModelSpec, ParamStore, type_problems
 
 MAGIC = b"SIDNN"
 VERSION = 1
@@ -44,7 +44,7 @@ def save_checkpoint(
         },
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION]))
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -82,6 +82,20 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
+def _header_section(path, header, name: str, keys: list[str]) -> dict:
+    """header[name] as a dict with exactly the given keys, or CorruptionError."""
+    section = header.get(name) if isinstance(header, dict) else None
+    if not isinstance(section, dict):
+        raise CorruptionError(f"{path}: checkpoint header has no '{name}' object")
+    if set(section) != set(keys):
+        missing = sorted(set(keys) - set(section))
+        extra = sorted(set(section) - set(keys))
+        raise CorruptionError(
+            f"{path}: checkpoint {name} keys mismatch: missing={missing} extra={extra}"
+        )
+    return section
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     blob = Path(path).read_bytes()
     r = _Reader(blob)
@@ -94,12 +108,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(r.take(r.u32()).decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise CorruptionError(f"{path}: unreadable checkpoint header: {exc}") from None
-    spec = ModelSpec(**header["spec"])
-    s = header["standardizer"]
-    standardizer = Standardizer(
-        u_mean=np.asarray(s["u_mean"]), u_std=np.asarray(s["u_std"]),
-        y_mean=np.asarray(s["y_mean"]), y_std=np.asarray(s["y_std"]),
-    )
+    spec_fields = _header_section(path, header, "spec", list(SPEC_TYPES))
+    if problems := type_problems(spec_fields, SPEC_TYPES):
+        raise CorruptionError(f"{path}: checkpoint spec: " + "; ".join(problems))
+    spec = ModelSpec(**spec_fields)
+    s = _header_section(path, header, "standardizer", ["u_mean", "u_std", "y_mean", "y_std"])
+    try:
+        standardizer = Standardizer(**{k: np.asarray(v, dtype=np.float64) for k, v in s.items()})
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged lists
+        raise CorruptionError(f"{path}: malformed checkpoint standardizer: {exc}") from None
     for key, value in vars(standardizer).items():
         nk.check_finite(f"{path}: standardizer {key}", value)
     arrays: dict[str, np.ndarray] = {}

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import load_descriptor
+from .data import atomic_open, load_descriptor
 from .errors import (
     CompatibilityError,
     ReportError,
@@ -23,13 +23,13 @@ from .errors import (
 )
 from .hpo import SearchSpace, run_search
 from .inference import (
-    bench_inference_time,
-    bench_training_time,
+    bench_inference_cells,
+    bench_training_cells,
     pooled_rmse,
     simulate,
     simulate_report,
 )
-from .models import Model, ModelSpec, receptive_field
+from .models import SPEC_TYPES, Model, ModelSpec, receptive_field, type_problems
 from .training import TrainConfig, fit, write_history_csv
 
 MODEL_DEFAULTS = {
@@ -82,30 +82,34 @@ def load_config(path: str | Path) -> dict:
         problems.append("missing required field 'dataset'")
     elif not isinstance(raw["dataset"], str):
         problems.append("'dataset' must be a path string")
+    sections = {}
+    for name in ("model", "train", "hpo"):
+        sections[name] = raw.get(name, {})
+        if not isinstance(sections[name], dict):
+            problems.append(f"'{name}' must be an object")
+            sections[name] = {}
     model_cfg = dict(MODEL_DEFAULTS)
-    for key, value in raw.get("model", {}).items():
+    for key, value in sections["model"].items():
         if key in ("input_dim", "output_dim"):
             problems.append(f"model.{key} is derived from the dataset, not configured")
         elif key not in model_cfg:
             problems.append(f"unknown field 'model.{key}'")
         else:
             model_cfg[key] = value
-    train_cfg = raw.get("train", {})
-    if not isinstance(train_cfg, dict):
-        problems.append("'train' must be an object")
-        train_cfg = {}
-    for key, value in train_cfg.items():
+    problems += [f"model.{p}" for p in type_problems(model_cfg, SPEC_TYPES)]
+    train_cfg = sections["train"]
+    for key in train_cfg:
         if key not in TRAIN_FIELDS:
             problems.append(f"unknown field 'train.{key}'")
-        elif value is not None and not isinstance(value, TRAIN_FIELDS[key]) \
-                and not (TRAIN_FIELDS[key] is float and isinstance(value, int)):
-            problems.append(f"train.{key} has wrong type {type(value).__name__}")
+    problems += [f"train.{p}" for p in type_problems(train_cfg, TRAIN_FIELDS)]
     hpo_cfg = dict(HPO_DEFAULTS)
-    for key, value in raw.get("hpo", {}).items():
+    for key, value in sections["hpo"].items():
         if key not in hpo_cfg:
             problems.append(f"unknown field 'hpo.{key}'")
         else:
             hpo_cfg[key] = value
+    problems += [f"hpo.{p}" for p in type_problems(hpo_cfg, dict.fromkeys(HPO_DEFAULTS, int))]
+    problems += type_problems(raw, {"seed": int, "out_dir": str})
     if problems:
         raise SchemaError("invalid config: " + "; ".join(problems))
     cfg = {
@@ -114,7 +118,7 @@ def load_config(path: str | Path) -> dict:
         "train": dict(train_cfg),
         "hpo": hpo_cfg,
         "out_dir": raw.get("out_dir", "runs"),
-        "seed": int(raw.get("seed", 0)),
+        "seed": raw.get("seed", 0),
     }
     return cfg
 
@@ -166,7 +170,8 @@ def cmd_train(config_path: str, seed: int | None = None, out: str | None = None)
         "unit_scale": meta["unit_scale"],
         "wall_seconds": wall,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+    with atomic_open(out_dir / "summary.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2))
     print(f"trained {spec.arch}-{spec.mode}: best valid RMSE {result.best_valid_rmse:.6g} "
           f"(epoch {result.best_epoch}), checkpoint at {ckpt_path}")
     return out_dir
@@ -202,7 +207,8 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None
         "wall_seconds": sum(r.wall_seconds for r in reports),
         "checkpoint": str(checkpoint_path),
     }
-    (out_dir / f"eval_{meta['name']}.json").write_text(json.dumps(summary, indent=2))
+    with atomic_open(out_dir / f"eval_{meta['name']}.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(summary, indent=2))
     print(f"evaluated {meta['name']}: RMSE {pooled:.6g} "
           f"(transient {data.transient_n} skipped)")
     return summary
@@ -262,31 +268,24 @@ def _write_bench_csv(out_dir: Path, stem: str, table) -> Path:
 def cmd_bench(lengths: list[int], repeats: int, out: str | None, seed: int = 0) -> Path:
     out_dir = Path(out) if out is not None else Path("runs")
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs = _bench_specs()
+    # each spec keeps only its admissible lengths; short TCN rows are
+    # skipped with a logged reason rather than silently dropped
+    cells = []
+    for spec in _bench_specs():
+        use = lengths
+        if spec.arch == "tcn":
+            need = receptive_field(spec.depth, spec.kernel)
+            use = [L for L in lengths if L >= need]
+            skipped = [L for L in lengths if L < need]
+            if skipped:
+                print(f"skipping TCN-{spec.mode.upper()} at lengths {skipped}: "
+                      f"receptive field needs >= {need} samples")
+        cells += [(spec, L) for L in use]
     results = []
-    for kind, runner in (("training", bench_training_time),
-                         ("inference", bench_inference_time)):
-        # each spec keeps only its admissible lengths; short TCN rows are
-        # skipped with a logged reason rather than silently dropped
-        grid = []
-        for spec in specs:
-            use = lengths
-            if spec.arch == "tcn":
-                need = receptive_field(spec.depth, spec.kernel)
-                use = [L for L in lengths if L >= need]
-                skipped = [L for L in lengths if L < need]
-                if skipped:
-                    print(f"skipping TCN-{spec.mode.upper()} at lengths {skipped}: "
-                          f"receptive field needs >= {need} samples")
-            if use:
-                grid.append((spec, use))
-        table = None
-        for spec, use in grid:
-            part = runner([spec], use, repeats=repeats, seed=seed)
-            if table is None:
-                table = part
-            else:
-                table.rows.extend(part.rows)
+    # one call per kind times every cell in the same round-robin
+    for kind, runner in (("training", bench_training_cells),
+                         ("inference", bench_inference_cells)):
+        table = runner(cells, repeats=repeats, seed=seed)
         path = _write_bench_csv(out_dir, f"bench_{kind}", table)
         results.append(path)
         print(f"{kind} timings written to {path}")

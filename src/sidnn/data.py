@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -125,8 +128,24 @@ def split_estimation(
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# file I/O: CSV ingestion and all-or-nothing artifact writes
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """Write through a temporary file beside path, moved onto path by
+    os.replace when the block completes and deleted when it raises, so path
+    holds either its previous or its complete new contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> SequenceData:

@@ -123,13 +123,15 @@ class SearchEvent:
     valid_rmse: float
     decision: str  # promote | stop | complete | fail
     timestamp: float
+    error: str | None = None  # "<ExcClass>: <message>" of a failed trial
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"trial_id": self.trial_id, "rung": self.rung, "epochs": self.epochs,
-             "valid_rmse": self.valid_rmse, "decision": self.decision,
-             "timestamp": self.timestamp}
-        )
+        line = {"trial_id": self.trial_id, "rung": self.rung, "epochs": self.epochs,
+                "valid_rmse": self.valid_rmse, "decision": self.decision,
+                "timestamp": self.timestamp}
+        if self.error is not None:
+            line["error"] = self.error
+        return json.dumps(line)
 
 
 def replay_decisions(events: list[SearchEvent], eta: int = 3, num_rungs: int = 3,
@@ -224,9 +226,10 @@ def run_search(
     crashes: list[tuple[int, Exception]] = []  # non-SidnnError trial exceptions
     log_fh = open(out_path, "a", encoding="utf-8") if out_path is not None else None
 
-    def emit(trial_id: int, rung_index: int, loss: float, decision: str) -> None:
+    def emit(trial_id: int, rung_index: int, loss: float, decision: str,
+             error: str | None = None) -> None:
         ev = SearchEvent(trial_id, rung_index, rungs[rung_index].resource, loss,
-                         decision, time.time())
+                         decision, time.time(), error)
         events.append(ev)
         if log_fh is not None:
             log_fh.write(ev.to_json() + "\n")
@@ -256,13 +259,14 @@ def run_search(
                     return None
                 cond.wait()
 
-    def complete(trial_id: int, rung_index: int, loss: float | None) -> None:
+    def complete(trial_id: int, rung_index: int, loss: float | None,
+                 error: str | None) -> None:
         nonlocal in_flight
         with cond:
             record = records[trial_id]
             if loss is None:
                 record.status = "failed"
-                emit(trial_id, rung_index, math.nan, "fail")
+                emit(trial_id, rung_index, math.nan, "fail", error)
             else:
                 rungs[rung_index].results.append((trial_id, loss))
                 record.rungs.append((rungs[rung_index].resource, loss))
@@ -287,18 +291,20 @@ def run_search(
                 return
             trial_id, rung_index = job
             overlay = records[trial_id].config
-            loss = None
+            loss = error = None
             try:
                 loss = float(trial_runner(overlay, rungs[rung_index].resource,
                                           _trial_seed(seed, trial_id)))
-            except SidnnError:
-                pass  # a failed trial: logged, and the search goes on
             except Exception as exc:
-                with cond:
-                    crashes.append((trial_id, exc))
+                # a failed trial is logged; after a SidnnError the search
+                # goes on, any other exception stops the hand-out of work
+                error = f"{type(exc).__name__}: {exc}"
+                if not isinstance(exc, SidnnError):
+                    with cond:
+                        crashes.append((trial_id, exc))
             finally:
                 # release the job whatever happened, or peers wait forever
-                complete(trial_id, rung_index, loss)
+                complete(trial_id, rung_index, loss, error)
 
     try:
         if workers == 1:

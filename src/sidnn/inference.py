@@ -143,36 +143,32 @@ def _bench_model(spec: ModelSpec, seed: int) -> Model:
     return model
 
 
-def _check_tcn_lengths(specs: list[ModelSpec], seq_lengths: list[int]) -> None:
-    for spec in specs:
+def _check_tcn_lengths(cells: list[tuple[ModelSpec, int]]) -> None:
+    for spec, L in cells:
         if spec.arch != "tcn":
             continue
         need = receptive_field(spec.depth, spec.kernel)
-        short = [L for L in seq_lengths if L < need]
-        if short:
+        if L < need:
             raise ParameterError(
                 f"TCN depth {spec.depth} needs sequences of at least {need} samples; "
-                f"got lengths {short}"
+                f"got length {L}"
             )
 
 
-def _timed_cells(specs, seq_lengths, make_runner, repeats, warmup):
+def _timed_cells(cells, make_runner, repeats, warmup):
     """Warm every cell, then interleave measured repeats round-robin so slow
     clock drift cannot masquerade as a length trend."""
-    cells = []
-    for spec in specs:
-        for L in seq_lengths:
-            cells.append((spec, L, make_runner(spec, L)))
+    runs = [(spec, L, make_runner(spec, L)) for spec, L in cells]
     table = BenchTable()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with _limit_threads():
-            for _, _, run in cells:
+            for _, _, run in runs:
                 for _ in range(warmup):
                     run()
             for rep in range(repeats):
-                for spec, L, run in cells:
+                for spec, L, run in runs:
                     t0 = time.perf_counter()
                     run()
                     dt = time.perf_counter() - t0
@@ -194,10 +190,24 @@ def bench_training_time(
     warmup: int = 2,
     seed: int = 0,
 ) -> BenchTable:
-    """Median wall time of one forward+backward+optimizer step per mini-batch."""
+    """Median wall time of one forward+backward+optimizer step per mini-batch,
+    for every (spec, length) pair."""
+    cells = [(spec, L) for spec in specs for L in seq_lengths]
+    return bench_training_cells(cells, batch_size, repeats, warmup, seed)
+
+
+def bench_training_cells(
+    cells: list[tuple[ModelSpec, int]],
+    batch_size: int = 16,
+    repeats: int = 5,
+    warmup: int = 2,
+    seed: int = 0,
+) -> BenchTable:
+    """bench_training_time over explicit (spec, length) cells, all timed in
+    one round-robin."""
     from .training import TrainConfig, TrainState, masked_mse_grad, radam_lookahead_step
 
-    _check_tcn_lengths(specs, seq_lengths)
+    _check_tcn_lengths(cells)
     if not _bench_lock.acquire(blocking=False):
         raise UsageError("timing harness already running in this process")
     try:
@@ -221,7 +231,7 @@ def bench_training_time(
 
             return run
 
-        return _timed_cells(specs, seq_lengths, make_runner, repeats, warmup)
+        return _timed_cells(cells, make_runner, repeats, warmup)
     finally:
         _bench_lock.release()
 
@@ -234,7 +244,19 @@ def bench_inference_time(
     seed: int = 0,
 ) -> BenchTable:
     """Median wall time of simulating one sequence per (variant, length)."""
-    _check_tcn_lengths(specs, seq_lengths)
+    cells = [(spec, L) for spec in specs for L in seq_lengths]
+    return bench_inference_cells(cells, repeats, warmup, seed)
+
+
+def bench_inference_cells(
+    cells: list[tuple[ModelSpec, int]],
+    repeats: int = 5,
+    warmup: int = 2,
+    seed: int = 0,
+) -> BenchTable:
+    """bench_inference_time over explicit (spec, length) cells, all timed in
+    one round-robin."""
+    _check_tcn_lengths(cells)
     if not _bench_lock.acquire(blocking=False):
         raise UsageError("timing harness already running in this process")
     try:
@@ -250,6 +272,6 @@ def bench_inference_time(
 
             return run
 
-        return _timed_cells(specs, seq_lengths, make_runner, repeats, warmup)
+        return _timed_cells(cells, make_runner, repeats, warmup)
     finally:
         _bench_lock.release()

@@ -21,7 +21,7 @@ a time, in training, simulation and `conv_cache_step` streaming alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -75,6 +75,29 @@ class ModelSpec:
     def feed_dim(self) -> int:
         """Width of the network input: AR mode appends the fed-back output."""
         return self.input_dim + (self.output_dim if self.mode == "ar" else 0)
+
+
+def type_problems(values: dict, types: dict) -> list[str]:
+    """One message per key of values whose value is not of its types entry
+    (a type or tuple); keys missing from types are skipped. A bool is no
+    int, and an int is a valid float."""
+    problems = []
+    for key, value in values.items():
+        if key not in types:
+            continue
+        kinds = types[key] if isinstance(types[key], tuple) else (types[key],)
+        if isinstance(value, bool):
+            ok = bool in kinds
+        else:
+            ok = isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+        if not ok:
+            names = "/".join("null" if k is type(None) else k.__name__ for k in kinds)
+            problems.append(f"{key} must be {names}, got {type(value).__name__}")
+    return problems
+
+
+SPEC_TYPES = {f.name: {"int": int, "str": str, "bool": bool, "float": float}[f.type]
+              for f in fields(ModelSpec)}
 
 
 def receptive_field(depth: int, kernel: int = 2) -> int:
@@ -271,33 +294,21 @@ def _gru_layer_mats(params: ParamStore, l: int):
     return w_cat, b_cat, u_zr, Uh
 
 
-def _gru_step(proj_t: Array, h: Array, u_zr: Array, u_h: Array, H: int):
-    """One gated update from precomputed input projections.
+def _gru_step(proj_t: Array, h: Array, u_zr: Array, u_h: Array, H: int,
+              h_out: Array, c_out: Array | None = None):
+    """One gated update from precomputed input projections; returns (z, r).
 
     proj_t is x @ [Wz|Wr|Wh] + b (B, 3H).
-    z = sig(.), r = sig(.), c = tanh(.), h' = (1-z)*h + z*c.
+    z = sig(.), r = sig(.), c = tanh(.), h' = (1-z)*h + z*c. h' goes to h_out,
+    which must not alias h, and c to c_out when given.
     """
     zr = nk.sigmoid(proj_t[:, : 2 * H] + h @ u_zr)
     z = zr[:, :H]
     r = zr[:, H:]
-    c = np.tanh(proj_t[:, 2 * H :] + (r * h) @ u_h)
-    h_new = (1.0 - z) * h + z * c
-    return h_new, z, r, c
-
-
-def _gru_step_backward(g, h_prev, z, r, c, u_zr, u_h, ga_out):
-    """Fill ga_out (B, 3H) with gate pre-activation grads; return dL/dh_prev."""
-    H = h_prev.shape[1]
-    gc = g * z
-    gh = g * (1.0 - z)
-    ga_h = gc * (1.0 - c * c)
-    g_rh = ga_h @ u_h.T
-    gh += g_rh * r
-    ga_out[:, :H] = (g * (c - h_prev)) * z * (1.0 - z)          # ga_z
-    ga_out[:, H : 2 * H] = (g_rh * h_prev) * r * (1.0 - r)      # ga_r
-    ga_out[:, 2 * H :] = ga_h
-    gh += ga_out[:, : 2 * H] @ u_zr.T
-    return gh
+    c = np.tanh(proj_t[:, 2 * H :] + (r * h) @ u_h, out=c_out)
+    np.multiply(1.0 - z, h, out=h_out)
+    h_out += z * c
+    return z, r
 
 
 def gru_cell(x_t: Array, h_prev: Array, params: ParamStore, layer: int = 0) -> Array:
@@ -312,7 +323,8 @@ def gru_cell(x_t: Array, h_prev: Array, params: ParamStore, layer: int = 0) -> A
             f"gru_cell state shape {h_prev.shape} != {(x_t.shape[0], u_h.shape[0])}"
         )
     proj = x_t @ w_cat + b_cat
-    h_new, _, _, _ = _gru_step(proj, h_prev, u_zr, u_h, u_h.shape[0])
+    h_new = np.empty_like(h_prev)
+    _gru_step(proj, h_prev, u_zr, u_h, u_h.shape[0], h_new)
     return h_new
 
 
@@ -328,10 +340,12 @@ def _dropout_masks(spec: ModelSpec, batch: int, training: bool, rng):
     ]
 
 
-def _gru_weight_grads(cache, GA):
-    """Stacked-matmul weight/bias gradients from per-step gate adjoints."""
+def _gru_weight_grads(cache, GA, HP):
+    """Stacked-matmul weight/bias gradients from per-step gate adjoints.
+
+    HP[l] holds layer l's previous states (T, B, H).
+    """
     spec = cache["spec"]
-    h0 = cache["h0"]
     Hs, Rs = cache["H"], cache["R"]
     masks = cache["masks"]
     B, T = cache["shape"]
@@ -340,17 +354,16 @@ def _gru_weight_grads(cache, GA):
     for l in range(spec.depth):
         if l == 0:
             # the layer-0 input is u plus the fed-back outputs (none in NAR)
-            x_stack = np.concatenate([cache["u_tm"], cache["FB"]], axis=2).reshape(T * B, -1)
+            x_stack = cache["X0"].reshape(T * B, -1)
         else:
             below = Hs[l - 1]
             x = below * masks[l - 1] if masks else below
             x_stack = x.reshape(T * B, H)
         ga = GA[l].reshape(T * B, 3 * H)
         gw = x_stack.T @ ga
-        h_prev_stack = np.concatenate([h0[l][None], Hs[l][:-1]], axis=0)
-        h_prev_flat = h_prev_stack.reshape(T * B, H)
+        h_prev_flat = HP[l].reshape(T * B, H)
         gu_zr = h_prev_flat.T @ ga[:, : 2 * H]
-        rh_flat = (Rs[l] * h_prev_stack).reshape(T * B, H)
+        rh_flat = (Rs[l] * HP[l]).reshape(T * B, H)
         gu_h = rh_flat.T @ ga[:, 2 * H :]
         gb = ga.sum(axis=0)
         grads[f"gru.{l}.Wz"] = gw[:, :H]
@@ -396,7 +409,7 @@ def gru_forward(
     time loop.
     """
     _check_seq_input(u, spec)
-    B, T, _ = u.shape
+    B, T, I = u.shape
     H, L, O = spec.hidden, spec.depth, spec.output_dim
     ar = spec.mode == "ar"
     if state is None:
@@ -407,48 +420,54 @@ def gru_forward(
     mats = [_gru_layer_mats(params, l) for l in range(L)]
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
+    w0, b0, _, _ = mats[0]
     # scratch arrays are time-major (T, B, .) so each step touches one
     # contiguous block; (B, T, .) slicing thrashes caches for long chunks
-    u_tm = np.ascontiguousarray(u.transpose(1, 0, 2))
-    hs = [h.copy() for h in h0]
+    if ar:
+        # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
+        X0 = np.empty((T, B, I + O))
+        X0[:, :, :I] = u.transpose(1, 0, 2)
+    else:
+        X0 = np.ascontiguousarray(u.transpose(1, 0, 2))
+        proj0 = (X0.reshape(T * B, I) @ w0 + b0).reshape(T, B, 3 * H)
+    hs = list(h0)  # read only: each step writes its h' into Hs
     Hs = [np.empty((T, B, H)) for _ in range(L)]
-    Zs = [np.empty((T, B, H)) for _ in range(L)]
-    Rs = [np.empty((T, B, H)) for _ in range(L)]
-    Cs = [np.empty((T, B, H)) for _ in range(L)]
-    FB = np.empty((T, B, O if ar else 0))
+    if return_cache:
+        Zs = [np.empty((T, B, H)) for _ in range(L)]
+        Rs = [np.empty((T, B, H)) for _ in range(L)]
+        Cs = [np.empty((T, B, H)) for _ in range(L)]
     Y = np.empty((T, B, O))
     fb = state.last_output
-    w0, b0, _, _ = mats[0]
-    if not ar:
-        proj0 = (u_tm.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
     for t in range(T):
         if ar:
-            FB[t] = fb
-            proj_t = np.concatenate([u_tm[t], fb], axis=1) @ w0 + b0
+            x0 = X0[t]
+            x0[:, I:] = fb
+            proj_t = x0 @ w0 + b0
         else:
             proj_t = proj0[t]
         for l in range(L):
             w_cat, b_cat, u_zr, u_h = mats[l]
             if l > 0:
                 proj_t = x @ w_cat + b_cat
-            h_new, z, r, c = _gru_step(proj_t, hs[l], u_zr, u_h, H)
-            hs[l] = h_new
-            Hs[l][t] = h_new
-            Zs[l][t] = z
-            Rs[l][t] = r
-            Cs[l][t] = c
+            h = Hs[l][t]
+            if return_cache:
+                Zs[l][t], Rs[l][t] = _gru_step(proj_t, hs[l], u_zr, u_h, H, h, Cs[l][t])
+            else:
+                _gru_step(proj_t, hs[l], u_zr, u_h, H, h)
+            hs[l] = h
             if l < L - 1:
-                x = h_new * masks[l] if masks else h_new
+                x = h * masks[l] if masks else h
         if ar:
-            y_t = Hs[L - 1][t] @ w_y + b_y
-            Y[t] = y_t
-            fb = teacher[:, t] if teacher is not None else y_t
+            fb = np.add(h @ w_y, b_y, out=Y[t])  # h is the top layer's new state
+            if teacher is not None:
+                fb = teacher[:, t]
     if not ar:
         Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
-    new_state = HiddenState(gru_h=hs, last_output=fb.copy() if ar else None)
+    new_state = HiddenState(gru_h=[h.copy() for h in hs],
+                            last_output=fb.copy() if ar else None)
     if return_cache:
-        cache = {"u_tm": u_tm, "FB": FB, "h0": h0, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
+        cache = {"X0": X0, "h0": h0, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
                  "masks": masks, "mats": mats, "spec": spec, "params": params,
                  "shape": (B, T), "teacher_forced": ar and teacher is not None}
         return y, new_state, cache
@@ -470,11 +489,13 @@ def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
     ar = spec.mode == "ar"
     feedback = ar and not cache["teacher_forced"]
-    w_y = params["head.W"]
+    w_y_t = params["head.W"].T
     # a copy, never a view of g_y: the feedback adjoint accumulates in place
     GY = g_y.transpose(1, 0, 2).copy()
     if not ar:
-        g_top = (GY.reshape(T * B, O) @ w_y.T).reshape(T, B, H)
+        g_top = (GY.reshape(T * B, O) @ w_y_t).reshape(T, B, H)
+    HP = [np.concatenate([h0[l][None], Hs[l][:-1]], axis=0) for l in range(L)]
+    mats_t = [(w_cat.T, u_zr.T, u_h.T) for w_cat, _, u_zr, u_h in mats]
     GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
     gh_carry = [np.zeros((B, H)) for _ in range(L)]
     gu = np.empty((T, B, I)) if need_input_grad else None
@@ -482,26 +503,34 @@ def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     for t in range(T - 1, -1, -1):
         if ar:
             GY[t] += g_fb
-            g_above = GY[t] @ w_y.T
+            g_above = GY[t] @ w_y_t
         else:
             g_above = g_top[t]
         for l in range(L - 1, -1, -1):
-            _, _, u_zr, u_h = mats[l]
+            w_t, u_zr_t, u_h_t = mats_t[l]
+            ga = GA[l][t]
             g = gh_carry[l] + g_above
-            h_prev = Hs[l][t - 1] if t > 0 else h0[l]
-            gh_carry[l] = _gru_step_backward(
-                g, h_prev, Zs[l][t], Rs[l][t], Cs[l][t], u_zr, u_h, GA[l][t]
-            )
+            z, r, c, h_prev = Zs[l][t], Rs[l][t], Cs[l][t], HP[l][t]
+            omz = 1.0 - z
+            gh = g * omz
+            ga_h = (g * z) * (1.0 - c * c)
+            g_rh = ga_h @ u_h_t
+            gh += g_rh * r
+            np.multiply(g * (c - h_prev) * z, omz, out=ga[:, :H])
+            np.multiply(g_rh * h_prev * r, 1.0 - r, out=ga[:, H : 2 * H])
+            ga[:, 2 * H :] = ga_h
+            gh += ga[:, : 2 * H] @ u_zr_t
+            gh_carry[l] = gh
             if l > 0:
-                gx = GA[l][t] @ mats[l][0].T
+                gx = ga @ w_t
                 g_above = gx * masks[l - 1] if masks else gx
         if feedback or need_input_grad:
-            gx0 = GA[0][t] @ mats[0][0].T
+            gx0 = GA[0][t] @ mats_t[0][0]
             if feedback:
                 g_fb = gx0[:, I:]
             if need_input_grad:
                 gu[t] = gx0[:, :I]
-    grads = _gru_weight_grads(cache, GA)
+    grads = _gru_weight_grads(cache, GA, HP)
     gy_flat = GY.reshape(T * B, O)
     grads["head.W"] = Hs[L - 1].reshape(T * B, H).T @ gy_flat
     grads["head.b"] = gy_flat.sum(axis=0)

@@ -114,13 +114,16 @@ def causal_conv1d_backward(
 
 
 def sigmoid(x: Array) -> Array:
-    """Numerically stable logistic; sigmoid(0) == 0.5."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic; sigmoid(0) == 0.5.
+
+    Bit for bit the two-branch form 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) for x < 0, NaN payloads included: with e = exp(-|x|)
+    each branch performs the same IEEE operations on the same operands,
+    without boolean masks. min(x, -x) is -|x| that passes a NaN through
+    with its sign. The exp argument is never positive, so it never overflows.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(g: Array, out: Array) -> Array:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import numkit as nk
-from .data import SequenceData, Standardizer, WindowPlan, ChunkBatch, fit_standardizer, sample_windows, split_estimation
+from .data import SequenceData, Standardizer, WindowPlan, ChunkBatch, atomic_open, fit_standardizer, sample_windows, split_estimation
 from .errors import (
     DimensionError,
     FinderError,
@@ -491,7 +491,7 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
 
 def write_history_csv(path: str | Path, history: list[HistoryRow]) -> None:
     """epoch, train_rmse, valid_rmse, lr, wall_seconds; full-precision floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_rmse", "valid_rmse", "lr", "wall_seconds"])
         for row in history:

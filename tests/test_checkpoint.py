@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -86,3 +89,35 @@ def test_corrupt_header_json_is_corruption_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+
+
+def _edit_header(path, edit):
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[6:10])
+    header = json.loads(blob[10 : 10 + n])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:6] + struct.pack("<I", len(new)) + new + blob[10 + n :])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["spec"].update(extra=1),
+    lambda h: h["spec"].pop("depth"),
+    lambda h: h["spec"].update(hidden="4"),
+    lambda h: h.pop("standardizer"),
+], ids=["unknown_spec_key", "missing_spec_key", "string_hidden", "missing_standardizer"])
+def test_malformed_header_is_corruption_error(tmp_path, edit):
+    path, *_ = _fixture(tmp_path)
+    _edit_header(path, edit)
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    path, spec, std, params = _fixture(tmp_path)
+    before = path.read_bytes()
+    params["head.b"] = np.array(["not a number"])  # raises after the header is out
+    with pytest.raises(ValueError):
+        save_checkpoint(path, spec, std, params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -64,6 +64,20 @@ def test_config_collects_all_problems(tmp_path):
     assert "bogus" in msg and "nope" in msg and "max_epochs" in msg and "dataset" in msg
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"model": {"hidden": "32"}}, "model.hidden"),
+    ({"model": [1]}, "'model'"),
+    ({"model": {"depth": 1.5}}, "model.depth"),
+    ({"model": {"depth": True}}, "model.depth"),
+    ({"train": {"max_epochs": True}}, "train.max_epochs"),
+], ids=["string_hidden", "model_not_object", "float_depth", "bool_depth", "bool_epochs"])
+def test_cli_main_reports_mistyped_config_as_schema_error(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error[schema]" in err and field in err
+
+
 def test_config_defaults_fill_in(tmp_path):
     path = write_config(tmp_path)
     cfg = load_config(path)
@@ -169,6 +183,19 @@ def test_bench_grid_and_tcn_skip(tmp_path, capsys):
     assert variants == {("GRU", "AR"), ("GRU", "NAR")}  # TCN depth 10 skipped
     lengths = {int(r["seq_len"]) for r in rows}
     assert lengths == {64, 128}
+
+
+def test_bench_interleaves_specs_by_repeat(tmp_path):
+    cmd_bench(lengths=[16, 32], repeats=2, out=str(tmp_path / "bench"))
+    for kind in ("training", "inference"):
+        raw = [f for f in (tmp_path / "bench").glob(f"bench_{kind}_*.csv")
+               if "medians" not in f.name]
+        with open(raw[0], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        order = [(int(r["repeat"]), r["mode"], int(r["seq_len"])) for r in rows]
+        # every cell of one repeat is timed before any cell of the next
+        assert order == [(rep, mode, L) for rep in (0, 1)
+                         for mode in ("AR", "NAR") for L in (16, 32)]
 
 
 def test_bench_rerun_never_overwrites(tmp_path):

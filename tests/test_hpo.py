@@ -175,7 +175,9 @@ def test_failed_trial_does_not_abort_search():
     by_id = {r.trial_id: r for r in records}
     assert by_id[5].status == "failed"
     assert sum(1 for r in records if r.status != "failed") == 26
-    assert any(e.decision == "fail" and e.trial_id == 5 for e in events)
+    fails = [e for e in events if e.decision == "fail"]
+    assert [(e.trial_id, e.error) for e in fails] == [(5, "TrainingError: synthetic failure")]
+    assert all(e.error is None for e in events if e.decision != "fail")
 
 
 def test_untyped_trial_error_neither_hangs_nor_escapes_untyped(tmp_path):
@@ -209,8 +211,10 @@ def test_untyped_trial_error_neither_hangs_nor_escapes_untyped(tmp_path):
     assert not th.is_alive(), "search deadlocked after a trial raised ValueError"
     assert len(raised) == 1 and isinstance(raised[0], TrainingError)
     assert isinstance(raised[0].__cause__, ValueError)
-    decisions = [json.loads(line)["decision"] for line in out.read_text().splitlines()]
-    assert "fail" in decisions
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    fails = [line for line in lines if line["decision"] == "fail"]
+    assert fails and fails[0]["error"] == "ValueError: synthetic crash"
+    assert all("error" not in line for line in lines if line["decision"] != "fail")
 
 
 def test_no_trial_runs_a_rung_twice_and_resources_increase():

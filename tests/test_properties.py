@@ -1,9 +1,12 @@
-"""Property tests over random specs for the per-architecture recurrence cores."""
+"""Property tests: the per-architecture recurrence cores over random specs, and
+the logistic against its two-branch reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from sidnn import numkit as nk
 from sidnn.models import Model, ModelSpec
 
 
@@ -100,3 +103,37 @@ def test_ar_tcn_matches_naive_full_history_recompute(spec, data):
     fb = np.concatenate([np.zeros((B, 1, 1)), y[:, :-1]], axis=1)
     y_naive, _ = twin.forward(np.concatenate([u, fb], axis=2))
     np.testing.assert_allclose(y, y_naive, rtol=1e-10, atol=1e-10)
+
+
+def _two_branch_sigmoid(x):
+    """The masked two-branch logistic that nk.sigmoid must reproduce bitwise."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                2.2e-308, -2.2e-308, 709.78, -709.78, 745.2, -745.2, 800.0, -800.0,
+                np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+    elements=st.one_of(
+        st.floats(width=64),  # NaN, infinities and subnormals included
+        st.sampled_from(_EDGE_FLOATS),
+        st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    ),
+))
+def test_sigmoid_equals_two_branch_form_bitwise(x):
+    # exp(-|x|) underflows to 0 beyond |x| ~ 708 in both forms, which is the
+    # intended result; every other floating-point exception raises
+    with np.errstate(all="raise", under="ignore"):
+        got = nk.sigmoid(x)
+        want = _two_branch_sigmoid(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
