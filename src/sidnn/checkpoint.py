@@ -8,6 +8,7 @@ tensor: u32 name length, name bytes, u32 ndim, u64 dims, raw float64 data.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -121,12 +122,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         nk.check_finite(f"{path}: standardizer {key}", value)
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        ndim = r.u32()
-        shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * 8)
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        start = r.offset
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+            shape = tuple(r.u64() for _ in range(r.u32()))
+            raw = r.take(math.prod(shape) * 8)
+            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        except ValueError as exc:  # bad UTF-8, ndim > 64, dims too large
+            raise CorruptionError(
+                f"{path}: malformed tensor record at byte {start}: {exc}"
+            ) from None
         arrays[name] = nk.check_finite(f"{path}: tensor '{name}'", arr)
     params = ParamStore(arrays)
     params.validate_for(spec)

@@ -102,6 +102,10 @@ def load_config(path: str | Path) -> dict:
         if key not in TRAIN_FIELDS:
             problems.append(f"unknown field 'train.{key}'")
     problems += [f"train.{p}" for p in type_problems(train_cfg, TRAIN_FIELDS)]
+    betas = train_cfg.get("betas")
+    if isinstance(betas, list) and (
+            len(betas) != 2 or any(type_problems({"b": b}, {"b": float}) for b in betas)):
+        problems.append(f"train.betas must be a list of two numbers, got {betas!r}")
     hpo_cfg = dict(HPO_DEFAULTS)
     for key, value in sections["hpo"].items():
         if key not in hpo_cfg:

@@ -16,7 +16,10 @@ channels, so gradients flow through the feedback path inside a chunk;
 truncation happens only at chunk boundaries (the carried state is plain
 values). The GRU runs one recurrence for both modes (NAR carries a
 zero-width feedback). The AR-TCN advances per-layer ring buffers one step at
-a time, in training, simulation and `conv_cache_step` streaming alike.
+a time, in training, simulation and `conv_cache_step` streaming alike. Layer
+l's past taps are at least 2**l steps old, so they are summed once per
+2**l-step block with one matmul per tap; a step costs one current-tap matmul
+per layer, and the backward mirrors this.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ Array = np.ndarray
 
 ARCHS = ("gru", "tcn")
 MODES = ("ar", "nar")
+_ZERO = np.zeros(())  # a 0-d array: cheaper to pass per call than the Python float
 
 
 @dataclass(frozen=True)
@@ -628,51 +632,56 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
     return grads, gu
 
 
-def _conv_step(k: Array, bias: Array, taps: list[Array]) -> Array:
-    """One causal-conv output column from per-tap input vectors (B, C_in)."""
-    pre = taps[0] @ k[:, :, 0].T
-    for j in range(1, k.shape[2]):
-        pre += taps[j] @ k[:, :, j].T
-    pre += bias
-    return pre
+def _tcn_ar_layers(params: ParamStore, spec: ModelSpec) -> list:
+    """Per layer: the past taps as contiguous (C_in, H) matrices stacked
+    oldest first, the current tap's matrix, the bias, the transposed
+    projection or None, and whether the skip is the identity."""
+    layers = []
+    for k, bias, proj, identity_skip in _tcn_layers(params, spec):
+        w = np.ascontiguousarray(k.T)  # (kernel, C_in, H)
+        proj_t = None if proj is None else np.ascontiguousarray(proj[:, :, 0].T)
+        layers.append((w[:-1], w[-1], bias, proj_t, identity_skip))
+    return layers
 
 
-def _tcn_step(layers: list, conv: ConvCache, v: Array, record=None) -> Array:
-    """Advance every layer's ring buffer one time step; returns the top output.
+def _tcn_step(layers: list, conv: ConvCache, v: Array, t: int, T: int, P: list | Array,
+              outs: list | None = None) -> Array:
+    """Advance every layer's ring buffer one time step (step t of a call of T
+    steps); returns the top output.
 
-    layers is _tcn_layers(params, spec). Layer l reads tap j from exactly
-    (kernel-1-j)*2**l steps ago, then pushes its current input. record=(xs,
-    pres, t) also stores each layer's input at row len_l + t of xs[l] (after
-    len_l rows of context), its pre-activation at pres[l][t], and the top
-    output at xs[depth][t].
+    Layer l reads tap j from (kernel-1-j)*2**l steps ago, so its past taps
+    are at least 2**l steps old: at the first step of each 2**l-aligned block,
+    and of the call, one matmul per past tap writes bias + past taps for the
+    rest of the block (up to the call's end) into P[l], and each step adds
+    only its current tap. With outs (recording), P[l] holds T rows, one per
+    step, and layer l's output goes to outs[l][t]; otherwise P[l] is scratch
+    of min(2**l, T) rows, refilled from row 0 at each block.
     """
-    K = conv.spec.kernel
-    step = conv.steps
-    if record is not None:
-        xs, pres, t = record
-    for l, (k, bias, proj, identity_skip) in enumerate(layers):
+    s = conv.steps
+    B = v.shape[0]
+    for l, (w_past, w_now, bias, proj, identity_skip) in enumerate(layers):
         d = 2 ** l
-        length = (K - 1) * d
+        i = s % d
+        r = t if outs is not None or i > t else i  # this step's row of P[l]
         buf = conv.buffers[l]
-        taps = [buf[(step - (K - 1 - j) * d) % length] for j in range(K - 1)]
-        taps.append(v)
-        pre = _conv_step(k, bias, taps)
-        if record is not None:
-            xs[l][length + t] = v
-            pres[l][t] = pre
-        a = nk.relu(pre)
+        if i == 0 or t == 0:
+            m = min(d - i, T - t)
+            blk = P[l][r : r + m].reshape(m * B, -1)
+            blk[...] = bias
+            for j, w in enumerate(w_past):
+                lo = (s - (len(w_past) - j) * d) % len(buf)  # m slots, no wrap
+                blk += np.dot(buf[lo : lo + m].reshape(m * B, -1), w)
+        pre = P[l][r]
+        pre += np.dot(v, w_now)
+        out = np.maximum(pre, _ZERO, out=None if outs is None else outs[l][t])
         if identity_skip:
-            out = a + v
+            out += v
         elif proj is not None:
-            out = a + v @ proj[:, :, 0].T
-        else:
-            out = a
-        if length > 0:
-            buf[step % length] = v
+            out += np.dot(v, proj)
+        if len(w_past):
+            buf[s % len(buf)] = v
         v = out
-    if record is not None:
-        xs[-1][t] = v
-    conv.steps = step + 1
+    conv.steps = s + 1
     return v
 
 
@@ -686,8 +695,10 @@ def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
     spec = cache.spec
     if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
         raise DimensionError(f"step input shape {x_t.shape} != (B, {spec.feed_dim})")
-    cache.check(x_t.shape[0])
-    top = _tcn_step(_tcn_layers(params, spec), cache, x_t)
+    B = x_t.shape[0]
+    cache.check(B)
+    P = np.empty((spec.depth, 1, B, spec.hidden))
+    top = _tcn_step(_tcn_ar_layers(params, spec), cache, x_t, 0, 1, P)
     return top @ params["head.W"] + params["head.b"]
 
 
@@ -699,7 +710,8 @@ def _tcn_ar_forward(u, state, params, spec, teacher, record):
     (preceded by the carried context) and pre-activations are kept in dense
     time-major arrays so the chunk can be backpropagated.
     """
-    B, T, _ = u.shape
+    B, T, I = u.shape
+    H = spec.hidden
     if state is None:
         state = initial_state(spec, B)
     if state.last_output is None:
@@ -708,10 +720,9 @@ def _tcn_ar_forward(u, state, params, spec, teacher, record):
         raise StateError("AR TCN forward needs state.conv ring buffers")
     state.conv.check(B)
     conv = state.conv.copy()
-    layers = _tcn_layers(params, spec)
+    layers = _tcn_ar_layers(params, spec)
     w_y, b_y = params["head.W"], params["head.b"]
-    u_tm = np.ascontiguousarray(u.transpose(1, 0, 2))
-    cache = None
+    cache = outs = None
     if record:
         lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
         a_pad = []
@@ -720,18 +731,27 @@ def _tcn_ar_forward(u, state, params, spec, teacher, record):
             # oldest first; slots of steps before the sequence start are zero
             arr[:n] = buf[(conv.steps + np.arange(n)) % max(n, 1)]
             a_pad.append(arr)
-        a_pad.append(np.empty((T, B, spec.hidden)))  # top-layer outputs, no context
-        pres = [np.empty((T, B, spec.hidden)) for _ in range(spec.depth)]
-        cache = {"a_pad": a_pad, "pres": pres, "lens": lens, "spec": spec,
-                 "params": params, "shape": (B, T), "teacher_forced": teacher is not None}
+        a_pad.append(np.empty((T, B, H)))  # top-layer outputs, no context
+        P = [np.empty((T, B, H)) for _ in range(spec.depth)]  # pre-activations
+        outs = [a[len(a) - T :] for a in a_pad[1:]]
+        X0 = a_pad[0][lens[0] :]
+        cache = {"a_pad": a_pad, "pres": P, "lens": lens, "layers": layers,
+                 "steps": conv.steps, "spec": spec, "params": params, "shape": (B, T),
+                 "teacher_forced": teacher is not None}
+    else:
+        P = [np.empty((min(2 ** l, T), B, H)) for l in range(spec.depth)]
+        X0 = np.empty((T, B, spec.feed_dim))
+    # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
+    X0[:, :, :I] = u.transpose(1, 0, 2)
     Y = np.empty((T, B, spec.output_dim))
     fb = state.last_output
     for t in range(T):
-        rec = (a_pad, pres, t) if record else None
-        v = _tcn_step(layers, conv, np.concatenate([u_tm[t], fb], axis=1), rec)
-        y_t = v @ w_y + b_y
-        Y[t] = y_t
-        fb = teacher[:, t] if teacher is not None else y_t
+        x0 = X0[t]
+        x0[:, I:] = fb
+        v = _tcn_step(layers, conv, x0, t, T, P, outs)
+        fb = np.add(np.dot(v, w_y), b_y, out=Y[t])
+        if teacher is not None:
+            fb = teacher[:, t]
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
     return y, HiddenState(conv=conv, last_output=fb.copy()), cache
 
@@ -741,65 +761,68 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
 
     Adjoints only ever flow from later to earlier time steps (conv taps and
     the output feedback both look backward), so one descending pass over t
-    with a top-down layer loop visits every node after its dependents.
+    with a top-down layer loop visits every node after its dependents. Each
+    step adds the current-tap and skip adjoints; a block's past-tap adjoints
+    are added with one matmul per tap at its first step, which comes before
+    any step those taps read (they lie at least 2**l steps back). Adjoints of
+    the carried context are dropped, as the context is data, not graph.
     """
     spec = cache["spec"]
     params = cache["params"]
     a_pad, pres, lens = cache["a_pad"], cache["pres"], cache["lens"]
-    teacher_forced = cache["teacher_forced"]
+    layers, steps = cache["layers"], cache["steps"]
     B, T = cache["shape"]
-    I = spec.input_dim
-    O = spec.output_dim
-    K = spec.kernel
+    I, O, H = spec.input_dim, spec.output_dim, spec.hidden
     depth = spec.depth
-    layer_p = _tcn_layers(params, spec)
-    w_y = params["head.W"]
+    w_y_t = params["head.W"].T
     # a copy, never a view of g_y: the feedback adjoint accumulates in place
     GY = g_y.transpose(1, 0, 2).copy()
     g_a = [np.zeros_like(a) for a in a_pad]
-    g_pres = [np.empty((T, B, spec.hidden)) for _ in range(depth)]
+    g_outs = [a[len(a) - T :] for a in g_a[1:]]  # adjoint of layer l's outputs
+    g_pres = [np.empty((T, B, H)) for _ in range(depth)]
     g_fb = np.zeros((B, O))
     gu = np.empty((T, B, I)) if need_input_grad else None
     for t in range(T - 1, -1, -1):
         GY[t] += g_fb
-        g_a[depth][t] += GY[t] @ w_y.T
+        g_outs[-1][t] += np.dot(GY[t], w_y_t)
         for l in range(depth - 1, -1, -1):
-            k, _, proj, identity_skip = layer_p[l]
+            w_past, w_now, _, proj, identity_skip = layers[l]
             d = 2 ** l
-            row_out = t if l == depth - 1 else lens[l + 1] + t
-            g_out = g_a[l + 1][row_out]
-            g_pre = g_out * (pres[l][t] > 0)
-            g_pres[l][t] = g_pre
-            for j in range(K):
-                g_a[l][lens[l] + t - (K - 1 - j) * d] += g_pre @ k[:, :, j]
+            g_out = g_outs[l][t]
+            g_pre = np.multiply(g_out, pres[l][t] > _ZERO, out=g_pres[l][t])
+            g_in = g_a[l][lens[l] + t]
+            g_in += np.dot(g_pre, w_now.T)
             if identity_skip:
-                g_a[l][lens[l] + t] += g_out
+                g_in += g_out
             elif proj is not None:
-                g_a[l][lens[l] + t] += g_out @ proj[:, :, 0]
-        gx0 = g_a[0][lens[0] + t]
-        g_fb = np.zeros((B, O)) if teacher_forced else gx0[:, I:].copy()
+                g_in += np.dot(g_out, proj.T)
+            i = (steps + t) % d
+            if len(w_past) and i == 0:  # a partial first block reads only the context
+                m = min(d, T - t)
+                G = g_pres[l][t : t + m].reshape(m * B, H)
+                for j, w in enumerate(w_past):
+                    lo = lens[l] + t - (len(w_past) - j) * d
+                    g_a[l][lo : lo + m] += np.dot(G, w.T).reshape(m, B, -1)
+        gx0 = g_a[0][lens[0] + t]  # final: the steps left add to earlier rows only
+        if not cache["teacher_forced"]:
+            g_fb = gx0[:, I:]
         if need_input_grad:
             gu[t] = gx0[:, :I]
     grads: dict[str, Array] = {}
-    for l in range(depth):
-        k, _, proj, identity_skip = layer_p[l]
+    for l, (_, _, _, proj, _) in enumerate(layers):
         d = 2 ** l
-        dk = np.empty_like(k)
-        for j in range(K):
-            s = (K - 1 - j) * d
-            dk[:, :, j] = np.tensordot(
-                g_pres[l], a_pad[l][lens[l] - s : lens[l] - s + T],
-                axes=([0, 1], [0, 1]),
-            )
+        dk = np.empty_like(params[f"tcn.{l}.kernel"])
+        for j in range(spec.kernel):
+            lo = lens[l] - (spec.kernel - 1 - j) * d
+            dk[:, :, j] = np.tensordot(g_pres[l], a_pad[l][lo : lo + T],
+                                       axes=([0, 1], [0, 1]))
         grads[f"tcn.{l}.kernel"] = dk
         grads[f"tcn.{l}.bias"] = g_pres[l].sum(axis=(0, 1))
         if proj is not None:
-            row_lo = 0 if l == depth - 1 else lens[l + 1]
-            g_out_full = g_a[l + 1][row_lo : row_lo + T]
-            dp = np.tensordot(g_out_full, a_pad[l][lens[l] :], axes=([0, 1], [0, 1]))
+            dp = np.tensordot(g_outs[l], a_pad[l][lens[l] :], axes=([0, 1], [0, 1]))
             grads[f"tcn.{l}.proj"] = dp[:, :, None]
     gy_flat = GY.reshape(T * B, O)
-    top_flat = a_pad[depth].reshape(T * B, spec.hidden)
+    top_flat = a_pad[depth].reshape(T * B, H)
     grads["head.W"] = top_flat.T @ gy_flat
     grads["head.b"] = gy_flat.sum(axis=0)
     if gu is not None:

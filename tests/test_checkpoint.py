@@ -6,7 +6,7 @@ import pytest
 
 from sidnn.checkpoint import load_checkpoint, save_checkpoint
 from sidnn.data import Standardizer
-from sidnn.errors import CorruptionError, DataError, FormatError
+from sidnn.errors import CorruptionError, DataError, FormatError, SidnnError
 from sidnn.models import ModelSpec, init_params
 
 
@@ -89,6 +89,44 @@ def test_corrupt_header_json_is_corruption_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+
+
+def test_truncated_or_bit_flipped_checkpoint_raises_only_sidnn_errors(tmp_path):
+    path, *_ = _fixture(tmp_path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(0)
+    corrupt = [blob[:n] for n in range(len(blob))]
+    for _ in range(3000):
+        flipped = bytearray(blob)
+        flipped[rng.integers(len(blob))] ^= 1 << int(rng.integers(8))
+        corrupt.append(bytes(flipped))
+    target = tmp_path / "corrupt.bin"
+    for bad in corrupt:
+        target.write_bytes(bad)
+        try:
+            load_checkpoint(target)
+        except SidnnError:
+            pass  # a flipped float bit may also load cleanly
+
+
+def _tensor_record(name: bytes, shape, data=b""):
+    dims = b"".join(struct.pack("<Q", d) for d in shape)
+    return struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape)) + dims + data
+
+
+@pytest.mark.parametrize("record", [
+    _tensor_record(b"head.\xff", (1,), b"\0" * 8),
+    _tensor_record(b"head.b", (1,) * 65, b"\0" * 8),
+    _tensor_record(b"head.b", (0, 2 ** 64 - 1)),
+], ids=["non_utf8_name", "ndim_65", "huge_dim"])
+def test_malformed_tensor_record_is_corruption_error(tmp_path, record):
+    path, *_ = _fixture(tmp_path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[6:10])
+    path.write_bytes(blob[: 10 + n] + struct.pack("<I", 1) + record)
+    with pytest.raises(CorruptionError) as exc:
+        load_checkpoint(path)
+    assert "tensor record" in str(exc.value)
 
 
 def _edit_header(path, edit):

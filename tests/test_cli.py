@@ -70,7 +70,13 @@ def test_config_collects_all_problems(tmp_path):
     ({"model": {"depth": 1.5}}, "model.depth"),
     ({"model": {"depth": True}}, "model.depth"),
     ({"train": {"max_epochs": True}}, "train.max_epochs"),
-], ids=["string_hidden", "model_not_object", "float_depth", "bool_depth", "bool_epochs"])
+    ({"train": {"betas": ["a", 0.9]}}, "train.betas"),
+    ({"train": {"betas": [0.9]}}, "train.betas"),
+    ({"train": {"betas": [0.9, 0.99, 0.999]}}, "train.betas"),
+    ({"train": {"betas": [True, 0.999]}}, "train.betas"),
+    ({"train": {"betas": [0.9, None]}}, "train.betas"),
+], ids=["string_hidden", "model_not_object", "float_depth", "bool_depth", "bool_epochs",
+        "string_beta", "one_beta", "three_betas", "bool_beta", "null_beta"])
 def test_cli_main_reports_mistyped_config_as_schema_error(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 1

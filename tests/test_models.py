@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from sidnn import numkit as nk
 from sidnn.errors import ParameterError, StateError
 from sidnn.models import (
+    ConvCache,
     HiddenState,
     Model,
     ModelSpec,
@@ -11,7 +13,9 @@ from sidnn.models import (
     gru_forward,
     init_params,
     param_shapes,
+    conv_cache_step,
     receptive_field,
+    tcn_backward,
     tcn_forward,
 )
 
@@ -269,6 +273,78 @@ def test_tcn_ar_equals_naive_recompute():
         out, _ = tcn_forward(hist, None, model.params, nar_twin)
         y_naive[:, t] = out[:, -1]
     assert np.abs(y_cached - y_naive).max() < 1e-9
+
+
+@pytest.mark.parametrize("teacher_forced", [False, True], ids=["free", "teacher"])
+@pytest.mark.parametrize("skip", ["identity", "projection", "off"])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teacher_forced):
+    # depth 3 has top dilation 4: the 3-step chunk ends inside a block of
+    # layer 2, and the 7-step chunk carried on from it starts mid-block in
+    # layers 1 and 2; feed width 3 makes hidden 3 an identity skip
+    hidden = 4 if skip == "projection" else 3
+    spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
+                     kernel=kernel, residual=skip != "off")
+    model = Model.create(spec, 20 + kernel)
+    assert ("tcn.0.proj" in model.params) == (skip == "projection")
+    names = model.params.names()
+    rng = np.random.default_rng(kernel)
+    # without a skip, a layer whose units are all off feeds zeros upward, and
+    # a zero bias then sits exactly on the ReLU kink, where central
+    # differences read half the slope
+    for l in range(spec.depth):
+        model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, hidden)
+    u = rng.standard_normal((2, 10, 2))
+    teacher = rng.standard_normal((2, 10, 1)) if teacher_forced else None
+    state = model.initial_state(2)
+    for lo, hi in ((0, 3), (3, 10)):
+        kw = {} if teacher is None else {"teacher": teacher[:, lo:hi]}
+
+        def f(u_chunk, *arrays):
+            params = ParamStore(dict(zip(names, arrays)))
+            y, _, cache = tcn_forward(u_chunk, state, params, spec, return_cache=True, **kw)
+
+            def vjp(g):
+                grads, gu = tcn_backward(cache, g, need_input_grad=True)
+                return [gu] + [grads[n] for n in names]
+
+            return y, vjp
+
+        inputs = [u[:, lo:hi].copy()] + [model.params[n].copy() for n in names]
+        assert nk.grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
+        state = tcn_forward(u[:, lo:hi], state, model.params, spec, **kw)[1]
+
+
+@pytest.mark.parametrize("lengths", [(1, 37, 162), (3, 2, 6, 1, 29, 159)],
+                         ids=["1-37-162", "short-chunks"])
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_tcn_ar_block_boundaries_across_chunks(kernel, lengths):
+    # depth 6 batches up to 32 past taps per block; the chunks start and end
+    # at many block offsets, and the short ones end before their block does
+    spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=5, depth=6, kernel=kernel)
+    model = Model.create(spec, 30 + kernel)
+    B, splits = 3, np.cumsum((0,) + lengths)
+    u = np.random.default_rng(kernel).standard_normal((B, 200, 2))
+    y_mono, _ = model.forward(u, model.initial_state(B))
+    state_inf = state_train = model.initial_state(B)
+    parts = []
+    for lo, hi in zip(splits[:-1], splits[1:]):
+        y_inf, state_inf = model.forward(u[:, lo:hi], state_inf)
+        y_train, state_train, _ = model.forward(u[:, lo:hi], state_train, return_cache=True)
+        np.testing.assert_array_equal(y_train, y_inf)
+        assert state_train.conv.steps == state_inf.conv.steps == hi
+        for a, b in zip(state_train.conv.buffers, state_inf.conv.buffers, strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state_train.last_output, state_inf.last_output)
+        parts.append(y_inf)
+    np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono, rtol=1e-12, atol=1e-12)
+    cache = ConvCache.init(spec, B)
+    fb = np.zeros((B, 1))
+    y_stream = np.empty_like(y_mono)
+    for t in range(200):
+        fb = y_stream[:, t] = conv_cache_step(cache, model.params,
+                                              np.concatenate([u[:, t], fb], axis=1))
+    np.testing.assert_allclose(y_stream, y_mono, rtol=1e-12, atol=1e-12)
 
 
 def test_tcn_ar_corrupted_buffers_raise():
