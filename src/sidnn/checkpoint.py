@@ -118,8 +118,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         standardizer = Standardizer(**{k: np.asarray(v, dtype=np.float64) for k, v in s.items()})
     except (TypeError, ValueError) as exc:  # non-numeric or ragged lists
         raise CorruptionError(f"{path}: malformed checkpoint standardizer: {exc}") from None
+    widths = {"u": spec.input_dim, "y": spec.output_dim}
     for key, value in vars(standardizer).items():
         nk.check_finite(f"{path}: standardizer {key}", value)
+        if value.shape != (widths[key[0]],):
+            raise CorruptionError(f"{path}: standardizer {key} has shape {value.shape}, "
+                                  f"the spec expects ({widths[key[0]]},)")
+        if key.endswith("_std") and not np.all(value > 0.0):
+            raise CorruptionError(f"{path}: standardizer {key} must be positive, got {value}")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         start = r.offset

@@ -15,11 +15,14 @@ model is the NAR model with its previous output fed back as extra input
 channels, so gradients flow through the feedback path inside a chunk;
 truncation happens only at chunk boundaries (the carried state is plain
 values). The GRU runs one recurrence for both modes (NAR carries a
-zero-width feedback). The AR-TCN advances per-layer ring buffers one step at
-a time, in training, simulation and `conv_cache_step` streaming alike. Layer
-l's past taps are at least 2**l steps old, so they are summed once per
-2**l-step block with one matmul per tap; a step costs one current-tap matmul
-per layer, and the backward mirrors this.
+zero-width feedback). The NAR-TCN convolves the whole chunk layer by layer
+into reused buffers; its cache keeps each layer's input and a bool
+pre-activation sign mask, and a forward without a cache keeps nothing. The
+AR-TCN advances per-layer ring buffers one step at a time, in training,
+simulation and `conv_cache_step` streaming alike. Layer l's past taps are at
+least 2**l steps old, so they are summed once per 2**l-step block with one
+matmul per tap; a step costs one current-tap matmul per layer, and the
+backward mirrors this.
 """
 
 from __future__ import annotations
@@ -559,49 +562,62 @@ def _tcn_layers(params: ParamStore, spec: ModelSpec) -> list:
     return layers
 
 
-def _tcn_nar_forward(u: Array, ctx: Array | None, params: ParamStore, spec: ModelSpec):
+def _tcn_nar_forward(u: Array, ctx: Array | None, params: ParamStore, spec: ModelSpec,
+                     record: bool):
     """Conv stack over [ctx, u]; outputs for the u region only.
 
     ctx is raw network input history (B, T_ctx, feed); it re-creates the
     activations a monolithic pass over the whole window would produce, so
-    chunked NAR-TCN processing is exact.
+    chunked NAR-TCN processing is exact. Each layer convolves into one
+    pre-activation buffer (every shifted tap and the projection share one
+    scratch array) and applies bias, ReLU and skip in place. With record
+    set, the cache keeps what the backward reads: every layer's input and a
+    bool pre > 0 mask per layer; otherwise two output buffers alternate.
     """
     B, T, _ = u.shape
+    H = spec.hidden
     x = np.concatenate([ctx, u], axis=1) if ctx is not None and ctx.shape[1] else u
     n_ctx = x.shape[1] - T
     tail = x[:, max(x.shape[1] - receptive_field(spec.depth, spec.kernel), 0):].copy()
     x = np.ascontiguousarray(x.transpose(0, 2, 1))  # (B, C, n_ctx + T)
-    xs = [x]
-    pres = []
+    shape = (B, H, x.shape[2])
+    pre, scratch = np.empty(shape), np.empty(shape)
+    if record:
+        xs, masks = [x], []
+    else:
+        outs = (np.empty(shape), np.empty(shape))
     for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
-        pre = nk.causal_conv1d(x, k, 2 ** l)
+        nk.causal_conv1d(x, k, 2 ** l, out=pre, scratch=scratch)
         pre += bias[None, :, None]
-        a = nk.relu(pre)
+        out = np.maximum(pre, 0.0, out=np.empty(shape) if record else outs[l % 2])
         if identity_skip:
-            out = a + x
+            out += x
         elif proj is not None:
-            out = a + nk.causal_conv1d(x, proj, 1)
-        else:
-            out = a
-        pres.append(pre)
-        xs.append(out)
+            out += nk.causal_conv1d(x, proj, 1, out=scratch)
+        if record:
+            masks.append(pre > 0.0)
+            xs.append(out)
         x = out
     w_y, b_y = params["head.W"], params["head.b"]
-    top = xs[-1][:, :, n_ctx:]
-    y = (top.transpose(0, 2, 1).reshape(B * T, spec.hidden) @ w_y + b_y).reshape(
+    top = x[:, :, n_ctx:]
+    y = (top.transpose(0, 2, 1).reshape(B * T, H) @ w_y + b_y).reshape(
         B, T, spec.output_dim
     )
-    cache = {"xs": xs, "pres": pres, "n_ctx": n_ctx, "spec": spec, "params": params,
-             "u_shape": u.shape}
+    cache = None
+    if record:
+        cache = {"xs": xs, "masks": masks, "n_ctx": n_ctx, "spec": spec,
+                 "params": params, "u_shape": u.shape}
     return y, HiddenState(input_tail=tail), cache
 
 
 def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
     """Context-region input grads are discarded (the context is carried
-    data, not part of the chunk's graph)."""
+    data, not part of the chunk's graph). One g_pre buffer serves every
+    layer, and the input adjoint alternates between two flat buffers viewed
+    at each layer's input width; none of them aliases the cache."""
     spec = cache["spec"]
     params = cache["params"]
-    xs, pres, n_ctx = cache["xs"], cache["pres"], cache["n_ctx"]
+    xs, masks, n_ctx = cache["xs"], cache["masks"], cache["n_ctx"]
     B, T, _ = cache["u_shape"]
     H = spec.hidden
     w_y = params["head.W"]
@@ -611,20 +627,31 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
         "head.W": top_flat.T @ g_flat,
         "head.b": g_flat.sum(axis=0),
     }
-    g_x = np.zeros_like(xs[-1])
+    N = xs[-1].shape[2]
+    size = B * max(H, spec.feed_dim) * N
+    flats = [np.empty(size) for _ in range(3)]  # two adjoints and the scratch
+
+    def view(i: int, x: Array) -> Array:
+        return flats[i][: x.size].reshape(x.shape)
+
+    g_x = view(0, xs[-1])
+    g_x[:, :, :n_ctx] = 0.0
     g_x[:, :, n_ctx:] = (g_flat @ w_y.T).reshape(B, T, H).transpose(0, 2, 1)
+    g_pre = np.empty_like(xs[-1])
     layers = _tcn_layers(params, spec)
     for l in range(spec.depth - 1, -1, -1):
         k, _, proj, identity_skip = layers[l]
-        g_out = g_x
-        g_pre = nk.relu_backward(g_out, pres[l])
-        dx, dk = nk.causal_conv1d_backward(g_pre, xs[l], k, 2 ** l)
+        x, g_out = xs[l], g_x
+        scratch = view(2, x)
+        np.multiply(g_out, masks[l], out=g_pre)
+        dx, dk = nk.causal_conv1d_backward(g_pre, x, k, 2 ** l,
+                                           out=view((spec.depth - l) % 2, x), scratch=scratch)
         grads[f"tcn.{l}.kernel"] = dk
         grads[f"tcn.{l}.bias"] = g_pre.sum(axis=(0, 2))
         if identity_skip:
             dx += g_out
         elif proj is not None:
-            dx_p, dp = nk.causal_conv1d_backward(g_out, xs[l], proj, 1)
+            dx_p, dp = nk.causal_conv1d_backward(g_out, x, proj, 1, out=scratch)
             dx += dx_p
             grads[f"tcn.{l}.proj"] = dp
         g_x = dx
@@ -849,7 +876,7 @@ def tcn_forward(
     _check_seq_input(u, spec)
     if spec.mode == "nar":
         ctx = state.input_tail if state is not None else None
-        y, new_state, cache = _tcn_nar_forward(u, ctx, params, spec)
+        y, new_state, cache = _tcn_nar_forward(u, ctx, params, spec, return_cache)
     else:
         y, new_state, cache = _tcn_ar_forward(u, state, params, spec, teacher, return_cache)
     if return_cache:

@@ -55,11 +55,24 @@ def affine_backward(g: Array, x: Array, w: Array) -> tuple[Array, Array, Array]:
 # ---------------------------------------------------------------------------
 
 
-def causal_conv1d(x: Array, k: Array, dilation: int) -> Array:
+def _buffer(buf: Array | None, shape: tuple, name: str) -> Array:
+    """buf when it has the given shape; a fresh array when buf is None."""
+    if buf is None:
+        return np.empty(shape)
+    if buf.shape != shape:
+        raise DimensionError(f"{name} has shape {buf.shape}, expected {shape}")
+    return buf
+
+
+def causal_conv1d(x: Array, k: Array, dilation: int, *, out: Array | None = None,
+                  scratch: Array | None = None) -> Array:
     """Left-zero-padded dilated convolution over the last axis.
 
     x (B, C_in, T), k (C_out, C_in, K). Output at time t reads inputs at
     t - dilation*(K-1-j) for tap j, so it depends on times <= t only.
+    The result goes to out (B, C_out, T) when given; every tap after the
+    first goes through scratch (B, C_out, T). Either is allocated when not
+    given. Taps are summed oldest first.
     """
     if dilation < 1:
         raise ParameterError(f"dilation must be >= 1, got {dilation}")
@@ -73,38 +86,52 @@ def causal_conv1d(x: Array, k: Array, dilation: int) -> Array:
         raise ParameterError("kernel must have at least one tap")
     B, _, T = x.shape
     c_out, _, K = k.shape
-    out = np.zeros((B, c_out, T))
+    out = _buffer(out, (B, c_out, T), "conv output")
+    first = True
     for j in range(K):
         shift = dilation * (K - 1 - j)
         if shift >= T:
             continue
-        if shift == 0:
-            out += np.matmul(k[:, :, j], x)
+        dst = out[:, :, shift:]
+        if first:
+            out[:, :, :shift] = 0.0
+            np.matmul(k[:, :, j], x[:, :, : T - shift], out=dst)
+            first = False
         else:
-            out[:, :, shift:] += np.matmul(k[:, :, j], x[:, :, : T - shift])
+            scratch = _buffer(scratch, (B, c_out, T), "conv scratch")
+            dst += np.matmul(k[:, :, j], x[:, :, : T - shift], out=scratch[:, :, : T - shift])
     return out
 
 
 def causal_conv1d_backward(
-    g: Array, x: Array, k: Array, dilation: int
+    g: Array, x: Array, k: Array, dilation: int, *, out: Array | None = None,
+    scratch: Array | None = None,
 ) -> tuple[Array, Array]:
-    """Returns (dx, dk) for causal_conv1d given upstream g (B, C_out, T)."""
+    """Returns (dx, dk) for causal_conv1d given upstream g (B, C_out, T).
+
+    dx goes to out (B, C_in, T) when given; every tap after the first goes
+    through scratch (B, C_in, T). Either is allocated when not given.
+    """
     T = x.shape[2]
     K = k.shape[2]
-    dx = np.zeros_like(x)
+    dx = _buffer(out, x.shape, "conv input adjoint")
     dk = np.zeros_like(k)
+    first = True
     for j in range(K):
         shift = dilation * (K - 1 - j)
         if shift >= T:
-            dk[:, :, j] = 0.0
             continue
         g_part = g[:, :, shift:] if shift else g
         x_part = x[:, :, : T - shift] if shift else x
         dk[:, :, j] = np.matmul(g_part, x_part.transpose(0, 2, 1)).sum(axis=0)
-        if shift == 0:
-            dx += np.matmul(k[:, :, j].T, g)
+        dst = dx[:, :, : T - shift]
+        if first:
+            dx[:, :, T - shift :] = 0.0
+            np.matmul(k[:, :, j].T, g_part, out=dst)
+            first = False
         else:
-            dx[:, :, : T - shift] += np.matmul(k[:, :, j].T, g_part)
+            scratch = _buffer(scratch, x.shape, "conv scratch")
+            dst += np.matmul(k[:, :, j].T, g_part, out=scratch[:, :, : T - shift])
     return dx, dk
 
 

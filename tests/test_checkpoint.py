@@ -143,7 +143,12 @@ def _edit_header(path, edit):
     lambda h: h["spec"].pop("depth"),
     lambda h: h["spec"].update(hidden="4"),
     lambda h: h.pop("standardizer"),
-], ids=["unknown_spec_key", "missing_spec_key", "string_hidden", "missing_standardizer"])
+    lambda h: h["standardizer"].update(u_mean=[0.1, -0.2, 0.3]),
+    lambda h: h["standardizer"].update(y_std=[0.25, 0.25]),
+    lambda h: h["standardizer"].update(u_std=[1.5, 0.0]),
+    lambda h: h["standardizer"].update(y_std=[-0.25]),
+], ids=["unknown_spec_key", "missing_spec_key", "string_hidden", "missing_standardizer",
+        "u_length", "y_length", "zero_std", "negative_std"])
 def test_malformed_header_is_corruption_error(tmp_path, edit):
     path, *_ = _fixture(tmp_path)
     _edit_header(path, edit)

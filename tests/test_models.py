@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -451,3 +453,36 @@ def test_output_is_causal(spec):
     up[0, 10, 1] += 1.0
     out = model.forward(up, model.initial_state(1))[0]
     np.testing.assert_array_equal(out[:, :10], base[:, :10])
+
+
+def _cached_arrays(obj):
+    """Every array a forward cache holds, in a fixed order."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (dict, ParamStore)):
+        for key in obj:
+            yield from _cached_arrays(obj[key])
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _cached_arrays(item)
+
+
+@pytest.mark.parametrize("spec", [GRU_NAR, GRU_AR, replace(TCN_NAR, kernel=3),
+                                  replace(TCN_AR, kernel=3)],
+                         ids=["gru_nar", "gru_ar", "tcn_nar", "tcn_ar"])
+def test_backward_twice_on_one_cache_is_bitwise_stable(spec):
+    # the backward passes reuse scratch buffers, which must never alias an
+    # array the cache holds: a second backward then reads what the first did
+    model = Model.create(spec, 40)
+    rng = np.random.default_rng(40)
+    u = rng.standard_normal((2, 30, spec.input_dim))
+    g = rng.standard_normal((2, 20, spec.output_dim))
+    _, state = model.forward(u[:, :10], model.initial_state(2))  # a carried context
+    _, _, cache = model.forward(u[:, 10:], state, training=True, return_cache=True)
+    cached = [a.tobytes() for a in _cached_arrays(cache)]
+    runs = []
+    for _ in range(2):
+        grads, du = model.backward(cache, g, need_input_grad=True)
+        runs.append({**{k: v.tobytes() for k, v in grads.items()}, "du": du.tobytes()})
+        assert [a.tobytes() for a in _cached_arrays(cache)] == cached
+    assert runs[0] == runs[1]

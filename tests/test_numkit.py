@@ -75,6 +75,27 @@ def test_conv_backward_vs_finite_differences(dilation):
     assert nk.grad_check(_conv_op(dilation), [x, k]) < 1e-5
 
 
+@pytest.mark.parametrize("T", [3, 12])  # T 3: the oldest tap reaches before the start
+def test_conv_into_given_buffers_equals_allocating_form(T):
+    rng = np.random.default_rng(T)
+    x = rng.standard_normal((2, 3, T))
+    k = rng.standard_normal((4, 3, 3))
+    g = rng.standard_normal((2, 4, T))
+    out, scratch = np.full((2, 4, T), np.nan), np.full((2, 4, T), np.nan)
+    got = nk.causal_conv1d(x, k, 2, out=out, scratch=scratch)
+    assert got is out
+    assert got.tobytes() == nk.causal_conv1d(x, k, 2).tobytes()
+    dx_out, dx_scratch = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+    dx, dk = nk.causal_conv1d_backward(g, x, k, 2, out=dx_out, scratch=dx_scratch)
+    want_dx, want_dk = nk.causal_conv1d_backward(g, x, k, 2)
+    assert dx is dx_out
+    assert dx.tobytes() == want_dx.tobytes() and dk.tobytes() == want_dk.tobytes()
+    with pytest.raises(DimensionError):
+        nk.causal_conv1d(x, k, 2, out=np.empty((2, 4, T + 1)))
+    with pytest.raises(DimensionError):
+        nk.causal_conv1d_backward(g, x, k, 2, scratch=np.empty((2, 4, T)))
+
+
 def test_conv_causality_under_perturbation():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 2, 16))

@@ -10,12 +10,14 @@ from sidnn import numkit as nk
 from sidnn.models import Model, ModelSpec
 
 
+VARIANTS = [("gru", "nar"), ("gru", "ar"), ("tcn", "nar"), ("tcn", "ar")]
+
+
 @st.composite
-def specs(draw, arch=None, mode=None, dropout=True):
-    arch = arch or draw(st.sampled_from(["gru", "tcn"]))
-    kw = dict(arch=arch, mode=mode or draw(st.sampled_from(["ar", "nar"])),
-              input_dim=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 5)),
-              depth=draw(st.integers(1, 3)))
+def specs(draw, arch, mode, dropout=True):
+    kw = dict(arch=arch, mode=mode, input_dim=draw(st.integers(1, 3)),
+              hidden=draw(st.integers(1, 5)),
+              depth=draw(st.integers(1, 6 if arch == "tcn" else 3)))
     if arch == "tcn":
         # hidden vs feed width decides between the identity and the proj skip
         kw.update(kernel=draw(st.integers(1, 3)), residual=draw(st.booleans()))
@@ -27,8 +29,12 @@ def specs(draw, arch=None, mode=None, dropout=True):
 def _case(spec, data):
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
     B = data.draw(st.integers(1, 3), label="batch")
-    T1 = data.draw(st.integers(1, 12), label="first chunk")
-    T2 = data.draw(st.integers(1, 12), label="second chunk")
+    # TCN chunks up to 2**depth + 8 steps: the second starts mid-block and may
+    # end before its block does or cross it, and NAR taps reach into the
+    # carried context
+    longest = 2 ** spec.depth + 8 if spec.arch == "tcn" else 12
+    T1 = data.draw(st.integers(1, longest), label="first chunk")
+    T2 = data.draw(st.integers(1, longest), label="second chunk")
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((B, T1 + T2, spec.input_dim))
     teacher = None
@@ -37,26 +43,35 @@ def _case(spec, data):
     return Model.create(spec, seed), u, teacher, T1
 
 
+def _variants(data, dropout=True):
+    """Every example runs the four variants, so each is drawn equally often."""
+    for arch, mode in VARIANTS:
+        spec = data.draw(specs(arch, mode, dropout), label=f"{arch}-{mode} spec")
+        yield spec, *_case(spec, data)
+
+
 def _chunk_kwargs(teacher, lo, hi):
     return {} if teacher is None else {"teacher": teacher[:, lo:hi]}
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=specs(), data=st.data())
-def test_chunked_forward_with_carried_state_equals_monolithic(spec, data):
-    model, u, teacher, T1 = _case(spec, data)
-    B, T, _ = u.shape
-    # dropout draws fresh masks per call, so cached runs train only without it
-    cached = data.draw(st.booleans(), label="return_cache")
-    kw = dict(return_cache=True, training=spec.dropout == 0.0) if cached else {}
-    y_mono = model.forward(u, model.initial_state(B), **_chunk_kwargs(teacher, 0, T), **kw)[0]
-    state = model.initial_state(B)
-    parts = []
-    for lo, hi in ((0, T1), (T1, T)):
-        out = model.forward(u[:, lo:hi], state, **_chunk_kwargs(teacher, lo, hi), **kw)
-        parts.append(out[0])
-        state = out[1]
-    np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono, rtol=1e-12, atol=1e-12)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_chunked_forward_with_carried_state_equals_monolithic(data):
+    for spec, model, u, teacher, T1 in _variants(data):
+        B, T, _ = u.shape
+        # dropout draws fresh masks per call, so cached runs train only without it
+        cached = data.draw(st.booleans(), label="return_cache")
+        kw = dict(return_cache=True, training=spec.dropout == 0.0) if cached else {}
+        y_mono = model.forward(u, model.initial_state(B), **_chunk_kwargs(teacher, 0, T),
+                               **kw)[0]
+        state = model.initial_state(B)
+        parts = []
+        for lo, hi in ((0, T1), (T1, T)):
+            out = model.forward(u[:, lo:hi], state, **_chunk_kwargs(teacher, lo, hi), **kw)
+            parts.append(out[0])
+            state = out[1]
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono,
+                                   rtol=1e-12, atol=1e-12, err_msg=str(spec))
 
 
 def _assert_states_equal(a, b):
@@ -74,24 +89,25 @@ def _assert_states_equal(a, b):
             np.testing.assert_array_equal(x, y)
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=specs(dropout=False), data=st.data())
-def test_training_path_matches_inference_path_bitwise(spec, data):
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_training_path_matches_inference_path_bitwise(data):
     # for AR-TCN this compares the recording sweep with plain ring-buffer
-    # generation: the outputs and the final ring buffers must be identical
-    model, u, teacher, T1 = _case(spec, data)
-    B, T, _ = u.shape
-    state_inf = state_train = model.initial_state(B)  # shared: neither may mutate it
-    for lo, hi in ((0, T1), (T1, T)):
-        kw = _chunk_kwargs(teacher, lo, hi)
-        y_inf, state_inf = model.forward(u[:, lo:hi], state_inf, **kw)
-        y_train, state_train, _ = model.forward(u[:, lo:hi], state_train, training=True,
-                                                return_cache=True, **kw)
-        np.testing.assert_array_equal(y_train, y_inf)
-        _assert_states_equal(state_train, state_inf)
+    # generation, for NAR-TCN the cached stack with the two-buffer one: the
+    # outputs and the final states must be identical
+    for spec, model, u, teacher, T1 in _variants(data, dropout=False):
+        B, T, _ = u.shape
+        state_inf = state_train = model.initial_state(B)  # shared: neither may mutate it
+        for lo, hi in ((0, T1), (T1, T)):
+            kw = _chunk_kwargs(teacher, lo, hi)
+            y_inf, state_inf = model.forward(u[:, lo:hi], state_inf, **kw)
+            y_train, state_train, _ = model.forward(u[:, lo:hi], state_train, training=True,
+                                                    return_cache=True, **kw)
+            np.testing.assert_array_equal(y_train, y_inf, err_msg=str(spec))
+            _assert_states_equal(state_train, state_inf)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(spec=specs(arch="tcn", mode="ar"), data=st.data())
 def test_ar_tcn_matches_naive_full_history_recompute(spec, data):
     model, u, _, _ = _case(spec, data)
