@@ -20,13 +20,7 @@ from .data import (
 )
 from .errors import SidnnError
 from .hpo import SearchSpace, TrialRecord, asha_decide, run_search, sample_config
-from .inference import (
-    SimReport,
-    bench_inference_time,
-    bench_training_time,
-    evaluate_rmse,
-    simulate,
-)
+from .inference import bench_inference_cells, bench_training_cells, pooled_rmse, simulate
 from .models import (
     ConvCache,
     HiddenState,
@@ -35,7 +29,6 @@ from .models import (
     ParamStore,
     conv_cache_step,
     gru_backward,
-    gru_cell,
     gru_forward,
     init_params,
     receptive_field,
@@ -48,7 +41,6 @@ from .training import (
     cosine_schedule,
     fit,
     lr_finder,
-    masked_mse,
     radam_lookahead_step,
     train_epoch,
 )

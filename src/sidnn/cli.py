@@ -22,13 +22,7 @@ from .errors import (
     SidnnError,
 )
 from .hpo import SearchSpace, run_search
-from .inference import (
-    bench_inference_cells,
-    bench_training_cells,
-    pooled_rmse,
-    simulate,
-    simulate_report,
-)
+from .inference import bench_inference_cells, bench_training_cells, pooled_rmse, simulate
 from .models import SPEC_TYPES, Model, ModelSpec, receptive_field, type_problems
 from .training import TrainConfig, fit, write_history_csv
 
@@ -69,7 +63,9 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
@@ -192,23 +188,24 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None
     model = Model(spec=ckpt.spec, params=ckpt.params)
     out_dir = Path(out) if out is not None else Path("runs")
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for i, (u, y) in enumerate(data.sequences):
-        rep = simulate_report(model, u, y, ckpt.standardizer, data.transient_n,
-                              meta["unit_scale"])
-        reports.append(rep)
+    y_hats = []
+    sim_seconds = 0.0
+    for i, (u, _) in enumerate(data.sequences):
+        t0 = time.perf_counter()
+        y_hats.append(simulate(model, u, ckpt.standardizer))
+        sim_seconds += time.perf_counter() - t0
         with open(out_dir / f"yhat_{i}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(data.y_names)
-            writer.writerows(rep.y_hat.tolist())
-    pooled = pooled_rmse([r.y_hat for r in reports], data, meta["unit_scale"])
+            writer.writerows(y_hats[-1].tolist())
+    pooled = pooled_rmse(y_hats, data, meta["unit_scale"])
     summary = {
         "kind": "evaluation",
         "dataset_name": meta["name"],
         "rmse": pooled,
         "unit_scale": meta["unit_scale"],
         "transient_skipped": data.transient_n,
-        "wall_seconds": sum(r.wall_seconds for r in reports),
+        "wall_seconds": sim_seconds,
         "checkpoint": str(checkpoint_path),
     }
     with atomic_open(out_dir / f"eval_{meta['name']}.json", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import DataError, ParameterError, ParseError, PlanError, SchemaError
+from .models import type_problems
 
 Array = np.ndarray
 
@@ -151,27 +152,32 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
 def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> SequenceData:
     """One sequence per file: UTF-8, comma-separated, one header row."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for col in list(u_cols) + list(y_cols):
-            if col not in header:
-                raise SchemaError(f"{path}: column '{col}' not found in header {header}")
-        u_idx = [header.index(c) for c in u_cols]
-        y_idx = [header.index(c) for c in y_cols]
-        u_rows, y_rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                u_rows.append([float(row[i]) for i in u_idx])
-                y_rows.append([float(row[i]) for i in y_idx])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            for col in list(u_cols) + list(y_cols):
+                if col not in header:
+                    raise SchemaError(f"{path}: column '{col}' not found in header {header}")
+            u_idx = [header.index(c) for c in u_cols]
+            y_idx = [header.index(c) for c in y_cols]
+            u_rows, y_rows = [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    u_rows.append([float(row[i]) for i in u_idx])
+                    y_rows.append([float(row[i]) for i in y_idx])
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read data file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not u_rows:
         raise DataError(f"{path}: no data rows")
     u = nk.check_finite(f"{path}: input columns", nk.as_f64(u_rows))
@@ -182,38 +188,54 @@ def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> Sequence
     )
 
 
+DESCRIPTOR_TYPES = {
+    "files": list, "u_cols": list, "y_cols": list, "transient_n": int, "unit_scale": float,
+    "name": str, "sample_rate": (float, type(None)), "synthetic": dict,
+}
+SYNTHETIC_TYPES = {"n": int, "seed": int, "noise_std": float}
+
+
 def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
     """Load a dataset descriptor JSON.
 
     Schema: {"files": [...], "u_cols": [...], "y_cols": [...],
     "transient_n": int, "unit_scale": float}, plus optional "name" and
     "sample_rate". Alternatively {"synthetic": {"n", "seed", "noise_std"}}
-    generates the built-in Wiener-Hammerstein system.
+    generates the built-in Wiener-Hammerstein system. Every mistyped field
+    is reported in one SchemaError.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"dataset descriptor not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(f"cannot read dataset descriptor {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: descriptor must be a JSON object")
+    problems = type_problems(raw, DESCRIPTOR_TYPES)
+    if isinstance(raw.get("synthetic"), dict):
+        problems += [f"synthetic.{p}" for p in type_problems(raw["synthetic"], SYNTHETIC_TYPES)]
+    for key in ("files", "u_cols", "y_cols"):
+        if isinstance(raw.get(key), list) and not all(isinstance(v, str) for v in raw[key]):
+            problems.append(f"{key} must be a list of strings")
+    if problems:
+        raise SchemaError(f"{path}: invalid descriptor: " + "; ".join(problems))
     meta = {
         "name": raw.get("name", path.stem),
         "unit_scale": float(raw.get("unit_scale", 1.0)),
     }
     if "synthetic" in raw:
         syn = raw["synthetic"]
-        if not isinstance(syn, dict):
-            raise SchemaError(f"{path}: 'synthetic' must be an object")
         data = synth_wiener_hammerstein(
-            n=int(syn.get("n", 20000)),
-            seed=int(syn.get("seed", 0)),
+            n=syn.get("n", 20000),
+            seed=syn.get("seed", 0),
             noise_std=float(syn.get("noise_std", 0.01)),
         )
         if "transient_n" in raw:
-            data = replace(data, transient_n=int(raw["transient_n"]))
+            data = replace(data, transient_n=raw["transient_n"])
         return data, meta
     missing = [k for k in ("files", "u_cols", "y_cols") if k not in raw]
     if missing:
@@ -228,7 +250,7 @@ def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
         sequences=[s for p in parts for s in p.sequences],
         u_names=list(raw["u_cols"]), y_names=list(raw["y_cols"]),
         sample_rate=raw.get("sample_rate"),
-        transient_n=int(raw.get("transient_n", 0)),
+        transient_n=raw.get("transient_n", 0),
     )
     return data, meta
 

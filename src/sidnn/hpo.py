@@ -195,11 +195,11 @@ def run_search(
     seed: int = 0,
     out_path: str | Path | None = None,
     trial_runner: Callable[[dict, int, int], float] | None = None,
-    include_default: bool = True,
 ) -> tuple[list[TrialRecord], list[SearchEvent]]:
     """Run ASHA until `budget` trials have been sampled and all work drained.
 
-    Workers pull either a pending promotion or a freshly sampled config.
+    Workers pull either a pending promotion or a new trial: trial 0 runs the
+    space's default overlay, every later one a sampled config.
     Trial failures are recorded and skipped; the search continues. Any other
     exception from a trial is also recorded as a failure, but stops the hand-out
     of new work; once every worker has returned it is raised as a
@@ -248,7 +248,7 @@ def run_search(
                 if sampled < budget:
                     trial_id = sampled
                     sampled += 1
-                    if trial_id == 0 and include_default:
+                    if trial_id == 0:
                         overlay = space.default_overlay()
                     else:
                         overlay = sample_config(space, seed, trial_id)

@@ -1,6 +1,7 @@
-"""Free-running simulation, RMSE evaluation with transient skip, and
-wall-clock timing harnesses for training and inference cost versus sequence
-length. AR-TCN streaming one sample at a time is `models.conv_cache_step`.
+"""Free-running simulation, the pooled simulation RMSE with transient skip,
+and wall-clock timing harnesses for training and inference cost versus
+sequence length. AR-TCN streaming one sample at a time is
+`models.conv_cache_step`.
 """
 
 from __future__ import annotations
@@ -22,16 +23,6 @@ from .models import Model, ModelSpec, receptive_field
 Array = np.ndarray
 
 
-@dataclass
-class SimReport:
-    """One simulation run: trajectory, score, and cost."""
-
-    y_hat: Array
-    rmse: float  # reporting units (unit_scale applied)
-    transient_skipped: int
-    wall_seconds: float
-
-
 def simulate(model: Model, u: Array, standardizer: Standardizer) -> Array:
     """Free-running trajectory for one sequence, in physical units.
 
@@ -51,39 +42,15 @@ def simulate(model: Model, u: Array, standardizer: Standardizer) -> Array:
     return standardizer.invert_y(y_std[0])
 
 
-def simulate_report(
-    model: Model,
-    u: Array,
-    y: Array,
-    standardizer: Standardizer,
-    transient_n: int,
-    unit_scale: float = 1.0,
-) -> SimReport:
-    t0 = time.perf_counter()
-    y_hat = simulate(model, u, standardizer)
-    wall = time.perf_counter() - t0
-    rmse = evaluate_rmse(y_hat, y, transient_n, unit_scale)
-    return SimReport(y_hat=y_hat, rmse=rmse, transient_skipped=transient_n, wall_seconds=wall)
-
-
-def evaluate_rmse(y_hat: Array, y: Array, transient_n: int, unit_scale: float = 1.0) -> float:
-    """sqrt(mean((y_hat - y)^2)) over t >= transient_n, scaled for reporting."""
-    y_hat = nk.as_f64(y_hat)
-    y = nk.as_f64(y)
-    if y_hat.shape != y.shape:
-        raise DimensionError(f"shapes differ: {y_hat.shape} vs {y.shape}")
-    T = y.shape[0]
-    if transient_n < 0 or transient_n >= T:
-        raise ParameterError(f"transient_n {transient_n} must be in [0, {T})")
-    d = y_hat[transient_n:] - y[transient_n:]
-    return float(np.sqrt(np.mean(d * d))) * unit_scale
-
-
 def pooled_rmse(y_hats: list[Array], data: SequenceData, unit_scale: float = 1.0) -> float:
     """RMSE over the samples of all sequences pooled, each skipping its first
     min(transient_n, T-1) samples; y_hats[i] is the trajectory of sequence i."""
+    if len(y_hats) != len(data.sequences):
+        raise DimensionError(f"{len(y_hats)} trajectories for {len(data.sequences)} sequences")
     sq, n = 0.0, 0
     for y_hat, (_, y) in zip(y_hats, data.sequences):
+        if y_hat.shape != y.shape:
+            raise DimensionError(f"shapes differ: {y_hat.shape} vs {y.shape}")
         skip = min(data.transient_n, y.shape[0] - 1)
         d = y_hat[skip:] - y[skip:]
         sq += float(np.sum(d * d))
@@ -116,12 +83,6 @@ class BenchTable:
             for k, v in sorted(groups.items())
         ]
 
-    def median_for(self, variant: str, mode: str, seq_len: int) -> float:
-        for m in self.medians():
-            if (m["variant"], m["mode"], m["seq_len"]) == (variant, mode, seq_len):
-                return m["median_seconds"]
-        raise KeyError((variant, mode, seq_len))
-
 
 def _limit_threads():
     try:
@@ -143,26 +104,24 @@ def _bench_model(spec: ModelSpec, seed: int) -> Model:
     return model
 
 
-def _check_tcn_lengths(cells: list[tuple[ModelSpec, int]]) -> None:
+def _timed_cells(cells, make_runner, repeats, warmup):
+    """Warm every cell, then interleave measured repeats round-robin so slow
+    clock drift cannot masquerade as a length trend. One harness runs per
+    process at a time."""
     for spec, L in cells:
-        if spec.arch != "tcn":
-            continue
         need = receptive_field(spec.depth, spec.kernel)
-        if L < need:
+        if spec.arch == "tcn" and L < need:
             raise ParameterError(
                 f"TCN depth {spec.depth} needs sequences of at least {need} samples; "
                 f"got length {L}"
             )
-
-
-def _timed_cells(cells, make_runner, repeats, warmup):
-    """Warm every cell, then interleave measured repeats round-robin so slow
-    clock drift cannot masquerade as a length trend."""
-    runs = [(spec, L, make_runner(spec, L)) for spec, L in cells]
-    table = BenchTable()
+    if not _bench_lock.acquire(blocking=False):
+        raise UsageError("timing harness already running in this process")
     gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
+        runs = [(spec, L, make_runner(spec, L)) for spec, L in cells]
+        table = BenchTable()
+        gc.disable()
         with _limit_threads():
             for _, _, run in runs:
                 for _ in range(warmup):
@@ -179,21 +138,8 @@ def _timed_cells(cells, make_runner, repeats, warmup):
     finally:
         if gc_was_enabled:
             gc.enable()
+        _bench_lock.release()
     return table
-
-
-def bench_training_time(
-    specs: list[ModelSpec],
-    seq_lengths: list[int],
-    batch_size: int = 16,
-    repeats: int = 5,
-    warmup: int = 2,
-    seed: int = 0,
-) -> BenchTable:
-    """Median wall time of one forward+backward+optimizer step per mini-batch,
-    for every (spec, length) pair."""
-    cells = [(spec, L) for spec in specs for L in seq_lengths]
-    return bench_training_cells(cells, batch_size, repeats, warmup, seed)
 
 
 def bench_training_cells(
@@ -203,49 +149,30 @@ def bench_training_cells(
     warmup: int = 2,
     seed: int = 0,
 ) -> BenchTable:
-    """bench_training_time over explicit (spec, length) cells, all timed in
-    one round-robin."""
+    """Median wall time of one forward+backward+optimizer step per mini-batch,
+    for every (spec, length) cell, all timed in one round-robin."""
     from .training import TrainConfig, TrainState, masked_mse_grad, radam_lookahead_step
 
-    _check_tcn_lengths(cells)
-    if not _bench_lock.acquire(blocking=False):
-        raise UsageError("timing harness already running in this process")
-    try:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
-        def make_runner(spec: ModelSpec, L: int):
-            model = _bench_model(spec, seed)
-            u = rng.standard_normal((batch_size, L, spec.input_dim))
-            y = rng.standard_normal((batch_size, L, spec.output_dim))
-            config = TrainConfig(chunk_len=L, window_len=L, batch_size=batch_size,
-                                 lr_max=1e-5)
-            state = TrainState.init(model.params, 1e-5)
+    def make_runner(spec: ModelSpec, L: int):
+        model = _bench_model(spec, seed)
+        u = rng.standard_normal((batch_size, L, spec.input_dim))
+        y = rng.standard_normal((batch_size, L, spec.output_dim))
+        config = TrainConfig(chunk_len=L, window_len=L, batch_size=batch_size, lr_max=1e-5)
+        state = TrainState.init(model.params, 1e-5)
 
-            def run():
-                y_hat, _, cache = model.forward(
-                    u, model.initial_state(batch_size), training=True, return_cache=True
-                )
-                _, g = masked_mse_grad(y_hat, y)
-                grads, _ = model.backward(cache, g)
-                radam_lookahead_step(model.params, grads, state, config)
+        def run():
+            y_hat, _, cache = model.forward(
+                u, model.initial_state(batch_size), training=True, return_cache=True
+            )
+            _, g = masked_mse_grad(y_hat, y)
+            grads, _ = model.backward(cache, g)
+            radam_lookahead_step(model.params, grads, state, config)
 
-            return run
+        return run
 
-        return _timed_cells(cells, make_runner, repeats, warmup)
-    finally:
-        _bench_lock.release()
-
-
-def bench_inference_time(
-    specs: list[ModelSpec],
-    seq_lengths: list[int],
-    repeats: int = 5,
-    warmup: int = 2,
-    seed: int = 0,
-) -> BenchTable:
-    """Median wall time of simulating one sequence per (variant, length)."""
-    cells = [(spec, L) for spec in specs for L in seq_lengths]
-    return bench_inference_cells(cells, repeats, warmup, seed)
+    return _timed_cells(cells, make_runner, repeats, warmup)
 
 
 def bench_inference_cells(
@@ -254,24 +181,18 @@ def bench_inference_cells(
     warmup: int = 2,
     seed: int = 0,
 ) -> BenchTable:
-    """bench_inference_time over explicit (spec, length) cells, all timed in
-    one round-robin."""
-    _check_tcn_lengths(cells)
-    if not _bench_lock.acquire(blocking=False):
-        raise UsageError("timing harness already running in this process")
-    try:
-        rng = np.random.default_rng(seed)
+    """Median wall time of simulating one sequence, for every (spec, length)
+    cell, all timed in one round-robin."""
+    rng = np.random.default_rng(seed)
 
-        def make_runner(spec: ModelSpec, L: int):
-            model = _bench_model(spec, seed)
-            std = Standardizer.identity(spec.input_dim, spec.output_dim)
-            u = rng.standard_normal((L, spec.input_dim))
+    def make_runner(spec: ModelSpec, L: int):
+        model = _bench_model(spec, seed)
+        std = Standardizer.identity(spec.input_dim, spec.output_dim)
+        u = rng.standard_normal((L, spec.input_dim))
 
-            def run():
-                simulate(model, u, std)
+        def run():
+            simulate(model, u, std)
 
-            return run
+        return run
 
-        return _timed_cells(cells, make_runner, repeats, warmup)
-    finally:
-        _bench_lock.release()
+    return _timed_cells(cells, make_runner, repeats, warmup)

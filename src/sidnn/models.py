@@ -318,23 +318,6 @@ def _gru_step(proj_t: Array, h: Array, u_zr: Array, u_h: Array, H: int,
     return z, r
 
 
-def gru_cell(x_t: Array, h_prev: Array, params: ParamStore, layer: int = 0) -> Array:
-    """Single GRU step: z/r gates, candidate, convex blend with h_prev."""
-    w_cat, b_cat, u_zr, u_h = _gru_layer_mats(params, layer)
-    if x_t.ndim != 2 or x_t.shape[1] != w_cat.shape[0]:
-        raise DimensionError(
-            f"gru_cell input shape {x_t.shape} incompatible with W {w_cat.shape}"
-        )
-    if h_prev.shape != (x_t.shape[0], u_h.shape[0]):
-        raise DimensionError(
-            f"gru_cell state shape {h_prev.shape} != {(x_t.shape[0], u_h.shape[0])}"
-        )
-    proj = x_t @ w_cat + b_cat
-    h_new = np.empty_like(h_prev)
-    _gru_step(proj, h_prev, u_zr, u_h, u_h.shape[0], h_new)
-    return h_new
-
-
 def _dropout_masks(spec: ModelSpec, batch: int, training: bool, rng):
     if not training or spec.dropout == 0.0 or spec.depth < 2:
         return None

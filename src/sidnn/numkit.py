@@ -1,14 +1,11 @@
-"""Dense float64 numerics with hand-written forward and backward passes.
+"""Dense float64 numerics shared by the models.
 
 Every tensor is a C-contiguous float64 ndarray with an explicit shape; there
-is no broadcasting and no autodiff graph. Each primitive ships an analytic
-backward, and ``grad_check`` validates any (forward, vjp) pair against
-central finite differences.
+is no autodiff graph. The dilated causal convolution ships its analytic
+backward; the logistic is the numerically stable two-branch form.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,27 +24,6 @@ def check_finite(name: str, a: Array) -> Array:
     if not np.all(np.isfinite(a)):
         raise DataError(f"non-finite values in '{name}'")
     return a
-
-
-# ---------------------------------------------------------------------------
-# affine
-# ---------------------------------------------------------------------------
-
-
-def affine(x: Array, w: Array, b: Array) -> Array:
-    """out[n,o] = sum_i x[n,i]*w[i,o] + b[o]; x (N,I), w (I,O), b (O,)."""
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise DimensionError(
-            f"affine expects 2-d x, 2-d w, 1-d b; got {x.shape}, {w.shape}, {b.shape}"
-        )
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise DimensionError(f"affine shape mismatch: x {x.shape} vs w {w.shape}")
-    return x @ w + b
-
-
-def affine_backward(g: Array, x: Array, w: Array) -> tuple[Array, Array, Array]:
-    """Returns (dx, dw, db) for out = x @ w + b given upstream g (N,O)."""
-    return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +112,7 @@ def causal_conv1d_backward(
 
 
 # ---------------------------------------------------------------------------
-# elementwise activations
+# logistic
 # ---------------------------------------------------------------------------
 
 
@@ -151,68 +127,3 @@ def sigmoid(x: Array) -> Array:
     """
     e = np.exp(np.minimum(x, -x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid_backward(g: Array, out: Array) -> Array:
-    return g * out * (1.0 - out)
-
-
-def tanh(x: Array) -> Array:
-    return np.tanh(x)
-
-
-def tanh_backward(g: Array, out: Array) -> Array:
-    return g * (1.0 - out * out)
-
-
-def relu(x: Array) -> Array:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(g: Array, x: Array) -> Array:
-    return g * (x > 0.0)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[..., tuple[Array, Callable[[Array], Sequence[Array]]]],
-    inputs: Sequence[Array],
-    eps: float = 1e-5,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Worst-case relative error between analytic and central-difference grads.
-
-    ``f(*inputs)`` must return ``(output, vjp)`` where ``vjp(g)`` yields one
-    gradient per input. The scalar probe is L = sum(output * g) for a fixed
-    random cotangent g; the relative error of element a vs numeric n is
-    |a - n| / max(|a|, |n|, 1), so near-zero gradients are compared at an
-    absolute scale of eps per unit.
-    """
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    inputs = [as_f64(x) for x in inputs]
-    out, vjp = f(*inputs)
-    g = rng.standard_normal(out.shape)
-    analytic = vjp(g)
-    worst = 0.0
-    for x, ga in zip(inputs, analytic):
-        flat = x.reshape(-1)
-        ga_flat = np.asarray(ga).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            l_plus = float(np.sum(f(*inputs)[0] * g))
-            flat[i] = orig - eps
-            l_minus = float(np.sum(f(*inputs)[0] * g))
-            flat[i] = orig
-            numeric = (l_plus - l_minus) / (2.0 * eps)
-            a = float(ga_flat[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            worst = max(worst, err)
-    return worst

@@ -101,12 +101,6 @@ class TrainState:
 # ---------------------------------------------------------------------------
 
 
-def masked_mse(y_hat: Array, y: Array, mask: Array | None = None) -> float:
-    """Mean squared error over unmasked elements; mask marks excluded samples."""
-    loss, _ = masked_mse_grad(y_hat, y, mask)
-    return loss
-
-
 def masked_mse_grad(
     y_hat: Array, y: Array, mask: Array | None = None
 ) -> tuple[float, Array]:
@@ -320,33 +314,36 @@ class FinderResult:
     smoothed: list[float]
 
 
+# the sweep runs geometrically from SWEEP_LR_START to SWEEP_LR_END
+SWEEP_LR_START = 1e-7
+SWEEP_LR_END = 1.0
+SWEEP_SMOOTHING = 0.98  # momentum of the smoothed loss
+SWEEP_ABORT_FACTOR = 4.0
+
+
 def lr_sweep(
     params: ParamStore,
     batches: Iterator,
     loss_grad_fn: Callable,
     config: TrainConfig,
     *,
-    lr_start: float = 1e-7,
-    lr_end: float = 1.0,
     num_steps: int = 100,
-    smooth_momentum: float = 0.98,
-    abort_factor: float = 4.0,
 ) -> FinderResult:
     """Geometric lr sweep with exponentially smoothed loss tracking.
 
     The bias-corrected smoothed loss gates the abort (once it exceeds
-    abort_factor times the best smoothed value seen); the suggestion is the
-    lr at the raw-loss minimum divided by 10.
+    SWEEP_ABORT_FACTOR times the best smoothed value seen); the suggestion
+    is the lr at the raw-loss minimum divided by 10.
     """
-    state = TrainState.init(params, lr_start)
-    ratio = (lr_end / lr_start) ** (1.0 / max(num_steps - 1, 1))
+    state = TrainState.init(params, SWEEP_LR_START)
+    ratio = (SWEEP_LR_END / SWEEP_LR_START) ** (1.0 / max(num_steps - 1, 1))
     smoothed = 0.0
     best = math.inf
     lrs: list[float] = []
     losses: list[float] = []
     track: list[float] = []
     for i in range(num_steps):
-        lr_i = lr_start * ratio ** i
+        lr_i = SWEEP_LR_START * ratio ** i
         batch = next(batches)
         with np.errstate(all="ignore"):
             loss, grads = loss_grad_fn(params, batch)
@@ -354,15 +351,16 @@ def lr_sweep(
         if not finite:
             if i == 0:
                 raise FinderError(
-                    "loss diverged on the first finder batch; lower the sweep start"
+                    f"loss diverged on the first finder batch, at lr {SWEEP_LR_START:g}; "
+                    "set lr_max to train without the finder"
                 )
             break
-        smoothed = smooth_momentum * smoothed + (1.0 - smooth_momentum) * loss
-        corrected = smoothed / (1.0 - smooth_momentum ** (i + 1))
+        smoothed = SWEEP_SMOOTHING * smoothed + (1.0 - SWEEP_SMOOTHING) * loss
+        corrected = smoothed / (1.0 - SWEEP_SMOOTHING ** (i + 1))
         lrs.append(lr_i)
         losses.append(loss)
         track.append(corrected)
-        if corrected > abort_factor * best:
+        if corrected > SWEEP_ABORT_FACTOR * best:
             break
         best = min(best, corrected)
         state.lr = lr_i
@@ -374,15 +372,13 @@ def lr_sweep(
 
 
 def _chunk_stream(model: Model, data: SequenceData, config: TrainConfig, epoch0: int):
-    """Endless chunk batches with per-window state, for the finder sweep."""
+    """Endless chunk batches for the finder sweep, each with a fresh initial
+    state."""
     rng = np.random.default_rng([config.seed, 2])
     epoch = epoch0
-    state_h = None
     while True:
         for batch in sample_windows(data, config.plan(), epoch):
-            if batch.is_first:
-                state_h = model.initial_state(batch.u.shape[0])
-            yield batch, state_h, rng
+            yield batch, model.initial_state(batch.u.shape[0]), rng
         epoch += 1
 
 
@@ -390,13 +386,16 @@ def lr_finder(model: Model, data: SequenceData, config: TrainConfig, *, num_step
     """Suggest lr_max by sweeping on a clone; `data` must be standardized.
 
     The training model is untouched: the sweep runs on copied parameters.
+    Every finder chunk starts from the initial state, a window's later
+    chunks too, and the state it ends in is dropped: unlike train_epoch,
+    the finder carries nothing across chunk boundaries.
     """
     clone = model.clone()
     stream = _chunk_stream(clone, data, config, epoch0=1_000_000)
 
     def loss_grad(params: ParamStore, item):
         batch, state_h, rng = item
-        loss, grads, new_state, _, _ = _chunk_step(clone, batch, state_h, config, rng)
+        loss, grads, _, _, _ = _chunk_step(clone, batch, state_h, config, rng)
         return loss, grads
 
     result = lr_sweep(clone.params, stream, loss_grad, config, num_steps=num_steps)

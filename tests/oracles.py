@@ -1,0 +1,148 @@
+"""Reference oracles the tests compare the package against.
+
+Plain, unfused forms of what the models compute (affine maps, activations
+with their analytic backwards, one GRU step, the masked MSE), a central
+finite-difference gradient checker, and the median lookup of a timing table.
+No program path runs them, so they live here rather than in the package.
+This module holds no tests; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from sidnn import numkit as nk
+from sidnn.errors import DimensionError, ParameterError
+from sidnn.inference import BenchTable
+from sidnn.models import ParamStore, _gru_layer_mats, _gru_step
+from sidnn.training import masked_mse_grad
+
+Array = np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# affine and elementwise activations
+# ---------------------------------------------------------------------------
+
+
+def affine(x: Array, w: Array, b: Array) -> Array:
+    """out[n,o] = sum_i x[n,i]*w[i,o] + b[o]; x (N,I), w (I,O), b (O,)."""
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise DimensionError(
+            f"affine expects 2-d x, 2-d w, 1-d b; got {x.shape}, {w.shape}, {b.shape}"
+        )
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise DimensionError(f"affine shape mismatch: x {x.shape} vs w {w.shape}")
+    return x @ w + b
+
+
+def affine_backward(g: Array, x: Array, w: Array) -> tuple[Array, Array, Array]:
+    """Returns (dx, dw, db) for out = x @ w + b given upstream g (N,O)."""
+    return g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def sigmoid_backward(g: Array, out: Array) -> Array:
+    return g * out * (1.0 - out)
+
+
+def tanh(x: Array) -> Array:
+    return np.tanh(x)
+
+
+def tanh_backward(g: Array, out: Array) -> Array:
+    return g * (1.0 - out * out)
+
+
+def relu(x: Array) -> Array:
+    return np.maximum(x, 0.0)
+
+
+def relu_backward(g: Array, x: Array) -> Array:
+    return g * (x > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient checking
+# ---------------------------------------------------------------------------
+
+
+def grad_check(
+    f: Callable[..., tuple[Array, Callable[[Array], Sequence[Array]]]],
+    inputs: Sequence[Array],
+    eps: float = 1e-5,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Worst-case relative error between analytic and central-difference grads.
+
+    ``f(*inputs)`` must return ``(output, vjp)`` where ``vjp(g)`` yields one
+    gradient per input. The scalar probe is L = sum(output * g) for a fixed
+    random cotangent g; the relative error of element a vs numeric n is
+    |a - n| / max(|a|, |n|, 1), so near-zero gradients are compared at an
+    absolute scale of eps per unit.
+    """
+    if eps <= 0:
+        raise ParameterError(f"eps must be > 0, got {eps}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    inputs = [nk.as_f64(x) for x in inputs]
+    out, vjp = f(*inputs)
+    g = rng.standard_normal(out.shape)
+    analytic = vjp(g)
+    worst = 0.0
+    for x, ga in zip(inputs, analytic):
+        flat = x.reshape(-1)
+        ga_flat = np.asarray(ga).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            l_plus = float(np.sum(f(*inputs)[0] * g))
+            flat[i] = orig - eps
+            l_minus = float(np.sum(f(*inputs)[0] * g))
+            flat[i] = orig
+            numeric = (l_plus - l_minus) / (2.0 * eps)
+            a = float(ga_flat[i])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+            worst = max(worst, err)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# model pieces
+# ---------------------------------------------------------------------------
+
+
+def gru_cell(x_t: Array, h_prev: Array, params: ParamStore, layer: int = 0) -> Array:
+    """Single GRU step: z/r gates, candidate, convex blend with h_prev."""
+    w_cat, b_cat, u_zr, u_h = _gru_layer_mats(params, layer)
+    if x_t.ndim != 2 or x_t.shape[1] != w_cat.shape[0]:
+        raise DimensionError(
+            f"gru_cell input shape {x_t.shape} incompatible with W {w_cat.shape}"
+        )
+    if h_prev.shape != (x_t.shape[0], u_h.shape[0]):
+        raise DimensionError(
+            f"gru_cell state shape {h_prev.shape} != {(x_t.shape[0], u_h.shape[0])}"
+        )
+    proj = x_t @ w_cat + b_cat
+    h_new = np.empty_like(h_prev)
+    _gru_step(proj, h_prev, u_zr, u_h, u_h.shape[0], h_new)
+    return h_new
+
+
+def masked_mse(y_hat: Array, y: Array, mask: Array | None = None) -> float:
+    """Mean squared error over unmasked elements; mask marks excluded samples."""
+    loss, _ = masked_mse_grad(y_hat, y, mask)
+    return loss
+
+
+# ---------------------------------------------------------------------------
+# timing tables
+# ---------------------------------------------------------------------------
+
+
+def median_for(table: BenchTable, variant: str, mode: str, seq_len: int) -> float:
+    for m in table.medians():
+        if (m["variant"], m["mode"], m["seq_len"]) == (variant, mode, seq_len):
+            return m["median_seconds"]
+    raise KeyError((variant, mode, seq_len))

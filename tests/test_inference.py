@@ -3,18 +3,19 @@ import time
 import numpy as np
 import pytest
 
-from sidnn.data import Standardizer, synth_wiener_hammerstein, fit_standardizer
+from sidnn.data import SequenceData, Standardizer, synth_wiener_hammerstein, fit_standardizer
 from sidnn.errors import DimensionError, InputError, ParameterError, UsageError
 from sidnn.inference import (
     BenchTable,
-    bench_inference_time,
-    bench_training_time,
-    evaluate_rmse,
+    bench_inference_cells,
+    bench_training_cells,
+    pooled_rmse,
     simulate,
     _bench_lock,
 )
 from sidnn.models import ConvCache, Model, ModelSpec, conv_cache_step, gru_forward, tcn_forward
-from sidnn.training import masked_mse
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -129,41 +130,52 @@ def test_fast_ar_step_cost_is_history_independent():
 
 
 # ---------------------------------------------------------------------------
-# evaluate_rmse
+# pooled_rmse, the evaluation RMSE
 # ---------------------------------------------------------------------------
+
+
+def _one_sequence(y, transient_n):
+    return SequenceData(sequences=[(np.zeros_like(y), y)], transient_n=transient_n)
 
 
 def test_evaluate_rmse_zero_for_perfect():
     y = np.random.default_rng(8).standard_normal((20, 1))
-    assert evaluate_rmse(y, y, 3) == 0.0
+    assert pooled_rmse([y], _one_sequence(y, 3)) == 0.0
 
 
 def test_evaluate_rmse_direct_value():
     y_hat = np.array([[9.0], [0.0], [3.0]])
     y = np.array([[0.0], [4.0], [0.0]])
-    assert evaluate_rmse(y_hat, y, 1) == pytest.approx(np.sqrt((16 + 9) / 2))
+    assert pooled_rmse([y_hat], _one_sequence(y, 1)) == pytest.approx(np.sqrt((16 + 9) / 2))
 
 
 def test_evaluate_rmse_unit_scale():
     y_hat = np.array([[1.0], [1.0]])
     y = np.array([[0.0], [0.0]])
-    assert evaluate_rmse(y_hat, y, 0, unit_scale=1000.0) == pytest.approx(1000.0)
+    rmse = pooled_rmse([y_hat], _one_sequence(y, 0), unit_scale=1000.0)
+    assert rmse == pytest.approx(1000.0)
 
 
-def test_evaluate_rmse_rejects_bad_transient():
-    y = np.zeros((5, 1))
-    with pytest.raises(ParameterError):
-        evaluate_rmse(y, y, 5)
+def test_pooled_rmse_rejects_mismatched_shapes():
     with pytest.raises(DimensionError):
-        evaluate_rmse(np.zeros((5, 1)), np.zeros((6, 1)), 0)
+        pooled_rmse([np.zeros((5, 1))], _one_sequence(np.zeros((6, 1)), 0))
+    with pytest.raises(DimensionError):
+        pooled_rmse([], _one_sequence(np.zeros((6, 1)), 0))
+
+
+def test_pooled_rmse_clamps_transient_to_last_sample():
+    # a validation tail shorter than transient_n still scores its last sample
+    y_hat = np.array([[1.0], [2.0], [5.0]])
+    y = np.zeros((3, 1))
+    assert pooled_rmse([y_hat], _one_sequence(y, 7)) == 5.0
 
 
 def test_evaluate_rmse_equals_sqrt_masked_mse():
     rng = np.random.default_rng(9)
     y_hat = rng.standard_normal((1, 30, 2))
     y = rng.standard_normal((1, 30, 2))
-    lhs = evaluate_rmse(y_hat[0], y[0], 0, 1.0)
-    rhs = float(np.sqrt(masked_mse(y_hat, y)))
+    lhs = pooled_rmse([y_hat[0]], _one_sequence(y[0], 0), 1.0)
+    rhs = float(np.sqrt(oracles.masked_mse(y_hat, y)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -177,38 +189,42 @@ TCN_AR = ModelSpec(arch="tcn", mode="ar", input_dim=1, hidden=4, depth=3)
 TCN_NAR = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=4, depth=3)
 
 
+def _cells(specs, lengths):
+    return [(spec, L) for spec in specs for L in lengths]
+
+
 def test_bench_empty_specs_gives_empty_table():
-    table = bench_inference_time([], [64, 128], repeats=2)
+    table = bench_inference_cells(_cells([], [64, 128]), repeats=2)
     assert table.rows == [] and table.medians() == []
 
 
 def test_bench_row_bookkeeping():
-    table = bench_training_time([GRU_NAR, TCN_NAR], [64, 128], batch_size=2,
-                                repeats=3, warmup=1)
+    table = bench_training_cells(_cells([GRU_NAR, TCN_NAR], [64, 128]), batch_size=2,
+                                 repeats=3, warmup=1)
     assert len(table.rows) == 3 * 2 * 2
     assert len(table.medians()) == 4
 
 
 def test_bench_tcn_length_precondition():
     with pytest.raises(ParameterError):
-        bench_training_time([TCN_AR], [4], batch_size=2, repeats=1)
+        bench_training_cells(_cells([TCN_AR], [4]), batch_size=2, repeats=1)
 
 
 def test_ar_training_time_increases_with_length():
-    table = bench_training_time([GRU_AR, TCN_AR], [128, 256, 512], batch_size=2,
-                                repeats=3, warmup=1)
+    table = bench_training_cells(_cells([GRU_AR, TCN_AR], [128, 256, 512]), batch_size=2,
+                                 repeats=3, warmup=1)
     for variant in ("GRU", "TCN"):
-        times = [table.median_for(variant, "AR", L) for L in (128, 256, 512)]
+        times = [oracles.median_for(table, variant, "AR", L) for L in (128, 256, 512)]
         assert times[0] < times[1] < times[2]
 
 
 def test_inference_scaling_and_ordering():
     lengths = [128, 256, 512]
-    table = bench_inference_time([GRU_AR, GRU_NAR, TCN_AR, TCN_NAR], lengths,
-                                 repeats=3, warmup=1)
+    table = bench_inference_cells(_cells([GRU_AR, GRU_NAR, TCN_AR, TCN_NAR], lengths),
+                                  repeats=3, warmup=1)
     # sequential engines scale ~linearly with length
     for variant, mode in (("GRU", "AR"), ("GRU", "NAR"), ("TCN", "AR")):
-        t = np.array([table.median_for(variant, mode, L) for L in lengths])
+        t = np.array([oracles.median_for(table, variant, mode, L) for L in lengths])
         x = np.array(lengths, dtype=float)
         slope, icept = np.polyfit(x, t, 1)
         pred = slope * x + icept
@@ -217,13 +233,14 @@ def test_inference_scaling_and_ordering():
         assert 1.0 - ss_res / ss_tot > 0.95
     # the cached AR generator always costs more than one parallel NAR pass
     for L in lengths:
-        assert table.median_for("TCN", "AR", L) > table.median_for("TCN", "NAR", L)
+        assert (oracles.median_for(table, "TCN", "AR", L)
+                > oracles.median_for(table, "TCN", "NAR", L))
 
 
 def test_bench_refuses_concurrent_runs():
     assert _bench_lock.acquire(blocking=False)
     try:
         with pytest.raises(UsageError):
-            bench_inference_time([GRU_NAR], [32], repeats=1)
+            bench_inference_cells(_cells([GRU_NAR], [32]), repeats=1)
     finally:
         _bench_lock.release()

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidnn import numkit as nk
 from sidnn.errors import ParameterError, StateError
 from sidnn.models import (
     ConvCache,
@@ -11,7 +10,6 @@ from sidnn.models import (
     Model,
     ModelSpec,
     ParamStore,
-    gru_cell,
     gru_forward,
     init_params,
     param_shapes,
@@ -20,6 +18,8 @@ from sidnn.models import (
     tcn_backward,
     tcn_forward,
 )
+
+from oracles import grad_check, gru_cell
 
 
 def zero_params(spec):
@@ -313,7 +313,7 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
             return y, vjp
 
         inputs = [u[:, lo:hi].copy()] + [model.params[n].copy() for n in names]
-        assert nk.grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
+        assert grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
         state = tcn_forward(u[:, lo:hi], state, model.params, spec, **kw)[1]
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sidnn.errors import (
     ParameterError,
     TrainingError,
 )
+from sidnn import training
 from sidnn.models import Model, ModelSpec, ParamStore
 from sidnn.training import (
     TrainConfig,
@@ -22,12 +24,13 @@ from sidnn.training import (
     fit,
     lr_finder,
     lr_sweep,
-    masked_mse,
     masked_mse_grad,
     radam_lookahead_step,
     resolved_warmup_mask,
     train_epoch,
 )
+
+from oracles import masked_mse
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,43 @@ def test_finder_deterministic_and_nonmutating():
     assert s1 == s2
     for k, v in model.params.items():
         np.testing.assert_array_equal(v, before[k])
+
+
+def _same_state(a, b) -> bool:
+    """Recursive equality over HiddenState/ConvCache fields and their arrays."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_state(x, y) for x, y in zip(a, b))
+    if hasattr(a, "__dataclass_fields__") and not isinstance(a, ModelSpec):
+        return type(a) is type(b) and all(
+            _same_state(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    return a == b
+
+
+@pytest.mark.parametrize("arch,mode", [("gru", "nar"), ("gru", "ar"), ("tcn", "nar"),
+                                       ("tcn", "ar")])
+def test_finder_chunks_start_from_the_initial_state(monkeypatch, arch, mode):
+    # the finder runs stateless chunks: a window's later chunks get the
+    # initial state too, not the state the chunk before them ended in
+    rng = np.random.default_rng(4)
+    data = SequenceData(sequences=[(rng.standard_normal((600, 1)),
+                                    rng.standard_normal((600, 1)))])
+    model = Model.create(ModelSpec(arch=arch, mode=mode, input_dim=1, hidden=4, depth=2), 0)
+    cfg = TrainConfig(window_len=256, chunk_len=32, batch_size=4, seed=5)
+    received = []
+    chunk_step = training._chunk_step
+
+    def recording(model_, batch, state_h, config, rng_):
+        received.append((batch.chunk_index, copy.deepcopy(state_h)))
+        return chunk_step(model_, batch, state_h, config, rng_)
+
+    monkeypatch.setattr(training, "_chunk_step", recording)
+    lr_finder(model, data, cfg, num_steps=12)
+    assert max(index for index, _ in received) >= 4
+    initial = model.initial_state(4)
+    for index, state in received:
+        assert _same_state(state, initial), f"chunk {index} got a carried state"
 
 
 def test_finder_divergence_on_first_batch():
