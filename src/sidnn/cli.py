@@ -21,10 +21,10 @@ from .errors import (
     SchemaError,
     SidnnError,
 )
-from .hpo import SearchSpace, run_search
+from .hpo import HPO_LOWS, SearchSpace, run_search
 from .inference import bench_inference_cells, bench_training_cells, pooled_rmse, simulate
-from .models import SPEC_TYPES, Model, ModelSpec, receptive_field, type_problems
-from .training import TrainConfig, fit, write_history_csv
+from .models import SPEC_TYPES, Model, ModelSpec, range_problems, receptive_field, type_problems
+from .training import TRAIN_LOWS, TrainConfig, fit, write_history_csv
 
 MODEL_DEFAULTS = {
     "arch": "gru",
@@ -98,6 +98,7 @@ def load_config(path: str | Path) -> dict:
         if key not in TRAIN_FIELDS:
             problems.append(f"unknown field 'train.{key}'")
     problems += [f"train.{p}" for p in type_problems(train_cfg, TRAIN_FIELDS)]
+    problems += [f"train.{p}" for p in range_problems(train_cfg, TRAIN_LOWS)]
     betas = train_cfg.get("betas")
     if isinstance(betas, list) and (
             len(betas) != 2 or any(type_problems({"b": b}, {"b": float}) for b in betas)):
@@ -109,7 +110,9 @@ def load_config(path: str | Path) -> dict:
         else:
             hpo_cfg[key] = value
     problems += [f"hpo.{p}" for p in type_problems(hpo_cfg, dict.fromkeys(HPO_DEFAULTS, int))]
+    problems += [f"hpo.{p}" for p in range_problems(hpo_cfg, HPO_LOWS)]
     problems += type_problems(raw, {"seed": int, "out_dir": str})
+    problems += range_problems(raw, {"seed": TRAIN_LOWS["seed"]})
     if problems:
         raise SchemaError("invalid config: " + "; ".join(problems))
     cfg = {
@@ -194,7 +197,7 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None
         t0 = time.perf_counter()
         y_hats.append(simulate(model, u, ckpt.standardizer))
         sim_seconds += time.perf_counter() - t0
-        with open(out_dir / f"yhat_{i}.csv", "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(out_dir / f"yhat_{i}.csv", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(data.y_names)
             writer.writerows(y_hats[-1].tolist())
@@ -228,7 +231,7 @@ def cmd_simulate(checkpoint_path: str, dataset_path: str, out: str | None = None
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (u, _) in enumerate(data.sequences):
         y_hat = simulate(model, u, ckpt.standardizer)
-        with open(out_dir / f"sim_{i}.csv", "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(out_dir / f"sim_{i}.csv", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(data.y_names)
             writer.writerows(y_hat.tolist())
@@ -252,13 +255,13 @@ def _bench_specs() -> list[ModelSpec]:
 def _write_bench_csv(out_dir: Path, stem: str, table) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{time.time_ns() % 1_000_000:06d}"
     raw_path = out_dir / f"{stem}_{stamp}.csv"
-    with open(raw_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(raw_path, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["variant", "mode", "seq_len", "repeat",
                                                 "wall_seconds"])
         writer.writeheader()
         writer.writerows(table.rows)
     med_path = out_dir / f"{stem}_{stamp}_medians.csv"
-    with open(med_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(med_path, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["variant", "mode", "seq_len",
                                                 "median_seconds"])
         writer.writeheader()
@@ -309,9 +312,9 @@ def cmd_hpo(config_path: str, out: str | None = None) -> Path:
         seed=cfg["seed"], out_path=out_dir / "trials.jsonl",
     )
     best = ranked[0]
-    (out_dir / "best_config.json").write_text(json.dumps(
-        {"trial_id": best.trial_id, "config": best.config,
-         "best_valid_rmse": best.best_loss}, indent=2))
+    with atomic_open(out_dir / "best_config.json", encoding="utf-8") as fh:
+        fh.write(json.dumps({"trial_id": best.trial_id, "config": best.config,
+                             "best_valid_rmse": best.best_loss}, indent=2))
     print(f"hpo done: best trial {best.trial_id} with valid RMSE {best.best_loss:.6g}")
     return out_dir
 

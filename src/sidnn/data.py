@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import DataError, ParameterError, ParseError, PlanError, SchemaError
-from .models import type_problems
+from .models import range_problems, type_problems
 
 Array = np.ndarray
 
@@ -193,6 +193,8 @@ DESCRIPTOR_TYPES = {
     "name": str, "sample_rate": (float, type(None)), "synthetic": dict,
 }
 SYNTHETIC_TYPES = {"n": int, "seed": int, "noise_std": float}
+DESCRIPTOR_LOWS = {"transient_n": (">=", 0), "unit_scale": (">", 0)}
+SYNTHETIC_LOWS = {"n": (">=", 1), "seed": (">=", 0), "noise_std": (">=", 0)}
 
 
 def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
@@ -201,8 +203,8 @@ def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
     Schema: {"files": [...], "u_cols": [...], "y_cols": [...],
     "transient_n": int, "unit_scale": float}, plus optional "name" and
     "sample_rate". Alternatively {"synthetic": {"n", "seed", "noise_std"}}
-    generates the built-in Wiener-Hammerstein system. Every mistyped field
-    is reported in one SchemaError.
+    generates the built-in Wiener-Hammerstein system. Every mistyped or
+    out-of-range field is reported in one SchemaError.
     """
     path = Path(path)
     try:
@@ -215,9 +217,11 @@ def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: descriptor must be a JSON object")
-    problems = type_problems(raw, DESCRIPTOR_TYPES)
+    problems = type_problems(raw, DESCRIPTOR_TYPES) + range_problems(raw, DESCRIPTOR_LOWS)
     if isinstance(raw.get("synthetic"), dict):
-        problems += [f"synthetic.{p}" for p in type_problems(raw["synthetic"], SYNTHETIC_TYPES)]
+        syn = raw["synthetic"]
+        problems += [f"synthetic.{p}" for p in
+                     type_problems(syn, SYNTHETIC_TYPES) + range_problems(syn, SYNTHETIC_LOWS)]
     for key in ("files", "u_cols", "y_cols"):
         if isinstance(raw.get(key), list) and not all(isinstance(v, str) for v in raw[key]):
             problems.append(f"{key} must be a list of strings")

@@ -21,8 +21,13 @@ import numpy as np
 
 from .data import SequenceData
 from .errors import BookkeepingError, ParameterError, SidnnError, TrainingError
-from .models import Model, ModelSpec
+from .models import Model, ModelSpec, range_problems
 from .training import TrainConfig, fit
+
+# lower bounds of run_search's settings; a run config's hpo section is checked
+# against them too (cli.load_config)
+HPO_LOWS = {"budget": (">=", 1), "workers": (">=", 1), "eta": (">=", 2), "r_min": (">=", 1),
+            "num_rungs": (">=", 1)}
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,10 @@ def run_search(
     TrainingError. Returns the records sorted by best achieved validation
     RMSE plus the event log.
     """
-    if budget < 1 or workers < 1:
-        raise ParameterError("budget and workers must be >= 1")
-    if eta < 2:
-        raise ParameterError("eta must be >= 2")
+    problems = range_problems(dict(budget=budget, workers=workers, eta=eta, r_min=r_min,
+                                   num_rungs=num_rungs), HPO_LOWS)
+    if problems:
+        raise ParameterError("invalid search settings: " + "; ".join(problems))
     if trial_runner is None:
         if data is None or base_spec is None or base_config is None:
             raise ParameterError("run_search needs data, base_spec and base_config "

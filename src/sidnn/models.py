@@ -15,7 +15,12 @@ model is the NAR model with its previous output fed back as extra input
 channels, so gradients flow through the feedback path inside a chunk;
 truncation happens only at chunk boundaries (the carried state is plain
 values). The GRU runs one recurrence for both modes (NAR carries a
-zero-width feedback). The NAR-TCN convolves the whole chunk layer by layer
+zero-width feedback). Every GRU mode computes its layer-0 input projection
+for the whole chunk in one matmul; free-running AR adds its feedback per step
+as the top layer's previous state times F = head.W @ W0_fb (W0_fb: the
+feedback rows of the layer-0 input weights), and the head runs once per
+chunk. The backward reads the fed-back outputs from the cache and is
+unchanged by the fold. The NAR-TCN convolves the whole chunk layer by layer
 into reused buffers; its cache keeps each layer's input and a bool
 pre-activation sign mask, and a forward without a cache keeps nothing. The
 AR-TCN advances per-layer ring buffers one step at a time, in training,
@@ -100,6 +105,20 @@ def type_problems(values: dict, types: dict) -> list[str]:
         if not ok:
             names = "/".join("null" if k is type(None) else k.__name__ for k in kinds)
             problems.append(f"{key} must be {names}, got {type(value).__name__}")
+    return problems
+
+
+def range_problems(values: dict, lows: dict) -> list[str]:
+    """One message per key of values whose number is not above its lows entry
+    (">", low) or not at least it (">=", low). Keys missing from lows and
+    values that are not numbers (None, bools, mistyped) are skipped."""
+    problems = []
+    for key, value in values.items():
+        if key not in lows or isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        op, low = lows[key]
+        if not (value > low if op == ">" else value >= low):
+            problems.append(f"{key} must be {op} {low}, got {value}")
     return problems
 
 
@@ -394,9 +413,13 @@ def gru_forward(
 
     In AR mode the layer-0 input at t is concat(u_t, fb), where fb is the
     model's own previous standardized output, or the teacher sample
-    (standardized ground truth) when a teacher sequence is supplied. NAR has
-    no feedback, so its layer-0 input projections are hoisted out of the
-    time loop.
+    (standardized ground truth) when a teacher sequence is supplied. Every
+    mode computes the known part of the layer-0 projection for the whole
+    chunk in one matmul before the time loop: all of it in NAR and
+    teacher-forced AR. Free-running AR hoists the u part, and folds the
+    feedback fb = h @ head.W + head.b through F = head.W @ W0_fb, so a step
+    adds one h_top @ F; its first step uses state.last_output instead. The
+    head runs once after the loop.
     """
     _check_seq_input(u, spec)
     B, T, I = u.shape
@@ -411,30 +434,38 @@ def gru_forward(
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
     w0, b0, _, _ = mats[0]
+    free = ar and teacher is None
     # scratch arrays are time-major (T, B, .) so each step touches one
     # contiguous block; (B, T, .) slicing thrashes caches for long chunks
-    if ar:
-        # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
+    X0 = U = np.ascontiguousarray(u.transpose(1, 0, 2))
+    if ar and (return_cache or not free):
+        # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t the teacher
+        # sample t-1 or, free-running, Y[t-1], filled in after the loop
         X0 = np.empty((T, B, I + O))
-        X0[:, :, :I] = u.transpose(1, 0, 2)
+        X0[:, :, :I] = U
+        X0[0, :, I:] = state.last_output
+        if not free:
+            X0[1:, :, I:] = teacher[:, :-1].transpose(1, 0, 2)
+    if free:
+        # fb_t = h_top(t-1) @ w_y + b_y enters layer 0 as h_top(t-1) @ F plus
+        # b_y @ w0_fb, so only the matmul by F stays in the loop
+        w0_fb = w0[I:]
+        F = w_y @ w0_fb  # (H, 3H)
+        proj0 = (U.reshape(T * B, I) @ w0[:I] + b0).reshape(T, B, 3 * H)
+        proj0[0] += state.last_output @ w0_fb
+        proj0[1:] += b_y @ w0_fb
     else:
-        X0 = np.ascontiguousarray(u.transpose(1, 0, 2))
-        proj0 = (X0.reshape(T * B, I) @ w0 + b0).reshape(T, B, 3 * H)
+        proj0 = (X0.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
     hs = list(h0)  # read only: each step writes its h' into Hs
     Hs = [np.empty((T, B, H)) for _ in range(L)]
     if return_cache:
         Zs = [np.empty((T, B, H)) for _ in range(L)]
         Rs = [np.empty((T, B, H)) for _ in range(L)]
         Cs = [np.empty((T, B, H)) for _ in range(L)]
-    Y = np.empty((T, B, O))
-    fb = state.last_output
     for t in range(T):
-        if ar:
-            x0 = X0[t]
-            x0[:, I:] = fb
-            proj_t = x0 @ w0 + b0
-        else:
-            proj_t = proj0[t]
+        proj_t = proj0[t]
+        if free and t:
+            proj_t += hs[L - 1] @ F
         for l in range(L):
             w_cat, b_cat, u_zr, u_h = mats[l]
             if l > 0:
@@ -447,15 +478,14 @@ def gru_forward(
             hs[l] = h
             if l < L - 1:
                 x = h * masks[l] if masks else h
-        if ar:
-            fb = np.add(h @ w_y, b_y, out=Y[t])  # h is the top layer's new state
-            if teacher is not None:
-                fb = teacher[:, t]
-    if not ar:
-        Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
+    Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
-    new_state = HiddenState(gru_h=[h.copy() for h in hs],
-                            last_output=fb.copy() if ar else None)
+    last_output = None
+    if ar:
+        last_output = (Y[T - 1] if free else teacher[:, T - 1]).copy()
+        if free and return_cache:
+            X0[1:, :, I:] = Y[:-1]
+    new_state = HiddenState(gru_h=[h.copy() for h in hs], last_output=last_output)
     if return_cache:
         cache = {"X0": X0, "h0": h0, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
                  "masks": masks, "mats": mats, "spec": spec, "params": params,

@@ -25,9 +25,17 @@ from .errors import (
     TrainingError,
 )
 from .inference import pooled_rmse, simulate
-from .models import HiddenState, Model, ModelSpec, ParamStore, receptive_field
+from .models import HiddenState, Model, ModelSpec, ParamStore, range_problems, receptive_field
 
 Array = np.ndarray
+
+# lower bounds of the numeric TrainConfig fields; a run config's train section
+# is checked against them too (cli.load_config)
+TRAIN_LOWS = {
+    "max_epochs": (">=", 1), "batch_size": (">=", 1), "lookahead_k": (">=", 1),
+    "lr_max": (">", 0), "lr_min": (">=", 0), "eps": (">", 0),
+    "plateau_patience": (">=", 0), "seed": (">=", 0), "warmup_mask_n": (">=", 0),
+}
 
 
 @dataclass
@@ -53,17 +61,14 @@ class TrainConfig:
     valid_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        problems = range_problems({key: getattr(self, key) for key in TRAIN_LOWS}, TRAIN_LOWS)
         b1, b2 = self.betas
         if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-            raise ParameterError(f"betas must lie in (0, 1), got {self.betas}")
-        if self.lookahead_k < 1:
-            raise ParameterError("lookahead_k must be >= 1")
+            problems.append(f"betas must lie in (0, 1), got {self.betas}")
         if not 0.0 < self.lookahead_alpha <= 1.0:
-            raise ParameterError("lookahead_alpha must be in (0, 1]")
-        if self.max_epochs < 1 or self.batch_size < 1:
-            raise ParameterError("max_epochs and batch_size must be >= 1")
-        if self.lr_max is not None and self.lr_max <= 0:
-            raise ParameterError("lr_max must be positive")
+            problems.append("lookahead_alpha must be in (0, 1]")
+        if problems:
+            raise ParameterError("invalid training settings: " + "; ".join(problems))
 
     def plan(self) -> WindowPlan:
         return WindowPlan(self.window_len, self.chunk_len, self.batch_size, self.seed)

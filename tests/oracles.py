@@ -1,7 +1,8 @@
 """Reference oracles the tests compare the package against.
 
 Plain, unfused forms of what the models compute (affine maps, activations
-with their analytic backwards, one GRU step, the masked MSE), a central
+with their analytic backwards, one GRU step, the AR-GRU with its feedback
+concatenated step by step, the masked MSE), a central
 finite-difference gradient checker, and the median lookup of a timing table.
 No program path runs them, so they live here rather than in the package.
 This module holds no tests; pytest does not collect it.
@@ -16,7 +17,14 @@ import numpy as np
 from sidnn import numkit as nk
 from sidnn.errors import DimensionError, ParameterError
 from sidnn.inference import BenchTable
-from sidnn.models import ParamStore, _gru_layer_mats, _gru_step
+from sidnn.models import (
+    HiddenState,
+    ModelSpec,
+    ParamStore,
+    _dropout_masks,
+    _gru_layer_mats,
+    _gru_step,
+)
 from sidnn.training import masked_mse_grad
 
 Array = np.ndarray
@@ -128,6 +136,32 @@ def gru_cell(x_t: Array, h_prev: Array, params: ParamStore, layer: int = 0) -> A
     h_new = np.empty_like(h_prev)
     _gru_step(proj, h_prev, u_zr, u_h, u_h.shape[0], h_new)
     return h_new
+
+
+def gru_ar_explicit(u: Array, state: HiddenState, params: ParamStore, spec: ModelSpec, *,
+                    teacher: Array | None = None, training: bool = False, rng=None):
+    """AR-GRU over one chunk with the feedback explicit at every step: the
+    layer-0 input [u_t | fb] times W0 plus b0, every layer's _gru_step, then
+    the head, whose output is the next step's fb (or the teacher sample).
+    Returns (y, final state); dropout masks are drawn as gru_forward draws them."""
+    B, T, _ = u.shape
+    H, L = spec.hidden, spec.depth
+    mats = [_gru_layer_mats(params, l) for l in range(L)]
+    masks = _dropout_masks(spec, B, training, rng)
+    w_y, b_y = params["head.W"], params["head.b"]
+    hs = [h.copy() for h in state.gru_h]
+    fb = state.last_output
+    ys = []
+    for t in range(T):
+        x = np.concatenate([u[:, t], fb], axis=1)
+        for l, (w_cat, b_cat, u_zr, u_h) in enumerate(mats):
+            h = np.empty((B, H))
+            _gru_step(x @ w_cat + b_cat, hs[l], u_zr, u_h, H, h)
+            hs[l] = h
+            x = h * masks[l] if masks and l < L - 1 else h
+        ys.append(hs[-1] @ w_y + b_y)
+        fb = ys[-1] if teacher is None else teacher[:, t]
+    return np.stack(ys, axis=1), HiddenState(gru_h=hs, last_output=fb.copy())
 
 
 def masked_mse(y_hat: Array, y: Array, mask: Array | None = None) -> float:

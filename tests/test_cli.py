@@ -173,6 +173,39 @@ def test_cli_main_reports_bad_run_input_as_typed_error(tmp_path, capsys, name, c
     assert f"error[{category}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, argv, category", [
+    ("config", "seed", -1, [], "schema"),
+    ("train", "seed", -2, [], "schema"),
+    ("synthetic", "seed", -3, [], "schema"),
+    (None, "seed", None, ["--seed", "-5"], "parameter"),
+    ("train", "lr_min", -1, [], "schema"),
+    ("train", "eps", -1, [], "schema"),
+    ("train", "warmup_mask_n", -3, [], "schema"),
+    ("train", "plateau_patience", -3, [], "schema"),
+    ("synthetic", "noise_std", -0.01, [], "schema"),
+    ("descriptor", "unit_scale", -2.0, [], "schema"),
+    ("hpo", "num_rungs", 0, [], "schema"),
+    ("hpo", "r_min", 0, [], "schema"),
+], ids=["config_seed", "train_seed", "synthetic_seed", "cli_seed", "lr_min", "eps",
+        "warmup_mask_n", "plateau_patience", "noise_std", "unit_scale", "hpo_num_rungs",
+        "hpo_r_min"])
+def test_cli_main_reports_out_of_range_run_input_as_typed_error(tmp_path, capsys, section, key,
+                                                                value, argv, category):
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    descriptor = json.loads((tmp_path / "dataset.json").read_text())
+    if section is not None:
+        target = {"config": cfg, "train": cfg["train"], "hpo": cfg.setdefault("hpo", {}),
+                  "descriptor": descriptor, "synthetic": descriptor["synthetic"]}[section]
+        target[key] = value
+    path.write_text(json.dumps(cfg))
+    (tmp_path / "dataset.json").write_text(json.dumps(descriptor))
+    assert main(["train", "--config", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error[{category}]" in err and key in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_truncated_or_bit_flipped_run_inputs_raise_only_sidnn_errors(tmp_path):
     # every truncation and 1,000 seeded single-bit flips of the config, its
     # descriptor and its CSV, loaded as `train` does before it trains
@@ -243,6 +276,42 @@ def test_simulate_writes_trajectories(tmp_path):
     sim_dir = cmd_simulate(str(out / "checkpoint.bin"), str(tmp_path / "dataset.json"),
                            out=str(tmp_path / "sim"))
     assert (sim_dir / "sim_0.csv").exists()
+
+
+class FailingWriter:
+    """A csv writer that writes one row of a writerows call, then fails."""
+
+    def __init__(self, writer):
+        self.writer = writer
+
+    def __getattr__(self, name):
+        return getattr(self.writer, name)
+
+    def writerows(self, rows):
+        self.writer.writerow(next(iter(rows)))
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate", "bench"])
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, command):
+    # a write that fails midway leaves the earlier CSV as it was (bench: no
+    # CSV at all, as its file names never repeat) and no temp file behind
+    out = tmp_path / "out"
+    if command == "bench":
+        out.mkdir()
+        run = lambda: cmd_bench(lengths=[16], repeats=1, out=str(out))
+    else:
+        ckpt = cmd_train(str(write_config(tmp_path))) / "checkpoint.bin"
+        cmd = cmd_evaluate if command == "evaluate" else cmd_simulate
+        run = lambda: cmd(str(ckpt), str(tmp_path / "dataset.json"), out=str(out))
+        run()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for name in ("writer", "DictWriter"):
+        real = getattr(csv, name)
+        monkeypatch.setattr(csv, name, lambda *a, real=real, **k: FailingWriter(real(*a, **k)))
+    with pytest.raises(OSError):
+        run()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

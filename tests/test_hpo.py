@@ -46,6 +46,16 @@ def test_log_uniform_median_near_geometric_mean():
     assert 8e-4 <= float(np.median(draws)) <= 1.3e-3
 
 
+@pytest.mark.parametrize("setting", [{"budget": 0}, {"workers": 0}, {"eta": 1}, {"r_min": 0},
+                                     {"num_rungs": 0}],
+                         ids=["budget", "workers", "eta", "r_min", "num_rungs"])
+def test_run_search_rejects_out_of_range_settings(setting):
+    args = {"budget": 3, "workers": 1, "eta": 3, "r_min": 1, "num_rungs": 2, **setting}
+    with pytest.raises(ParameterError, match=next(iter(setting))):
+        run_search(SearchSpace(), args.pop("budget"), args.pop("workers"), None,
+                   trial_runner=lambda config, trial_id, epochs: 1.0, **args)
+
+
 def test_space_validates_bounds():
     with pytest.raises(ParameterError):
         SearchSpace(lr=(0.0, 1e-2))

@@ -19,7 +19,7 @@ from sidnn.models import (
     tcn_forward,
 )
 
-from oracles import grad_check, gru_cell
+from oracles import grad_check, gru_ar_explicit, gru_cell
 
 
 def zero_params(spec):
@@ -146,6 +146,44 @@ def test_gru_ar_one_step_is_cell_on_concat():
     h1 = gru_cell(h0, np.zeros((2, 3)), model.params, layer=1)
     expected = h1 @ model.params["head.W"] + model.params["head.b"]
     np.testing.assert_allclose(y[:, 0], expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["p0", "p03"])
+@pytest.mark.parametrize("batch", [1, 3], ids=["B1", "B3"])
+@pytest.mark.parametrize("depth", [1, 2, 3], ids=["d1", "d2", "d3"])
+@pytest.mark.parametrize("teacher_forced", [False, True], ids=["free", "teacher"])
+def test_gru_ar_fold_matches_explicit_feedback_oracle(teacher_forced, depth, batch, dropout):
+    # the folded feedback (hoisted layer-0 projection, h_top @ F per step,
+    # head after the loop) against the per-step concat [u_t | fb]; the
+    # random carried state makes a fold at a call's first step show
+    spec = ModelSpec(arch="gru", mode="ar", input_dim=2, hidden=5, depth=depth,
+                     dropout=dropout)
+    rng = np.random.default_rng(depth * 10 + batch)
+    params = ParamStore({name: 0.5 * rng.standard_normal(shape)
+                         for name, shape in param_shapes(spec).items()})
+    T1, T = 7, 20
+    u = rng.standard_normal((batch, T, 2))
+    teacher = rng.standard_normal((batch, T, 1)) if teacher_forced else None
+    start = HiddenState(gru_h=[rng.standard_normal((batch, 5)) for _ in range(depth)],
+                        last_output=rng.standard_normal((batch, 1)))
+
+    def close(a, b):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for bounds in (((0, T),), ((0, T1), (T1, T))):
+        for cached in (False, True):
+            state, expected = start, start
+            rng_fold, rng_oracle = np.random.default_rng(1), np.random.default_rng(1)
+            for lo, hi in bounds:
+                kw = {} if teacher is None else {"teacher": teacher[:, lo:hi]}
+                y, state = gru_forward(u[:, lo:hi], state, params, spec, training=True,
+                                       rng=rng_fold, return_cache=cached, **kw)[:2]
+                y_ref, expected = gru_ar_explicit(u[:, lo:hi], expected, params, spec,
+                                                  training=True, rng=rng_oracle, **kw)
+                close(y, y_ref)
+                close(state.last_output, expected.last_output)
+                for h, h_ref in zip(state.gru_h, expected.gru_h):
+                    close(h, h_ref)
 
 
 def test_gru_ar_missing_last_output_raises():

@@ -184,6 +184,15 @@ def test_cosine_rejects_zero_length():
         cosine_schedule(0.1, 0.001, 0, 0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("lr_min", -1e-5), ("eps", 0.0), ("warmup_mask_n", -3),
+    ("plateau_patience", -3), ("max_epochs", 0), ("lr_max", -0.1),
+])
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ParameterError, match=field):
+        TrainConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # lr finder
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Print one sha256 over what all four model variants compute on a fixed grid.
+"""Print one sha256 over what all four model variants compute on a fixed grid,
+then one sha256 per variant (GRU-NAR, GRU-AR, TCN-NAR, TCN-AR).
 
     python tools/identity_hash.py
 
@@ -8,7 +9,8 @@ Per case it hashes the outputs, final states, every parameter gradient and
 the input gradient of a cached training forward/backward, and the outputs
 and final states of the cache-free inference forward; each for one
 monolithic call and for the same sequence split into two chunks with the
-state carried. The grid is fixed:
+state carried. A change meant to alter one variant shows the other three
+unchanged in their own lines. The grid is fixed:
 
     GRU: NAR/AR x depth 1-3 x B 1/3 x dropout 0/0.3 (x teacher forcing in AR)
     TCN: NAR/AR x depth 1-3 x kernel 1-3 x residual identity/off/projection
@@ -90,16 +92,24 @@ def _case_arrays(spec: ModelSpec, teacher_forced: bool, batch: int, seed: int):
 
 def main() -> None:
     digest = hashlib.sha256()
+    families: dict[str, list] = {}  # variant -> [sha256, cases, arrays]
     cases = arrays = 0
     for spec, teacher_forced in _specs():
+        family = families.setdefault(f"{spec.arch}-{spec.mode}".upper(),
+                                     [hashlib.sha256(), 0, 0])
         for batch in (1, 3):
             for a in _case_arrays(spec, teacher_forced, batch, seed=cases):
                 a = np.ascontiguousarray(a)
-                digest.update(f"{a.dtype}{a.shape}".encode())
-                digest.update(a.tobytes())
+                for h in (digest, family[0]):
+                    h.update(f"{a.dtype}{a.shape}".encode())
+                    h.update(a.tobytes())
                 arrays += 1
+                family[2] += 1
             cases += 1
+            family[1] += 1
     print(f"{cases} cases, {arrays} arrays, sha256 {digest.hexdigest()}")
+    for name, (h, n_cases, n_arrays) in families.items():
+        print(f"{name}: {n_cases} cases, {n_arrays} arrays, sha256 {h.hexdigest()}")
 
 
 if __name__ == "__main__":
