@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -325,9 +326,15 @@ def cmd_report(results_dir: str) -> str:
     for path in sorted(results_dir.glob("**/*.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             continue
         if isinstance(payload, dict) and payload.get("kind") == "evaluation":
+            rmse = payload.get("rmse")
+            if (isinstance(rmse, bool) or not isinstance(rmse, (int, float))
+                    or not math.isfinite(rmse)
+                    or not isinstance(payload.get("dataset_name"), str)):
+                raise ReportError(f"evaluation record {path} needs a finite number "
+                                  f"'rmse' and a string 'dataset_name'")
             own.append(payload)
     if not own:
         raise ReportError(f"no evaluation results found under {results_dir}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import numkit as nk
 from .data import SequenceData, Standardizer
 from .errors import DimensionError, InputError, ParameterError, UsageError
-from .models import Model, ModelSpec, receptive_field
+from .models import Model, ModelSpec, range_problems, receptive_field
 
 Array = np.ndarray
 
@@ -104,10 +104,18 @@ def _bench_model(spec: ModelSpec, seed: int) -> Model:
     return model
 
 
+BENCH_LOWS = {"seq_len": (">=", 1), "repeats": (">=", 1), "warmup": (">=", 0)}
+
+
 def _timed_cells(cells, make_runner, repeats, warmup):
     """Warm every cell, then interleave measured repeats round-robin so slow
     clock drift cannot masquerade as a length trend. One harness runs per
     process at a time."""
+    problems = [p for L in sorted({L for _, L in cells})
+                for p in range_problems({"seq_len": L}, BENCH_LOWS)]
+    problems += range_problems({"repeats": repeats, "warmup": warmup}, BENCH_LOWS)
+    if problems:
+        raise ParameterError("invalid timing settings: " + "; ".join(problems))
     for spec, L in cells:
         need = receptive_field(spec.depth, spec.kernel)
         if spec.arch == "tcn" and L < need:

@@ -45,12 +45,12 @@ from .errors import (
     StateError,
     UsageError,
 )
+from .numkit import ONE, ZERO
 
 Array = np.ndarray
 
 ARCHS = ("gru", "tcn")
 MODES = ("ar", "nar")
-_ZERO = np.zeros(())  # a 0-d array: cheaper to pass per call than the Python float
 
 
 @dataclass(frozen=True)
@@ -320,19 +320,22 @@ def _gru_layer_mats(params: ParamStore, l: int):
     return w_cat, b_cat, u_zr, Uh
 
 
-def _gru_step(proj_t: Array, h: Array, u_zr: Array, u_h: Array, H: int,
+def _gru_step(p_zr: Array, p_h: Array, h: Array, u_zr: Array, u_h: Array, H: int,
               h_out: Array, c_out: Array | None = None):
     """One gated update from precomputed input projections; returns (z, r).
 
-    proj_t is x @ [Wz|Wr|Wh] + b (B, 3H).
+    p_zr is x @ [Wz|Wr] + [bz|br] (B, 2H) and p_h is x @ Wh + bh (B, H),
+    views the caller splits once per chunk (layer 0) or per step (above).
     z = sig(.), r = sig(.), c = tanh(.), h' = (1-z)*h + z*c. h' goes to h_out,
-    which must not alias h, and c to c_out when given.
+    which must not alias h, and c to c_out when given. A step makes one
+    nk.sigmoid call and no Python-float operand: each numpy call costs more
+    in dispatch than in arithmetic at these sizes.
     """
-    zr = nk.sigmoid(proj_t[:, : 2 * H] + h @ u_zr)
+    zr = nk.sigmoid(p_zr + h @ u_zr)
     z = zr[:, :H]
     r = zr[:, H:]
-    c = np.tanh(proj_t[:, 2 * H :] + (r * h) @ u_h, out=c_out)
-    np.multiply(1.0 - z, h, out=h_out)
+    c = np.tanh(p_h + (r * h) @ u_h, out=c_out)
+    np.multiply(ONE - z, h, out=h_out)
     h_out += z * c
     return z, r
 
@@ -456,6 +459,7 @@ def gru_forward(
         proj0[1:] += b_y @ w0_fb
     else:
         proj0 = (X0.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
+    P_zr, P_h = proj0[:, :, : 2 * H], proj0[:, :, 2 * H :]
     hs = list(h0)  # read only: each step writes its h' into Hs
     Hs = [np.empty((T, B, H)) for _ in range(L)]
     if return_cache:
@@ -463,18 +467,20 @@ def gru_forward(
         Rs = [np.empty((T, B, H)) for _ in range(L)]
         Cs = [np.empty((T, B, H)) for _ in range(L)]
     for t in range(T):
-        proj_t = proj0[t]
         if free and t:
+            proj_t = proj0[t]  # `proj0[t] += ...` would also write the view back
             proj_t += hs[L - 1] @ F
+        p_zr, p_h = P_zr[t], P_h[t]
         for l in range(L):
             w_cat, b_cat, u_zr, u_h = mats[l]
             if l > 0:
-                proj_t = x @ w_cat + b_cat
+                proj = x @ w_cat + b_cat
+                p_zr, p_h = proj[:, : 2 * H], proj[:, 2 * H :]
             h = Hs[l][t]
             if return_cache:
-                Zs[l][t], Rs[l][t] = _gru_step(proj_t, hs[l], u_zr, u_h, H, h, Cs[l][t])
+                Zs[l][t], Rs[l][t] = _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h, Cs[l][t])
             else:
-                _gru_step(proj_t, hs[l], u_zr, u_h, H, h)
+                _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h)
             hs[l] = h
             if l < L - 1:
                 x = h * masks[l] if masks else h
@@ -531,13 +537,13 @@ def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
             ga = GA[l][t]
             g = gh_carry[l] + g_above
             z, r, c, h_prev = Zs[l][t], Rs[l][t], Cs[l][t], HP[l][t]
-            omz = 1.0 - z
+            omz = ONE - z
             gh = g * omz
-            ga_h = (g * z) * (1.0 - c * c)
+            ga_h = (g * z) * (ONE - c * c)
             g_rh = ga_h @ u_h_t
             gh += g_rh * r
             np.multiply(g * (c - h_prev) * z, omz, out=ga[:, :H])
-            np.multiply(g_rh * h_prev * r, 1.0 - r, out=ga[:, H : 2 * H])
+            np.multiply(g_rh * h_prev * r, ONE - r, out=ga[:, H : 2 * H])
             ga[:, 2 * H :] = ga_h
             gh += ga[:, : 2 * H] @ u_zr_t
             gh_carry[l] = gh
@@ -713,7 +719,7 @@ def _tcn_step(layers: list, conv: ConvCache, v: Array, t: int, T: int, P: list |
                 blk += np.dot(buf[lo : lo + m].reshape(m * B, -1), w)
         pre = P[l][r]
         pre += np.dot(v, w_now)
-        out = np.maximum(pre, _ZERO, out=None if outs is None else outs[l][t])
+        out = np.maximum(pre, ZERO, out=None if outs is None else outs[l][t])
         if identity_skip:
             out += v
         elif proj is not None:
@@ -829,7 +835,7 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
             w_past, w_now, _, proj, identity_skip = layers[l]
             d = 2 ** l
             g_out = g_outs[l][t]
-            g_pre = np.multiply(g_out, pres[l][t] > _ZERO, out=g_pres[l][t])
+            g_pre = np.multiply(g_out, pres[l][t] > ZERO, out=g_pres[l][t])
             g_in = g_a[l][lens[l] + t]
             g_in += np.dot(g_pre, w_now.T)
             if identity_skip:

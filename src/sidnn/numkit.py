@@ -13,6 +13,11 @@ from .errors import DataError, DimensionError, ParameterError
 
 Array = np.ndarray
 
+# read-only 0-d operands: numpy dispatches them faster than Python floats
+ZERO = np.zeros(())
+ONE = np.ones(())
+ZERO.flags.writeable = ONE.flags.writeable = False
+
 
 def as_f64(values) -> Array:
     """Materialize anything array-like as a C-contiguous float64 array."""
@@ -120,10 +125,12 @@ def sigmoid(x: Array) -> Array:
     """Numerically stable logistic; sigmoid(0) == 0.5.
 
     Bit for bit the two-branch form 1/(1+exp(-x)) for x >= 0 and
-    exp(x)/(1+exp(x)) for x < 0, NaN payloads included: with e = exp(-|x|)
-    each branch performs the same IEEE operations on the same operands,
-    without boolean masks. min(x, -x) is -|x| that passes a NaN through
-    with its sign. The exp argument is never positive, so it never overflows.
+    exp(x)/(1+exp(x)) for x < 0, NaN payloads included, without masks or
+    branches. With e = exp(min(x, -x)), which is exp(-|x|) and passes a NaN
+    through with its sign, the denominator is e + 1 in both branches. The
+    numerator is exp(min(x, 0)): exp(0) == 1 exactly for x >= 0, and for
+    x < 0 (or NaN) it is exp(x), the same operation on the same operand as
+    e. No exp argument is ever positive, so nothing overflows.
     """
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(x, ZERO)) / (e + ONE)

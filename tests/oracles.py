@@ -1,8 +1,9 @@
 """Reference oracles the tests compare the package against.
 
 Plain, unfused forms of what the models compute (affine maps, activations
-with their analytic backwards, one GRU step, the AR-GRU with its feedback
-concatenated step by step, the masked MSE), a central
+with their analytic backwards, the two-branch logistic, one GRU step written
+from its formula, the AR-GRU with its feedback concatenated step by step, the
+masked MSE), a central
 finite-difference gradient checker, and the median lookup of a timing table.
 No program path runs them, so they live here rather than in the package.
 This module holds no tests; pytest does not collect it.
@@ -17,14 +18,7 @@ import numpy as np
 from sidnn import numkit as nk
 from sidnn.errors import DimensionError, ParameterError
 from sidnn.inference import BenchTable
-from sidnn.models import (
-    HiddenState,
-    ModelSpec,
-    ParamStore,
-    _dropout_masks,
-    _gru_layer_mats,
-    _gru_step,
-)
+from sidnn.models import HiddenState, ModelSpec, ParamStore, _dropout_masks
 from sidnn.training import masked_mse_grad
 
 Array = np.ndarray
@@ -49,6 +43,17 @@ def affine(x: Array, w: Array, b: Array) -> Array:
 def affine_backward(g: Array, x: Array, w: Array) -> tuple[Array, Array, Array]:
     """Returns (dx, dw, db) for out = x @ w + b given upstream g (N,O)."""
     return g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def two_branch_sigmoid(x: Array) -> Array:
+    """The masked two-branch logistic: 1/(1+exp(-x)) where x >= 0, else
+    exp(x)/(1+exp(x)). nk.sigmoid must reproduce it bitwise."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def sigmoid_backward(g: Array, out: Array) -> Array:
@@ -122,43 +127,36 @@ def grad_check(
 
 
 def gru_cell(x_t: Array, h_prev: Array, params: ParamStore, layer: int = 0) -> Array:
-    """Single GRU step: z/r gates, candidate, convex blend with h_prev."""
-    w_cat, b_cat, u_zr, u_h = _gru_layer_mats(params, layer)
-    if x_t.ndim != 2 or x_t.shape[1] != w_cat.shape[0]:
-        raise DimensionError(
-            f"gru_cell input shape {x_t.shape} incompatible with W {w_cat.shape}"
-        )
-    if h_prev.shape != (x_t.shape[0], u_h.shape[0]):
-        raise DimensionError(
-            f"gru_cell state shape {h_prev.shape} != {(x_t.shape[0], u_h.shape[0])}"
-        )
-    proj = x_t @ w_cat + b_cat
-    h_new = np.empty_like(h_prev)
-    _gru_step(proj, h_prev, u_zr, u_h, u_h.shape[0], h_new)
-    return h_new
+    """Single GRU step from its formula, one matmul per gate and operand:
+    z = sig(x Wz + h Uz + bz), r = sig(x Wr + h Ur + br),
+    c = tanh(x Wh + (r*h) Uh + bh), h' = (1-z)*h + z*c."""
+    def p(name):
+        return params[f"gru.{layer}.{name}"]
+
+    z = two_branch_sigmoid(x_t @ p("Wz") + h_prev @ p("Uz") + p("bz"))
+    r = two_branch_sigmoid(x_t @ p("Wr") + h_prev @ p("Ur") + p("br"))
+    c = np.tanh(x_t @ p("Wh") + (r * h_prev) @ p("Uh") + p("bh"))
+    return (1.0 - z) * h_prev + z * c
 
 
 def gru_ar_explicit(u: Array, state: HiddenState, params: ParamStore, spec: ModelSpec, *,
                     teacher: Array | None = None, training: bool = False, rng=None):
     """AR-GRU over one chunk with the feedback explicit at every step: the
-    layer-0 input [u_t | fb] times W0 plus b0, every layer's _gru_step, then
-    the head, whose output is the next step's fb (or the teacher sample).
-    Returns (y, final state); dropout masks are drawn as gru_forward draws them."""
-    B, T, _ = u.shape
-    H, L = spec.hidden, spec.depth
-    mats = [_gru_layer_mats(params, l) for l in range(L)]
-    masks = _dropout_masks(spec, B, training, rng)
+    layer-0 input [u_t | fb], every layer's gru_cell, then the head, whose
+    output is the next step's fb (or the teacher sample). Returns (y, final
+    state); dropout masks are drawn as gru_forward draws them."""
+    T = u.shape[1]
+    L = spec.depth
+    masks = _dropout_masks(spec, u.shape[0], training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
-    hs = [h.copy() for h in state.gru_h]
+    hs = list(state.gru_h)
     fb = state.last_output
     ys = []
     for t in range(T):
         x = np.concatenate([u[:, t], fb], axis=1)
-        for l, (w_cat, b_cat, u_zr, u_h) in enumerate(mats):
-            h = np.empty((B, H))
-            _gru_step(x @ w_cat + b_cat, hs[l], u_zr, u_h, H, h)
-            hs[l] = h
-            x = h * masks[l] if masks and l < L - 1 else h
+        for l in range(L):
+            hs[l] = gru_cell(x, hs[l], params, l)
+            x = hs[l] * masks[l] if masks and l < L - 1 else hs[l]
         ys.append(hs[-1] @ w_y + b_y)
         fb = ys[-1] if teacher is None else teacher[:, t]
     return np.stack(ys, axis=1), HiddenState(gru_h=hs, last_output=fb.copy())

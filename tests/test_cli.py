@@ -346,6 +346,21 @@ def test_bench_interleaves_specs_by_repeat(tmp_path):
                          for mode in ("AR", "NAR") for L in (16, 32)]
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["--lengths", "-3"], "seq_len must be >= 1, got -3"),
+    (["--lengths", "16", "0"], "seq_len must be >= 1, got 0"),
+    (["--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["--repeats", "-2", "--lengths", "-1"], "repeats must be >= 1, got -2"),
+], ids=["negative_length", "zero_length", "zero_repeats", "negative_repeats_and_length"])
+def test_cli_bench_reports_out_of_range_settings_as_parameter_error(tmp_path, capsys, argv,
+                                                                   problem):
+    out = tmp_path / "bench"
+    assert main(["bench", "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "error[parameter]" in err and problem in err
+    assert not any(out.iterdir())  # no CSV, not even an empty one
+
+
 def test_bench_rerun_never_overwrites(tmp_path):
     cmd_bench(lengths=[64], repeats=1, out=str(tmp_path / "bench"))
     cmd_bench(lengths=[64], repeats=1, out=str(tmp_path / "bench"))
@@ -386,6 +401,29 @@ def test_report_contains_reference_rows(tmp_path):
     assert "literature reference" in report
     # own results sorted ascending
     assert report.index("demo_b") < report.index("demo_a")
+
+
+def test_report_skips_non_utf8_file(tmp_path):
+    (tmp_path / "eval_a.json").write_text(json.dumps(
+        {"kind": "evaluation", "dataset_name": "demo_a", "rmse": 1.0}))
+    (tmp_path / "eval_b.json").write_bytes(b'{"kind": "evaluation", "dataset_name": "\xff"}')
+    assert "demo_a" in cmd_report(str(tmp_path))
+
+
+@pytest.mark.parametrize("record", [
+    {"dataset_name": "demo_b"},
+    {"dataset_name": "demo_b", "rmse": "0.5"},
+    {"dataset_name": "demo_b", "rmse": float("nan")},
+    {"dataset_name": "demo_b", "rmse": True},
+    {"dataset_name": 3, "rmse": 1.0},
+], ids=["missing_rmse", "string_rmse", "nan_rmse", "bool_rmse", "int_dataset_name"])
+def test_cli_report_names_malformed_evaluation_record(tmp_path, capsys, record):
+    (tmp_path / "eval_a.json").write_text(json.dumps(
+        {"kind": "evaluation", "dataset_name": "demo_a", "rmse": 2.0}))
+    (tmp_path / "eval_b.json").write_text(json.dumps({"kind": "evaluation", **record}))
+    assert main(["report", "--results", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error[report]" in err and "eval_b.json" in err
 
 
 def test_report_empty_dir_raises(tmp_path):

@@ -210,6 +210,15 @@ def test_bench_tcn_length_precondition():
         bench_training_cells(_cells([TCN_AR], [4]), batch_size=2, repeats=1)
 
 
+def test_bench_lists_every_out_of_range_setting():
+    with pytest.raises(ParameterError) as info:
+        bench_inference_cells(_cells([GRU_NAR], [0, -3, 8]), repeats=0, warmup=-1)
+    message = str(info.value)
+    for problem in ("seq_len must be >= 1, got -3", "seq_len must be >= 1, got 0",
+                    "repeats must be >= 1, got 0", "warmup must be >= 0, got -1"):
+        assert problem in message
+
+
 def test_ar_training_time_increases_with_length():
     table = bench_training_cells(_cells([GRU_AR, TCN_AR], [128, 256, 512]), batch_size=2,
                                  repeats=3, warmup=1)

@@ -2,12 +2,15 @@
 the logistic against its two-branch reference."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sidnn import numkit as nk
 from sidnn.models import Model, ModelSpec
+
+from oracles import two_branch_sigmoid
 
 
 VARIANTS = [("gru", "nar"), ("gru", "ar"), ("tcn", "nar"), ("tcn", "ar")]
@@ -121,19 +124,22 @@ def test_ar_tcn_matches_naive_full_history_recompute(spec, data):
     np.testing.assert_allclose(y, y_naive, rtol=1e-10, atol=1e-10)
 
 
-def _two_branch_sigmoid(x):
-    """The masked two-branch logistic that nk.sigmoid must reproduce bitwise."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
+# signaling NaNs (quiet bit clear), positive and negative, as bit patterns
+_SNANS = list(np.array([0x7FF0000000000001, 0xFFF4000000000000], dtype=np.uint64)
+              .view(np.float64))
 _EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                 2.2e-308, -2.2e-308, 709.78, -709.78, 745.2, -745.2, 800.0, -800.0,
-                np.finfo(np.float64).max, -np.finfo(np.float64).max]
+                np.finfo(np.float64).max, -np.finfo(np.float64).max, *_SNANS]
+
+
+def _assert_sigmoid_bitwise(x):
+    # exp(-|x|) underflows to 0 beyond |x| ~ 708 in both forms, which is the
+    # intended result; every other floating-point exception raises
+    with np.errstate(all="raise", under="ignore"):
+        got = nk.sigmoid(x)
+        want = two_branch_sigmoid(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,10 +152,24 @@ _EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
     ),
 ))
 def test_sigmoid_equals_two_branch_form_bitwise(x):
-    # exp(-|x|) underflows to 0 beyond |x| ~ 708 in both forms, which is the
-    # intended result; every other floating-point exception raises
-    with np.errstate(all="raise", under="ignore"):
-        got = nk.sigmoid(x)
-        want = _two_branch_sigmoid(x)
-    assert got.dtype == np.float64 and got.shape == x.shape
-    assert got.tobytes() == want.tobytes()
+    _assert_sigmoid_bitwise(x)
+
+
+@pytest.mark.parametrize("case", ["B1-H4", "B16-H4", "B1-H32", "B16-H32", "bits", "snan"])
+def test_sigmoid_equals_two_branch_form_bitwise_at_gru_shapes(case):
+    # the (B, 2H) gate pre-activations a GRU step passes, drawn from normal
+    # values, random bit patterns and the edge floats; 100,000 random bit
+    # patterns, so numpy's SIMD loops and their tails all run; the
+    # signaling NaNs alone
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+    if case == "bits":
+        _assert_sigmoid_bitwise(bits)
+    elif case == "snan":
+        _assert_sigmoid_bitwise(np.array(_SNANS))
+    else:
+        B, H = (int(v[1:]) for v in case.split("-"))
+        pool = np.concatenate([10.0 * rng.standard_normal(1000), bits[:1000],
+                               np.array(_EDGE_FLOATS)])
+        for _ in range(20):
+            _assert_sigmoid_bitwise(rng.choice(pool, size=(B, 2 * H)))
