@@ -3,6 +3,7 @@
 Layout (little-endian): magic b"SIDNN", version byte 0x01, u32 header length,
 UTF-8 JSON header (model spec + standardizer), u32 tensor count, then per
 tensor: u32 name length, name bytes, u32 ndim, u64 dims, raw float64 data.
+The file ends after the last tensor, and no name appears twice.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ VERSION = 1
 
 @dataclass
 class Checkpoint:
-    version: int
     spec: ModelSpec
     standardizer: Standardizer
     params: ParamStore
@@ -102,8 +102,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     r = _Reader(blob)
     if r.take(len(MAGIC)) != MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic bytes)")
-    version = r.take(1)[0]
-    if version != VERSION:
+    if (version := r.take(1)[0]) != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     try:
         header = json.loads(r.take(r.u32()).decode("utf-8"))
@@ -138,7 +137,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CorruptionError(
                 f"{path}: malformed tensor record at byte {start}: {exc}"
             ) from None
+        if name in arrays:
+            raise CorruptionError(
+                f"{path}: tensor '{name}' recorded twice, again at byte {start}")
         arrays[name] = nk.check_finite(f"{path}: tensor '{name}'", arr)
+    if r.offset != len(blob):
+        raise CorruptionError(f"{path}: {len(blob) - r.offset} stray bytes after the last "
+                              f"tensor, from byte {r.offset}")
     params = ParamStore(arrays)
     params.validate_for(spec)
-    return Checkpoint(version=version, spec=spec, standardizer=standardizer, params=params)
+    return Checkpoint(spec=spec, standardizer=standardizer, params=params)

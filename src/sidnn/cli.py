@@ -104,6 +104,9 @@ def load_config(path: str | Path) -> dict:
     if isinstance(betas, list) and (
             len(betas) != 2 or any(type_problems({"b": b}, {"b": float}) for b in betas)):
         problems.append(f"train.betas must be a list of two numbers, got {betas!r}")
+    vf = train_cfg.get("valid_fraction", 0.2)
+    if not type_problems({"vf": vf}, {"vf": float}) and not 0.0 < vf < 0.5:
+        problems.append(f"train.valid_fraction must lie in (0, 0.5), got {vf}")
     hpo_cfg = dict(HPO_DEFAULTS)
     for key, value in sections["hpo"].items():
         if key not in hpo_cfg:
@@ -143,6 +146,12 @@ def _build(cfg: dict, config_dir: Path):
     return data, meta, spec, config
 
 
+def _out_dir(out: str | None) -> Path:
+    out_dir = Path(out) if out is not None else Path("runs")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def cmd_train(config_path: str, seed: int | None = None, out: str | None = None) -> Path:
     cfg = load_config(config_path)
     if seed is not None:
@@ -151,8 +160,7 @@ def cmd_train(config_path: str, seed: int | None = None, out: str | None = None)
     if out is not None:
         cfg["out_dir"] = out
     data, meta, spec, config = _build(cfg, Path(config_path).parent)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg["out_dir"])
     model = Model.create(spec, cfg["seed"])
     t0 = time.perf_counter()
     result = fit(model, data, config)
@@ -181,7 +189,10 @@ def cmd_train(config_path: str, seed: int | None = None, out: str | None = None)
     return out_dir
 
 
-def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None) -> dict:
+def _simulate_dataset(checkpoint_path: str, dataset_path: str, out: str | None, stem: str):
+    """Simulate every sequence of the dataset with the checkpoint and write
+    each trajectory to <out>/<stem>_<i>.csv; returns (y_hats, data, meta,
+    out_dir, sim_seconds), sim_seconds the time spent simulating."""
     ckpt = load_checkpoint(checkpoint_path)
     data, meta = load_descriptor(dataset_path)
     if data.input_dim != ckpt.spec.input_dim or data.output_dim != ckpt.spec.output_dim:
@@ -190,18 +201,23 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None
             f"output channels, dataset has {data.input_dim}/{data.output_dim}"
         )
     model = Model(spec=ckpt.spec, params=ckpt.params)
-    out_dir = Path(out) if out is not None else Path("runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     y_hats = []
     sim_seconds = 0.0
     for i, (u, _) in enumerate(data.sequences):
         t0 = time.perf_counter()
         y_hats.append(simulate(model, u, ckpt.standardizer))
         sim_seconds += time.perf_counter() - t0
-        with atomic_open(out_dir / f"yhat_{i}.csv", newline="", encoding="utf-8") as fh:
+        with atomic_open(out_dir / f"{stem}_{i}.csv", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(data.y_names)
             writer.writerows(y_hats[-1].tolist())
+    return y_hats, data, meta, out_dir, sim_seconds
+
+
+def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None) -> dict:
+    y_hats, data, meta, out_dir, sim_seconds = _simulate_dataset(
+        checkpoint_path, dataset_path, out, "yhat")
     pooled = pooled_rmse(y_hats, data, meta["unit_scale"])
     summary = {
         "kind": "evaluation",
@@ -220,23 +236,8 @@ def cmd_evaluate(checkpoint_path: str, dataset_path: str, out: str | None = None
 
 
 def cmd_simulate(checkpoint_path: str, dataset_path: str, out: str | None = None) -> Path:
-    ckpt = load_checkpoint(checkpoint_path)
-    data, meta = load_descriptor(dataset_path)
-    if data.input_dim != ckpt.spec.input_dim:
-        raise CompatibilityError(
-            f"checkpoint expects {ckpt.spec.input_dim} input channels, "
-            f"dataset has {data.input_dim}"
-        )
-    model = Model(spec=ckpt.spec, params=ckpt.params)
-    out_dir = Path(out) if out is not None else Path("runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (u, _) in enumerate(data.sequences):
-        y_hat = simulate(model, u, ckpt.standardizer)
-        with atomic_open(out_dir / f"sim_{i}.csv", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(data.y_names)
-            writer.writerows(y_hat.tolist())
-    print(f"simulated {len(data.sequences)} sequence(s) into {out_dir}")
+    y_hats, _, _, out_dir, _ = _simulate_dataset(checkpoint_path, dataset_path, out, "sim")
+    print(f"simulated {len(y_hats)} sequence(s) into {out_dir}")
     return out_dir
 
 
@@ -271,8 +272,7 @@ def _write_bench_csv(out_dir: Path, stem: str, table) -> Path:
 
 
 def cmd_bench(lengths: list[int], repeats: int, out: str | None, seed: int = 0) -> Path:
-    out_dir = Path(out) if out is not None else Path("runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out)
     # each spec keeps only its admissible lengths; short TCN rows are
     # skipped with a logged reason rather than silently dropped
     cells = []
@@ -302,8 +302,7 @@ def cmd_hpo(config_path: str, out: str | None = None) -> Path:
     if out is not None:
         cfg["out_dir"] = out
     data, meta, spec, config = _build(cfg, Path(config_path).parent)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg["out_dir"])
     h = cfg["hpo"]
     space = SearchSpace()
     ranked, events = run_search(

@@ -34,9 +34,7 @@ class SequenceData:
     """
 
     sequences: list[tuple[Array, Array]]
-    u_names: list[str] = field(default_factory=lambda: ["u"])
     y_names: list[str] = field(default_factory=lambda: ["y"])
-    sample_rate: float | None = None
     transient_n: int = 0
 
     def __post_init__(self) -> None:
@@ -182,10 +180,7 @@ def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> Sequence
         raise DataError(f"{path}: no data rows")
     u = nk.check_finite(f"{path}: input columns", nk.as_f64(u_rows))
     y = nk.check_finite(f"{path}: output columns", nk.as_f64(y_rows))
-    return SequenceData(
-        sequences=[(u, y)],
-        u_names=list(u_cols), y_names=list(y_cols),
-    )
+    return SequenceData(sequences=[(u, y)], y_names=list(y_cols))
 
 
 DESCRIPTOR_TYPES = {
@@ -202,9 +197,10 @@ def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
 
     Schema: {"files": [...], "u_cols": [...], "y_cols": [...],
     "transient_n": int, "unit_scale": float}, plus optional "name" and
-    "sample_rate". Alternatively {"synthetic": {"n", "seed", "noise_std"}}
-    generates the built-in Wiener-Hammerstein system. Every mistyped or
-    out-of-range field is reported in one SchemaError.
+    "sample_rate" (accepted and type-checked, otherwise unused).
+    Alternatively {"synthetic": {"n", "seed", "noise_std"}} generates the
+    built-in Wiener-Hammerstein system. Every mistyped or out-of-range field
+    is reported in one SchemaError.
     """
     path = Path(path)
     try:
@@ -252,8 +248,7 @@ def load_descriptor(path: str | Path) -> tuple[SequenceData, dict]:
         parts.append(load_csv(fpath, raw["u_cols"], raw["y_cols"]))
     data = SequenceData(
         sequences=[s for p in parts for s in p.sequences],
-        u_names=list(raw["u_cols"]), y_names=list(raw["y_cols"]),
-        sample_rate=raw.get("sample_rate"),
+        y_names=list(raw["y_cols"]),
         transient_n=raw.get("transient_n", 0),
     )
     return data, meta
@@ -281,10 +276,6 @@ class WindowPlan:
                 f"window_len {self.window_len} is not a multiple of chunk_len {self.chunk_len}"
             )
 
-    @property
-    def chunks_per_window(self) -> int:
-        return self.window_len // self.chunk_len
-
     def offsets_for(self, data: SequenceData, epoch: int) -> list[tuple[int, int]]:
         """Per-epoch window start positions, reseeded from (seed, epoch)."""
         if self.window_len > data.min_length:
@@ -310,11 +301,7 @@ class ChunkBatch:
 
     u: Array  # (B, chunk_len, I)
     y: Array  # (B, chunk_len, O)
-    chunk_index: int
-    n_chunks: int
-    offset: int  # position of this chunk inside its window
-    is_first: bool
-    epoch: int
+    offset: int  # position of this chunk inside its window; 0 starts a window
 
 
 def sample_windows(data: SequenceData, plan: WindowPlan, epoch: int) -> Iterator[ChunkBatch]:
@@ -322,14 +309,9 @@ def sample_windows(data: SequenceData, plan: WindowPlan, epoch: int) -> Iterator
     offsets = plan.offsets_for(data, epoch)
     U = np.stack([data.sequences[s][0][p : p + plan.window_len] for s, p in offsets])
     Y = np.stack([data.sequences[s][1][p : p + plan.window_len] for s, p in offsets])
-    n_chunks = plan.chunks_per_window
-    for c in range(n_chunks):
-        lo = c * plan.chunk_len
+    for lo in range(0, plan.window_len, plan.chunk_len):
         hi = lo + plan.chunk_len
-        yield ChunkBatch(
-            u=U[:, lo:hi], y=Y[:, lo:hi], chunk_index=c, n_chunks=n_chunks,
-            offset=lo, is_first=(c == 0), epoch=epoch,
-        )
+        yield ChunkBatch(u=U[:, lo:hi], y=Y[:, lo:hi], offset=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +361,4 @@ def synth_wiener_hammerstein(n: int, seed: int = 0, noise_std: float = 0.0) -> S
     if noise_std > 0.0:
         y = y + noise_std * rng.standard_normal(n)
     transient = 200 if n >= 1000 else max(1, n // 10)
-    return SequenceData(
-        sequences=[(u[:, None], y[:, None])],
-        u_names=["u"], y_names=["y"], transient_n=transient,
-    )
+    return SequenceData(sequences=[(u[:, None], y[:, None])], transient_n=transient)

@@ -33,7 +33,6 @@ backward mirrors this.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -140,52 +139,32 @@ def receptive_field(depth: int, kernel: int = 2) -> int:
     return (kernel - 1) * (2 ** depth - 1)
 
 
-class ParamStore:
-    """Ordered map of parameter name -> float64 array."""
+class ParamStore(dict):
+    """Ordered map of parameter name -> float64 array; copy() is deep."""
 
     def __init__(self, arrays: dict[str, Array]):
-        self._arrays: dict[str, Array] = {}
-        for name, a in arrays.items():
-            self._arrays[name] = nk.as_f64(a)
-
-    def __getitem__(self, name: str) -> Array:
-        return self._arrays[name]
-
-    def __setitem__(self, name: str, value: Array) -> None:
-        self._arrays[name] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._arrays)
-
-    def __len__(self) -> int:
-        return len(self._arrays)
+        super().__init__((name, nk.as_f64(a)) for name, a in arrays.items())
 
     def names(self) -> list[str]:
-        return list(self._arrays)
-
-    def items(self):
-        return self._arrays.items()
+        return list(self)
 
     def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self._arrays.items()})
+        return ParamStore({k: v.copy() for k, v in self.items()})
 
     def zeros_like(self) -> dict[str, Array]:
-        return {k: np.zeros_like(v) for k, v in self._arrays.items()}
+        return {k: np.zeros_like(v) for k, v in self.items()}
 
     def validate_for(self, spec: ModelSpec) -> None:
         """Check names and shapes against the spec-derived shape table."""
         expected = param_shapes(spec)
-        if set(self._arrays) != set(expected):
-            missing = sorted(set(expected) - set(self._arrays))
-            extra = sorted(set(self._arrays) - set(expected))
+        if set(self) != set(expected):
+            missing = sorted(set(expected) - set(self))
+            extra = sorted(set(self) - set(expected))
             raise DimensionError(f"parameter names mismatch: missing={missing} extra={extra}")
         for name, shape in expected.items():
-            if self._arrays[name].shape != shape:
+            if self[name].shape != shape:
                 raise DimensionError(
-                    f"parameter '{name}' has shape {self._arrays[name].shape}, expected {shape}"
+                    f"parameter '{name}' has shape {self[name].shape}, expected {shape}"
                 )
 
 

@@ -33,8 +33,10 @@ Array = np.ndarray
 # is checked against them too (cli.load_config)
 TRAIN_LOWS = {
     "max_epochs": (">=", 1), "batch_size": (">=", 1), "lookahead_k": (">=", 1),
-    "lr_max": (">", 0), "lr_min": (">=", 0), "eps": (">", 0),
-    "plateau_patience": (">=", 0), "seed": (">=", 0), "warmup_mask_n": (">=", 0),
+    "chunk_len": (">=", 1), "window_len": (">=", 1),
+    "lr_max": (">", 0), "lr_min": (">=", 0), "eps": (">", 0), "weight_decay": (">=", 0),
+    "grad_clip": (">", 0), "plateau_patience": (">=", 0), "seed": (">=", 0),
+    "warmup_mask_n": (">=", 0),
 }
 
 
@@ -54,7 +56,7 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 0.0
     plateau_patience: int = 3
-    grad_clip: float | None = 1.0
+    grad_clip: float | None = 1.0  # None: no clipping
     seed: int = 0
     teacher_forcing: bool = False
     warmup_mask_n: int | None = None  # None: min(2**depth - 1, chunk_len // 2)
@@ -65,6 +67,8 @@ class TrainConfig:
         b1, b2 = self.betas
         if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
             problems.append(f"betas must lie in (0, 1), got {self.betas}")
+        if not 0.0 < self.valid_fraction < 0.5:
+            problems.append(f"valid_fraction must lie in (0, 0.5), got {self.valid_fraction}")
         if not 0.0 < self.lookahead_alpha <= 1.0:
             problems.append("lookahead_alpha must be in (0, 1]")
         if problems:
@@ -76,19 +80,15 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Optimizer moments, lookahead slow weights, and schedule bookkeeping."""
+    """Optimizer moments, lookahead slow weights, the current lr and the
+    number of epochs trained."""
 
     step: int
     m: dict[str, Array]
     v: dict[str, Array]
     slow: dict[str, Array]
     lr: float
-    phase: str = "constant"  # "constant" | "cosine"
-    best_valid_rmse: float = math.inf
-    epochs_since_improvement: int = 0
     epoch: int = 0
-    cosine_start: int = 0
-    cosine_total: int = 0
 
     @classmethod
     def init(cls, params: ParamStore, lr: float) -> "TrainState":
@@ -213,9 +213,9 @@ def radam_lookahead_step(
 
 
 def clip_gradients(grads: dict[str, Array], max_norm: float | None) -> float:
-    """Global-norm clipping; returns the pre-clip norm."""
+    """Global-norm clipping (max_norm None: none); returns the pre-clip norm."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if max_norm is not None and max_norm > 0 and total > max_norm:
+    if max_norm is not None and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -266,10 +266,8 @@ def _chunk_step(
 
 @dataclass
 class EpochMetrics:
-    rmse: float  # standardized units, over unmasked samples
-    channel_sq: Array
-    n_samples: int
-    n_steps: int
+    channel_sq: Array  # per-channel sum of squared errors, standardized units
+    n_samples: int  # unmasked samples summed over
 
 
 def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: TrainState) -> EpochMetrics:
@@ -283,10 +281,9 @@ def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: Tr
     rng = np.random.default_rng([config.seed, epoch, 1])
     ch_sq_total: Array | None = None
     n_total = 0
-    n_steps = 0
     state_h: HiddenState | None = None
     for batch in sample_windows(data, config.plan(), epoch):
-        if batch.is_first:
+        if batch.offset == 0:
             state_h = model.initial_state(batch.u.shape[0])
         loss, grads, state_h, ch_sq, n_samples = _chunk_step(model, batch, state_h, config, rng)
         if not math.isfinite(loss):
@@ -295,15 +292,8 @@ def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: Tr
         radam_lookahead_step(model.params, grads, state, config)
         ch_sq_total = ch_sq if ch_sq_total is None else ch_sq_total + ch_sq
         n_total += n_samples
-        n_steps += 1
     state.epoch += 1
-    n_elems = max(n_total * ch_sq_total.size, 1)
-    return EpochMetrics(
-        rmse=math.sqrt(float(ch_sq_total.sum()) / n_elems),
-        channel_sq=ch_sq_total,
-        n_samples=n_total,
-        n_steps=n_steps,
-    )
+    return EpochMetrics(channel_sq=ch_sq_total, n_samples=n_total)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +419,6 @@ class FitResult:
     lr_max: float
     best_epoch: int
     best_valid_rmse: float
-    wall_seconds: float
 
 
 def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
@@ -439,7 +428,6 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
     train/validation, standardized on the train part only, and windowed.
     Returns the best-validation checkpoint; the model is left holding it.
     """
-    t_start = time.perf_counter()
     train, valid = split_estimation(data, config.valid_fraction)
     std = fit_standardizer(train)
     train_std = std.apply_data(train)
@@ -451,11 +439,12 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
     best_params = model.params.copy()
     best_rmse = math.inf
     best_epoch = -1
+    since_best = 0  # epochs since the validation RMSE last improved
+    cosine_start = None  # the first cosine epoch, once validation plateaus
     for epoch in range(config.max_epochs):
-        if state.phase == "cosine":
-            t_c = epoch - state.cosine_start
-            state.lr = cosine_schedule(lr_max, config.lr_min, min(t_c, state.cosine_total),
-                                       state.cosine_total)
+        if cosine_start is not None:
+            state.lr = cosine_schedule(lr_max, config.lr_min, epoch - cosine_start,
+                                       config.max_epochs - cosine_start)
         t0 = time.perf_counter()
         metrics = train_epoch(model, train_std, config, state)
         valid_rmse = pooled_rmse([simulate(model, u, std) for u, _ in valid.sequences], valid)
@@ -469,18 +458,15 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
             best_rmse = valid_rmse
             best_epoch = epoch
             best_params = model.params.copy()
-            state.best_valid_rmse = valid_rmse
-            state.epochs_since_improvement = 0
+            since_best = 0
         else:
-            state.epochs_since_improvement += 1
+            since_best += 1
         if (
-            state.phase == "constant"
-            and state.epochs_since_improvement >= config.plateau_patience
+            cosine_start is None
+            and since_best >= config.plateau_patience
             and epoch + 1 < config.max_epochs
         ):
-            state.phase = "cosine"
-            state.cosine_start = epoch + 1
-            state.cosine_total = config.max_epochs - (epoch + 1)
+            cosine_start = epoch + 1
     model.params = best_params
     return FitResult(
         params=best_params,
@@ -489,7 +475,6 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
         lr_max=lr_max,
         best_epoch=best_epoch,
         best_valid_rmse=best_rmse,
-        wall_seconds=time.perf_counter() - t_start,
     )
 
 

@@ -142,8 +142,7 @@ def test_criterion_2_receptive_field():
     cfg = TrainConfig(chunk_len=2048, window_len=2048, batch_size=1)
     from sidnn.data import ChunkBatch
 
-    batch = ChunkBatch(u=np.zeros((1, 2048, 1)), y=np.zeros((1, 2048, 1)),
-                       chunk_index=0, n_chunks=1, offset=0, is_first=True, epoch=0)
+    batch = ChunkBatch(u=np.zeros((1, 2048, 1)), y=np.zeros((1, 2048, 1)), offset=0)
     mask = chunk_loss_mask(spec, cfg, batch)
     ok = ok and int(mask.sum()) == 1023 and bool(mask[0, :1023].all()) \
         and not bool(mask[0, 1023:].any())
@@ -347,8 +346,7 @@ def test_criterion_8_masking_exactness():
 
     def one_update(y_target):
         model = Model.create(spec, 81)
-        batch = ChunkBatch(u=u, y=y_target, chunk_index=0, n_chunks=1, offset=0,
-                           is_first=True, epoch=0)
+        batch = ChunkBatch(u=u, y=y_target, offset=0)
         _, grads, _, _, _ = _chunk_step(model, batch, model.initial_state(2), cfg, None)
         state = TrainState.init(model.params, 0.01)
         radam_lookahead_step(model.params, grads, state, cfg)

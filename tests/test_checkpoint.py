@@ -114,6 +114,27 @@ def _tensor_record(name: bytes, shape, data=b""):
     return struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape)) + dims + data
 
 
+def test_bytes_after_last_tensor_are_corruption_error(tmp_path):
+    path, *_ = _fixture(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(CorruptionError) as exc:
+        load_checkpoint(path)
+    assert f"byte {len(blob)}" in str(exc.value)
+
+
+def test_tensor_recorded_twice_is_corruption_error(tmp_path):
+    path, *_ = _fixture(tmp_path)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[6:10])
+    (count,) = struct.unpack("<I", blob[10 + n : 14 + n])
+    again = _tensor_record(b"head.b", (1,), struct.pack("<d", 7.0))
+    path.write_bytes(blob[: 10 + n] + struct.pack("<I", count + 1) + blob[14 + n :] + again)
+    with pytest.raises(CorruptionError) as exc:
+        load_checkpoint(path)
+    assert "'head.b' recorded twice" in str(exc.value)
+
+
 @pytest.mark.parametrize("record", [
     _tensor_record(b"head.\xff", (1,), b"\0" * 8),
     _tensor_record(b"head.b", (1,) * 65, b"\0" * 8),

@@ -186,9 +186,17 @@ def test_cli_main_reports_bad_run_input_as_typed_error(tmp_path, capsys, name, c
     ("descriptor", "unit_scale", -2.0, [], "schema"),
     ("hpo", "num_rungs", 0, [], "schema"),
     ("hpo", "r_min", 0, [], "schema"),
+    ("train", "weight_decay", -0.5, [], "schema"),
+    ("train", "grad_clip", 0, [], "schema"),
+    ("train", "grad_clip", -1, [], "schema"),
+    ("train", "chunk_len", 0, [], "schema"),
+    ("train", "window_len", -64, [], "schema"),
+    ("train", "valid_fraction", 0.9, [], "schema"),
+    ("train", "valid_fraction", 0.0, [], "schema"),
 ], ids=["config_seed", "train_seed", "synthetic_seed", "cli_seed", "lr_min", "eps",
         "warmup_mask_n", "plateau_patience", "noise_std", "unit_scale", "hpo_num_rungs",
-        "hpo_r_min"])
+        "hpo_r_min", "weight_decay", "zero_grad_clip", "negative_grad_clip", "chunk_len",
+        "window_len", "valid_fraction_high", "valid_fraction_zero"])
 def test_cli_main_reports_out_of_range_run_input_as_typed_error(tmp_path, capsys, section, key,
                                                                 value, argv, category):
     path = write_config(tmp_path)
@@ -276,6 +284,23 @@ def test_simulate_writes_trajectories(tmp_path):
     sim_dir = cmd_simulate(str(out / "checkpoint.bin"), str(tmp_path / "dataset.json"),
                            out=str(tmp_path / "sim"))
     assert (sim_dir / "sim_0.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_output_width_mismatch_writes_no_csv(tmp_path, capsys, command):
+    # a 1-output checkpoint on a dataset that declares two output columns
+    ckpt = cmd_train(str(write_csv_run(tmp_path))) / "checkpoint.bin"
+    rows = ["u,y1,y2"] + [f"{np.sin(0.1 * t):.6f},{np.cos(0.1 * t):.6f},0.5"
+                          for t in range(60)]
+    (tmp_path / "wide.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {**DESCRIPTOR, "files": ["wide.csv"], "y_cols": ["y1", "y2"]}))
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "wide.json"),
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert "error[compatibility]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 class FailingWriter:

@@ -161,14 +161,13 @@ def test_single_chunk_windows_are_first():
     plan = WindowPlan(window_len=16, chunk_len=16, batch_size=4, seed=0)
     batches = list(sample_windows(data, plan, epoch=0))
     assert len(batches) == 1
-    assert batches[0].is_first and batches[0].n_chunks == 1
+    assert batches[0].offset == 0
 
 
 def test_four_chunks_per_window_flags():
     data = make_data(T=128)
     plan = WindowPlan(window_len=32, chunk_len=8, batch_size=3, seed=0)
     batches = list(sample_windows(data, plan, epoch=0))
-    assert [b.is_first for b in batches] == [True, False, False, False]
     assert [b.offset for b in batches] == [0, 8, 16, 24]
 
 

@@ -187,6 +187,8 @@ def test_cosine_rejects_zero_length():
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("lr_min", -1e-5), ("eps", 0.0), ("warmup_mask_n", -3),
     ("plateau_patience", -3), ("max_epochs", 0), ("lr_max", -0.1),
+    ("weight_decay", -0.5), ("grad_clip", 0.0), ("grad_clip", -1.0), ("chunk_len", 0),
+    ("window_len", -64), ("valid_fraction", 0.9), ("valid_fraction", 0.0),
 ])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ParameterError, match=field):
@@ -272,7 +274,7 @@ def test_finder_chunks_start_from_the_initial_state(monkeypatch, arch, mode):
     chunk_step = training._chunk_step
 
     def recording(model_, batch, state_h, config, rng_):
-        received.append((batch.chunk_index, copy.deepcopy(state_h)))
+        received.append((batch.offset // cfg.chunk_len, copy.deepcopy(state_h)))
         return chunk_step(model_, batch, state_h, config, rng_)
 
     monkeypatch.setattr(training, "_chunk_step", recording)
@@ -398,8 +400,7 @@ def test_masked_targets_leave_updates_bitwise_unchanged():
 
         def updated_params(target_noise):
             model = Model.create(spec, 10)
-            b = type(batch)(u=batch.u, y=batch.y + target_noise, chunk_index=0,
-                            n_chunks=1, offset=0, is_first=True, epoch=0)
+            b = type(batch)(u=batch.u, y=batch.y + target_noise, offset=0)
             state = model.initial_state(2)
             _, grads, _, _, _ = _chunk_step(model, b, state, cfg, rng=None)
             st = TrainState.init(model.params, lr=0.01)
