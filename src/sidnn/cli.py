@@ -18,6 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import atomic_open, load_descriptor
 from .errors import (
     CompatibilityError,
+    ParameterError,
     ReportError,
     SchemaError,
     SidnnError,
@@ -25,7 +26,7 @@ from .errors import (
 from .hpo import HPO_LOWS, SearchSpace, run_search
 from .inference import bench_inference_cells, bench_training_cells, pooled_rmse, simulate
 from .models import SPEC_TYPES, Model, ModelSpec, range_problems, receptive_field, type_problems
-from .training import TRAIN_LOWS, TrainConfig, fit, write_history_csv
+from .training import TRAIN_LOWS, TrainConfig, fit, window_problems, write_history_csv
 
 MODEL_DEFAULTS = {
     "arch": "gru",
@@ -117,6 +118,13 @@ def load_config(path: str | Path) -> dict:
     problems += [f"hpo.{p}" for p in range_problems(hpo_cfg, HPO_LOWS)]
     problems += type_problems(raw, {"seed": int, "out_dir": str})
     problems += range_problems(raw, {"seed": TRAIN_LOWS["seed"]})
+    try:  # mistyped or out-of-range values are reported above or by ModelSpec
+        spec = ModelSpec(input_dim=1, output_dim=1, **model_cfg)
+        config = TrainConfig(**{k: v for k, v in train_cfg.items()
+                                if k in TRAIN_FIELDS and k != "betas"})
+        problems += [f"train.{p}" for p in window_problems(spec, config)]
+    except (ParameterError, TypeError):
+        pass
     if problems:
         raise SchemaError("invalid config: " + "; ".join(problems))
     cfg = {

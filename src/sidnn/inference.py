@@ -1,6 +1,6 @@
 """Free-running simulation, the pooled simulation RMSE with transient skip,
 and wall-clock timing harnesses for training and inference cost versus
-sequence length. AR-TCN streaming one sample at a time is
+sequence length. TCN streaming one sample at a time, in either mode, is
 `models.conv_cache_step`.
 """
 
@@ -37,8 +37,7 @@ def simulate(model: Model, u: Array, standardizer: Standardizer) -> Array:
             f"sequence has {u.shape[1]} input channels, model expects {model.spec.input_dim}"
         )
     u_std = standardizer.apply_u(u)[None, :, :]
-    state = model.initial_state(1)
-    y_std, _ = model.forward(u_std, state)
+    y_std, _ = model.forward(u_std, None)
     return standardizer.invert_y(y_std[0])
 
 

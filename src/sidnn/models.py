@@ -20,14 +20,17 @@ for the whole chunk in one matmul; free-running AR adds its feedback per step
 as the top layer's previous state times F = head.W @ W0_fb (W0_fb: the
 feedback rows of the layer-0 input weights), and the head runs once per
 chunk. The backward reads the fed-back outputs from the cache and is
-unchanged by the fold. The NAR-TCN convolves the whole chunk layer by layer
-into reused buffers; its cache keeps each layer's input and a bool
+unchanged by the fold. Both TCN modes carry the same state, per-layer ring
+buffers of each layer's last (kernel-1)*2**l inputs (`ConvCache`). The
+NAR-TCN convolves the whole chunk layer by layer into reused buffers, each
+layer after its own carried context, so a chunk costs O(depth*T) however long
+the history; its cache keeps each layer's context and input and a bool
 pre-activation sign mask, and a forward without a cache keeps nothing. The
-AR-TCN advances per-layer ring buffers one step at a time, in training,
-simulation and `conv_cache_step` streaming alike. Layer l's past taps are at
-least 2**l steps old, so they are summed once per 2**l-step block with one
-matmul per tap; a step costs one current-tap matmul per layer, and the
-backward mirrors this.
+AR-TCN advances the ring buffers one step at a time, in training and
+simulation alike, and `conv_cache_step` streams either mode the same way.
+Layer l's past taps are at least 2**l steps old, so they are summed once per
+2**l-step block with one matmul per tap; a step costs one current-tap matmul
+per layer, and the backward mirrors this.
 """
 
 from __future__ import annotations
@@ -129,8 +132,9 @@ def receptive_field(depth: int, kernel: int = 2) -> int:
     """Warm-up sample count of a dilated causal stack: (kernel-1)*(2**depth - 1).
 
     This is the look-back one output reads (the left pad of the stack,
-    excluding the current sample); it is the length used for loss masking,
-    minimum-sequence checks and the NAR-TCN carried input tail.
+    excluding the current sample), and the total length of the TCN's
+    carried ring buffers; it is the length used for loss masking and
+    minimum-sequence checks.
     """
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
@@ -216,11 +220,14 @@ def init_params(spec: ModelSpec, seed: int) -> ParamStore:
 
 @dataclass
 class ConvCache:
-    """Per-layer ring buffers of the last (kernel-1)*2**l layer inputs.
+    """Per-layer ring buffers of the last (kernel-1)*2**l layer inputs: the
+    carried state of a TCN in either mode.
 
     Buffer slot for time step t is t % len(buffer); unwritten slots are zero,
-    which is exactly the left zero-padding of a fresh sequence. The cache is
-    state only: the weights are passed to each step.
+    which is exactly the left zero-padding of a fresh sequence. A NAR chunk
+    fills the slots a step-by-step pass would, so both modes and
+    `conv_cache_step` streaming hand the same state on. The cache is state
+    only: the weights are passed to each step.
     """
 
     spec: ModelSpec
@@ -253,19 +260,44 @@ class ConvCache:
     def copy(self) -> "ConvCache":
         return replace(self, buffers=[b.copy() for b in self.buffers])
 
+    def context(self, l: int) -> Array:
+        """Layer l's inputs of the last (kernel-1)*2**l steps, oldest first,
+        as (n, B, C_in); steps before the sequence start are left out, so
+        n = min((kernel-1)*2**l, steps)."""
+        n = min((self.spec.kernel - 1) * 2 ** l, self.steps)
+        buf = self.buffers[l]
+        i = (self.steps - n) % len(buf)  # the oldest step's slot
+        k = min(n, len(buf) - i)
+        return np.concatenate([buf[i : i + k], buf[: n - k]])
+
+    def advanced(self, l: int, rows: Array) -> Array:
+        """Layer l's buffer with rows (T, B, C_in), the layer's inputs of the T
+        steps from `steps`, written into their slots; a new array."""
+        buf = self.buffers[l]
+        n, T = (self.spec.kernel - 1) * 2 ** l, len(rows)
+        if n == 0:
+            return buf.copy()  # kernel 1: the one unused slot
+        if T >= n:  # every slot is rewritten
+            i = (self.steps + T) % n  # the oldest kept step's slot
+            return np.concatenate([rows[T - i :], rows[T - n : T - i]])
+        new = buf.copy()
+        i = self.steps % n
+        k = min(T, n - i)  # rows before the wrap
+        new[i : i + k] = rows[:k]
+        new[: T - k] = rows[k:]
+        return new
+
 
 @dataclass
 class HiddenState:
     """Carried state for chunked processing.
 
-    gru_h: per-layer hidden (B, H); conv: AR-TCN ring buffers; input_tail:
-    trailing raw inputs for NAR-TCN context re-supply; last_output: the most
-    recent standardized output (AR modes).
+    gru_h: per-layer hidden (B, H); conv: TCN ring buffers; last_output: the
+    most recent standardized output (AR modes).
     """
 
     gru_h: list[Array] | None = None
     conv: ConvCache | None = None
-    input_tail: Array | None = None
     last_output: Array | None = None
 
 
@@ -274,10 +306,8 @@ def initial_state(spec: ModelSpec, batch: int) -> HiddenState:
     state = HiddenState()
     if spec.arch == "gru":
         state.gru_h = [np.zeros((batch, spec.hidden)) for _ in range(spec.depth)]
-    elif spec.mode == "ar":
-        state.conv = ConvCache.init(spec, batch)
     else:
-        state.input_tail = np.zeros((batch, 0, spec.feed_dim))
+        state.conv = ConvCache.init(spec, batch)
     if spec.mode == "ar":
         state.last_output = np.zeros((batch, spec.output_dim))
     return state
@@ -553,88 +583,88 @@ def _tcn_layers(params: ParamStore, spec: ModelSpec) -> list:
     """(kernel, bias, proj or None, identity_skip) of every layer."""
     layers = []
     for l in range(spec.depth):
-        proj = params[f"tcn.{l}.proj"] if f"tcn.{l}.proj" in params else None
-        identity_skip = spec.residual and proj is None
-        kernel, bias = params[f"tcn.{l}.kernel"], params[f"tcn.{l}.bias"]
-        layers.append((kernel, bias, proj, identity_skip))
+        proj = params.get(f"tcn.{l}.proj")
+        layers.append((params[f"tcn.{l}.kernel"], params[f"tcn.{l}.bias"], proj,
+                       spec.residual and proj is None))
     return layers
 
 
-def _tcn_nar_forward(u: Array, ctx: Array | None, params: ParamStore, spec: ModelSpec,
+def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelSpec,
                      record: bool):
-    """Conv stack over [ctx, u]; outputs for the u region only.
+    """Conv stack over one chunk, each layer after its carried context.
 
-    ctx is raw network input history (B, T_ctx, feed); it re-creates the
-    activations a monolithic pass over the whole window would produce, so
-    chunked NAR-TCN processing is exact. Each layer convolves into one
-    pre-activation buffer (every shifted tap and the projection share one
-    scratch array) and applies bias, ReLU and skip in place. With record
-    set, the cache keeps what the backward reads: every layer's input and a
-    bool pre > 0 mask per layer; otherwise two output buffers alternate.
+    Layer l convolves its context from conv (its inputs of the last
+    (kernel-1)*2**l steps, steps >= 0 only) and the chunk, so chunked
+    processing equals one pass over the whole sequence at O(depth*T) per
+    chunk. The returned state holds new buffers with each layer's last inputs
+    in the ring slots a step-by-step pass would fill; conv is only read. Each
+    layer convolves into one pre-activation buffer (every
+    shifted tap and the projection share one scratch array) and applies
+    bias, ReLU and skip in place. With record set, the cache keeps what the
+    backward reads: every layer's context and input and a bool pre > 0 mask
+    per layer; otherwise two output buffers alternate.
     """
     B, T, _ = u.shape
     H = spec.hidden
-    x = np.concatenate([ctx, u], axis=1) if ctx is not None and ctx.shape[1] else u
-    n_ctx = x.shape[1] - T
-    tail = x[:, max(x.shape[1] - receptive_field(spec.depth, spec.kernel), 0):].copy()
-    x = np.ascontiguousarray(x.transpose(0, 2, 1))  # (B, C, n_ctx + T)
-    shape = (B, H, x.shape[2])
+    s = conv.steps
+    x = np.ascontiguousarray(u.transpose(0, 2, 1))  # (B, C, T)
+    shape = (B, H, T)
     pre, scratch = np.empty(shape), np.empty(shape)
+    buffers = []
     if record:
-        xs, masks = [x], []
+        xs, ctxs, masks = [x], [], []
     else:
         outs = (np.empty(shape), np.empty(shape))
     for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
-        nk.causal_conv1d(x, k, 2 ** l, out=pre, scratch=scratch)
+        ctx = conv.context(l).transpose(1, 2, 0) if s else None  # (B, C, n)
+        buffers.append(conv.advanced(l, x.transpose(2, 0, 1)))
+        nk.causal_conv1d(x, k, 2 ** l, ctx=ctx, out=pre, scratch=scratch)
         pre += bias[None, :, None]
-        out = np.maximum(pre, 0.0, out=np.empty(shape) if record else outs[l % 2])
+        out = np.maximum(pre, ZERO, out=np.empty(shape) if record else outs[l % 2])
         if identity_skip:
             out += x
         elif proj is not None:
             out += nk.causal_conv1d(x, proj, 1, out=scratch)
         if record:
+            ctxs.append(ctx)
             masks.append(pre > 0.0)
             xs.append(out)
         x = out
     w_y, b_y = params["head.W"], params["head.b"]
-    top = x[:, :, n_ctx:]
-    y = (top.transpose(0, 2, 1).reshape(B * T, H) @ w_y + b_y).reshape(
+    y = (x.transpose(0, 2, 1).reshape(B * T, H) @ w_y + b_y).reshape(
         B, T, spec.output_dim
     )
     cache = None
     if record:
-        cache = {"xs": xs, "masks": masks, "n_ctx": n_ctx, "spec": spec,
-                 "params": params, "u_shape": u.shape}
-    return y, HiddenState(input_tail=tail), cache
+        cache = {"xs": xs, "ctxs": ctxs, "masks": masks, "spec": spec, "params": params}
+    return y, HiddenState(conv=replace(conv, buffers=buffers, steps=s + T)), cache
 
 
 def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
-    """Context-region input grads are discarded (the context is carried
-    data, not part of the chunk's graph). One g_pre buffer serves every
-    layer, and the input adjoint alternates between two flat buffers viewed
-    at each layer's input width; none of them aliases the cache."""
+    """The contexts' adjoints are not formed (a context is carried data, not
+    part of the chunk's graph), but their share of each kernel gradient is.
+    One g_pre buffer serves every layer, and the input adjoint alternates
+    between two flat buffers viewed at each layer's input width; none of them
+    aliases the cache."""
     spec = cache["spec"]
     params = cache["params"]
-    xs, masks, n_ctx = cache["xs"], cache["masks"], cache["n_ctx"]
-    B, T, _ = cache["u_shape"]
-    H = spec.hidden
+    xs, ctxs, masks = cache["xs"], cache["ctxs"], cache["masks"]
+    B, H, T = xs[-1].shape
     w_y = params["head.W"]
     g_flat = g_y.reshape(B * T, -1)
-    top_flat = xs[-1][:, :, n_ctx:].transpose(0, 2, 1).reshape(B * T, H)
+    top_flat = xs[-1].transpose(0, 2, 1).reshape(B * T, H)
     grads: dict[str, Array] = {
         "head.W": top_flat.T @ g_flat,
         "head.b": g_flat.sum(axis=0),
     }
-    N = xs[-1].shape[2]
-    size = B * max(H, spec.feed_dim) * N
+    size = B * max(H, spec.feed_dim) * T
     flats = [np.empty(size) for _ in range(3)]  # two adjoints and the scratch
 
     def view(i: int, x: Array) -> Array:
         return flats[i][: x.size].reshape(x.shape)
 
     g_x = view(0, xs[-1])
-    g_x[:, :, :n_ctx] = 0.0
-    g_x[:, :, n_ctx:] = (g_flat @ w_y.T).reshape(B, T, H).transpose(0, 2, 1)
+    g_x[...] = (g_flat @ w_y.T).reshape(B, T, H).transpose(0, 2, 1)
     g_pre = np.empty_like(xs[-1])
     layers = _tcn_layers(params, spec)
     for l in range(spec.depth - 1, -1, -1):
@@ -642,7 +672,7 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
         x, g_out = xs[l], g_x
         scratch = view(2, x)
         np.multiply(g_out, masks[l], out=g_pre)
-        dx, dk = nk.causal_conv1d_backward(g_pre, x, k, 2 ** l,
+        dx, dk = nk.causal_conv1d_backward(g_pre, x, k, 2 ** l, ctx=ctxs[l],
                                            out=view((spec.depth - l) % 2, x), scratch=scratch)
         grads[f"tcn.{l}.kernel"] = dk
         grads[f"tcn.{l}.bias"] = g_pre.sum(axis=(0, 2))
@@ -653,11 +683,11 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
             dx += dx_p
             grads[f"tcn.{l}.proj"] = dp
         g_x = dx
-    gu = g_x[:, :, n_ctx:].transpose(0, 2, 1).copy() if need_input_grad else None
+    gu = g_x.transpose(0, 2, 1).copy() if need_input_grad else None
     return grads, gu
 
 
-def _tcn_ar_layers(params: ParamStore, spec: ModelSpec) -> list:
+def _tcn_step_layers(params: ParamStore, spec: ModelSpec) -> list:
     """Per layer: the past taps as contiguous (C_in, H) matrices stacked
     oldest first, the current tap's matrix, the bias, the transposed
     projection or None, and whether the skip is the identity."""
@@ -713,9 +743,11 @@ def _tcn_step(layers: list, conv: ConvCache, v: Array, t: int, T: int, P: list |
 def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
     """Advance the cached conv stack one step; cost independent of history.
 
-    x_t is the full network input vector (B, feed_dim); returns the head
-    output (B, output_dim). For streaming one sample at a time; whole
-    chunks go through tcn_forward, which resolves the weights once.
+    x_t is the full network input vector (B, feed_dim): concat(u_t, y_{t-1})
+    in AR mode, u_t in NAR mode; returns the head output (B, output_dim).
+    For streaming one sample at a time, in either mode; whole chunks go
+    through tcn_forward, which resolves the weights once and hands on the
+    same cache.
     """
     spec = cache.spec
     if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
@@ -723,11 +755,11 @@ def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
     B = x_t.shape[0]
     cache.check(B)
     P = np.empty((spec.depth, 1, B, spec.hidden))
-    top = _tcn_step(_tcn_ar_layers(params, spec), cache, x_t, 0, 1, P)
+    top = _tcn_step(_tcn_step_layers(params, spec), cache, x_t, 0, 1, P)
     return top @ params["head.W"] + params["head.b"]
 
 
-def _tcn_ar_forward(u, state, params, spec, teacher, record):
+def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
     """Free-running AR TCN through the ring buffers.
 
     Sequential generation with input concat(u_t, previous output); equals a
@@ -737,24 +769,19 @@ def _tcn_ar_forward(u, state, params, spec, teacher, record):
     """
     B, T, I = u.shape
     H = spec.hidden
-    if state is None:
-        state = initial_state(spec, B)
-    if state.last_output is None:
+    if last_output is None:
         raise StateError("AR forward needs state.last_output (zero for a fresh sequence)")
-    if state.conv is None:
-        raise StateError("AR TCN forward needs state.conv ring buffers")
-    state.conv.check(B)
-    conv = state.conv.copy()
-    layers = _tcn_ar_layers(params, spec)
+    layers = _tcn_step_layers(params, spec)
     w_y, b_y = params["head.W"], params["head.b"]
     cache = outs = None
     if record:
         lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
         a_pad = []
-        for n, buf in zip(lens, conv.buffers):
-            arr = np.empty((n + T,) + buf.shape[1:])
-            # oldest first; slots of steps before the sequence start are zero
-            arr[:n] = buf[(conv.steps + np.arange(n)) % max(n, 1)]
+        for l, n in enumerate(lens):
+            ctx = conv.context(l)
+            arr = np.empty((n + T,) + ctx.shape[1:])
+            arr[: n - len(ctx)] = 0.0  # steps before the sequence start
+            arr[n - len(ctx) : n] = ctx
             a_pad.append(arr)
         a_pad.append(np.empty((T, B, H)))  # top-layer outputs, no context
         P = [np.empty((T, B, H)) for _ in range(spec.depth)]  # pre-activations
@@ -769,7 +796,7 @@ def _tcn_ar_forward(u, state, params, spec, teacher, record):
     # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
     X0[:, :, :I] = u.transpose(1, 0, 2)
     Y = np.empty((T, B, spec.output_dim))
-    fb = state.last_output
+    fb = last_output
     for t in range(T):
         x0 = X0[t]
         x0[:, I:] = fb
@@ -867,16 +894,24 @@ def tcn_forward(
     """TCN over one chunk: dilation 2**l at layer l, ReLU, optional residual;
     returns (y, new state[, cache]).
 
-    NAR convolves the whole chunk at once after the carried input tail. AR
-    generates step by step through the ring buffers; its fed-back value is
-    the model's own output unless a teacher sequence is supplied.
+    Both modes carry per-layer ring buffers (state.conv, never modified).
+    NAR convolves the whole chunk at once, each layer after its carried
+    context. AR generates step by step through the ring buffers; its
+    fed-back value is the model's own output unless a teacher sequence is
+    supplied.
     """
     _check_seq_input(u, spec)
-    if spec.mode == "nar":
-        ctx = state.input_tail if state is not None else None
-        y, new_state, cache = _tcn_nar_forward(u, ctx, params, spec, return_cache)
+    if state is None:
+        state = initial_state(spec, u.shape[0])
+    elif state.conv is None:
+        raise StateError("TCN forward needs state.conv ring buffers")
     else:
-        y, new_state, cache = _tcn_ar_forward(u, state, params, spec, teacher, return_cache)
+        state.conv.check(u.shape[0])
+    if spec.mode == "nar":
+        y, new_state, cache = _tcn_nar_forward(u, state.conv, params, spec, return_cache)
+    else:
+        y, new_state, cache = _tcn_ar_forward(u, state.conv.copy(), state.last_output, params,
+                                              spec, teacher, return_cache)
     if return_cache:
         return y, new_state, cache
     return y, new_state

@@ -45,12 +45,14 @@ def _buffer(buf: Array | None, shape: tuple, name: str) -> Array:
     return buf
 
 
-def causal_conv1d(x: Array, k: Array, dilation: int, *, out: Array | None = None,
-                  scratch: Array | None = None) -> Array:
+def causal_conv1d(x: Array, k: Array, dilation: int, *, ctx: Array | None = None,
+                  out: Array | None = None, scratch: Array | None = None) -> Array:
     """Left-zero-padded dilated convolution over the last axis.
 
     x (B, C_in, T), k (C_out, C_in, K). Output at time t reads inputs at
-    t - dilation*(K-1-j) for tap j, so it depends on times <= t only.
+    t - dilation*(K-1-j) for tap j, so it depends on times <= t only. ctx
+    (B, C_in, N), when given, holds the N inputs just before x: taps that
+    reach before x read it, and only those reaching before ctx read zeros.
     The result goes to out (B, C_out, T) when given; every tap after the
     first goes through scratch (B, C_out, T). Either is allocated when not
     given. Taps are summed oldest first.
@@ -63,48 +65,70 @@ def causal_conv1d(x: Array, k: Array, dilation: int, *, out: Array | None = None
         raise DimensionError(
             f"conv channel mismatch: x {x.shape} vs kernel {k.shape}"
         )
+    if ctx is not None and ctx.shape[:2] != x.shape[:2]:
+        raise DimensionError(f"conv context {ctx.shape} does not precede x {x.shape}")
     if k.shape[2] < 1:
         raise ParameterError("kernel must have at least one tap")
     B, _, T = x.shape
     c_out, _, K = k.shape
+    width = 0 if ctx is None else ctx.shape[2]
     out = _buffer(out, (B, c_out, T), "conv output")
     first = True
     for j in range(K):
         shift = dilation * (K - 1 - j)
-        if shift >= T:
+        lo = shift - width if shift > width else 0  # the first column the tap reaches
+        if lo >= T:
             continue
-        dst = out[:, :, shift:]
         if first:
-            out[:, :, :shift] = 0.0
-            np.matmul(k[:, :, j], x[:, :, : T - shift], out=dst)
-            first = False
+            out[:, :, :lo] = 0.0
+            dst = out[:, :, lo:]
         else:
             scratch = _buffer(scratch, (B, c_out, T), "conv scratch")
-            dst += np.matmul(k[:, :, j], x[:, :, : T - shift], out=scratch[:, :, : T - shift])
+            dst = scratch[:, :, lo:]
+        if lo < shift:  # columns lo..min(shift, T)-1 read ctx
+            c0 = width - shift + lo
+            m = (shift if shift < T else T) - lo
+            np.matmul(k[:, :, j], ctx[:, :, c0 : c0 + m], out=dst[:, :, :m])
+            if shift < T:
+                np.matmul(k[:, :, j], x[:, :, : T - shift], out=dst[:, :, m:])
+        else:
+            np.matmul(k[:, :, j], x[:, :, : T - shift], out=dst)
+        if first:
+            first = False
+        else:
+            out[:, :, lo:] += dst
     return out
 
 
 def causal_conv1d_backward(
-    g: Array, x: Array, k: Array, dilation: int, *, out: Array | None = None,
-    scratch: Array | None = None,
+    g: Array, x: Array, k: Array, dilation: int, *, ctx: Array | None = None,
+    out: Array | None = None, scratch: Array | None = None,
 ) -> tuple[Array, Array]:
     """Returns (dx, dk) for causal_conv1d given upstream g (B, C_out, T).
 
+    dk includes the taps that read ctx; the adjoint of ctx is not formed.
     dx goes to out (B, C_in, T) when given; every tap after the first goes
     through scratch (B, C_in, T). Either is allocated when not given.
     """
     T = x.shape[2]
     K = k.shape[2]
+    width = 0 if ctx is None else ctx.shape[2]
     dx = _buffer(out, x.shape, "conv input adjoint")
     dk = np.zeros_like(k)
     first = True
     for j in range(K):
         shift = dilation * (K - 1 - j)
+        lo = shift - width if shift > width else 0
+        if lo < shift and lo < T:  # columns lo..min(shift, T)-1 read ctx
+            c0 = width - shift + lo
+            m = (shift if shift < T else T) - lo
+            dk[:, :, j] += np.matmul(g[:, :, lo : lo + m],
+                                     ctx[:, :, c0 : c0 + m].transpose(0, 2, 1)).sum(axis=0)
         if shift >= T:
             continue
         g_part = g[:, :, shift:] if shift else g
         x_part = x[:, :, : T - shift] if shift else x
-        dk[:, :, j] = np.matmul(g_part, x_part.transpose(0, 2, 1)).sum(axis=0)
+        dk[:, :, j] += np.matmul(g_part, x_part.transpose(0, 2, 1)).sum(axis=0)
         dst = dx[:, :, : T - shift]
         if first:
             dx[:, :, T - shift :] = 0.0

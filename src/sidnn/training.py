@@ -143,6 +143,27 @@ def resolved_warmup_mask(spec: ModelSpec, config: TrainConfig) -> int:
     return min(2 ** spec.depth - 1, config.chunk_len // 2)
 
 
+def window_problems(spec: ModelSpec, config: TrainConfig) -> list[str]:
+    """A message when the warm-up mask covers whole windows, so that no
+    sample could ever be trained on."""
+    n_mask = resolved_warmup_mask(spec, config)
+    if config.window_len > n_mask:
+        return []
+    return [f"window_len must exceed the {n_mask}-sample warm-up mask, "
+            f"got {config.window_len}"]
+
+
+def _check_window(spec: ModelSpec, config: TrainConfig) -> None:
+    problems = window_problems(spec, config)
+    if problems:
+        raise ParameterError("invalid training settings: " + "; ".join(problems))
+
+
+def _all_masked(spec: ModelSpec, config: TrainConfig, batch: ChunkBatch) -> bool:
+    """Whether every sample of the chunk lies in the warm-up mask."""
+    return batch.offset + batch.u.shape[1] <= resolved_warmup_mask(spec, config)
+
+
 def chunk_loss_mask(spec: ModelSpec, config: TrainConfig, batch: ChunkBatch) -> Array | None:
     """Boolean (B, T) array, True where the sample is excluded from the loss."""
     n_mask = resolved_warmup_mask(spec, config)
@@ -236,6 +257,14 @@ def cosine_schedule(lr_max: float, lr_min: float, t: int, total: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _chunk_forward(model: Model, batch: ChunkBatch, state_h: HiddenState,
+                   config: TrainConfig, rng, return_cache: bool):
+    """The training forward of one chunk, teacher-forced when configured."""
+    teacher = batch.y if config.teacher_forcing and model.spec.mode == "ar" else None
+    return model.forward(batch.u, state_h, training=True, rng=rng, teacher=teacher,
+                         return_cache=return_cache)
+
+
 def _chunk_step(
     model: Model,
     batch: ChunkBatch,
@@ -245,12 +274,7 @@ def _chunk_step(
 ):
     """Forward + loss + backward for one chunk; state crosses as values only."""
     spec = model.spec
-    teacher = None
-    if config.teacher_forcing and spec.mode == "ar":
-        teacher = batch.y
-    y_hat, new_state, cache = model.forward(
-        batch.u, state_h, training=True, rng=rng, teacher=teacher, return_cache=True
-    )
+    y_hat, new_state, cache = _chunk_forward(model, batch, state_h, config, rng, True)
     mask = chunk_loss_mask(spec, config, batch)
     loss, g = masked_mse_grad(y_hat, batch.y, mask)
     grads, _ = model.backward(cache, g)
@@ -275,7 +299,9 @@ def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: Tr
 
     `data` must already be standardized. Hidden state (and for AR models the
     last generated output) carries across chunk boundaries as plain values,
-    so gradients stay inside each chunk.
+    so gradients stay inside each chunk. A chunk that lies wholly in the
+    warm-up mask runs forward only, for the state it carries on: it has no
+    loss, no backward and no optimizer step.
     """
     epoch = state.epoch
     rng = np.random.default_rng([config.seed, epoch, 1])
@@ -285,6 +311,9 @@ def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: Tr
     for batch in sample_windows(data, config.plan(), epoch):
         if batch.offset == 0:
             state_h = model.initial_state(batch.u.shape[0])
+        if _all_masked(model.spec, config, batch):
+            _, state_h = _chunk_forward(model, batch, state_h, config, rng, False)
+            continue
         loss, grads, state_h, ch_sq, n_samples = _chunk_step(model, batch, state_h, config, rng)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss at optimizer step {state.step}")
@@ -368,12 +397,13 @@ def lr_sweep(
 
 def _chunk_stream(model: Model, data: SequenceData, config: TrainConfig, epoch0: int):
     """Endless chunk batches for the finder sweep, each with a fresh initial
-    state."""
+    state; chunks wholly in the warm-up mask are skipped."""
     rng = np.random.default_rng([config.seed, 2])
     epoch = epoch0
     while True:
         for batch in sample_windows(data, config.plan(), epoch):
-            yield batch, model.initial_state(batch.u.shape[0]), rng
+            if not _all_masked(model.spec, config, batch):
+                yield batch, model.initial_state(batch.u.shape[0]), rng
         epoch += 1
 
 
@@ -385,6 +415,7 @@ def lr_finder(model: Model, data: SequenceData, config: TrainConfig, *, num_step
     chunks too, and the state it ends in is dropped: unlike train_epoch,
     the finder carries nothing across chunk boundaries.
     """
+    _check_window(model.spec, config)
     clone = model.clone()
     stream = _chunk_stream(clone, data, config, epoch0=1_000_000)
 
@@ -428,6 +459,7 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
     train/validation, standardized on the train part only, and windowed.
     Returns the best-validation checkpoint; the model is left holding it.
     """
+    _check_window(model.spec, config)
     train, valid = split_estimation(data, config.valid_fraction)
     std = fit_standardizer(train)
     train_std = std.apply_data(train)

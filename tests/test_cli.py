@@ -85,6 +85,24 @@ def test_cli_main_reports_mistyped_config_as_schema_error(tmp_path, capsys, over
     assert "error[schema]" in err and field in err
 
 
+def test_config_reports_windows_the_warmup_mask_covers(tmp_path):
+    # depth 10 masks the first 1023 samples of every window, before the
+    # dataset is ever loaded, and the other problems are still listed
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": "missing.json", "bogus": 1,
+                                "model": {"arch": "tcn", "depth": 10},
+                                "train": {"window_len": 1023, "chunk_len": 341}}))
+    with pytest.raises(SchemaError) as exc:
+        load_config(path)
+    msg = str(exc.value)
+    assert "train.window_len must exceed the 1023-sample warm-up mask" in msg
+    assert "bogus" in msg
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"dataset": "missing.json", "model": {"arch": "tcn", "depth": 10},
+                              "train": {"window_len": 1536, "chunk_len": 512}}))
+    assert load_config(ok)["train"]["window_len"] == 1536
+
+
 def test_config_defaults_fill_in(tmp_path):
     path = write_config(tmp_path)
     cfg = load_config(path)

@@ -271,16 +271,103 @@ def test_tcn_rejects_empty_sequence():
         tcn_forward(np.zeros((1, 0, 2)), None, model.params, TCN_NAR)
 
 
-def test_tcn_nar_chunked_with_context_equals_monolithic():
-    model = Model.create(TCN_NAR, 11)
+@pytest.mark.parametrize("lengths", [(16, 16, 16, 16), (3, 5, 1, 30, 25), (1, 63)],
+                         ids=["aligned", "mid-block", "one-then-rest"])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+@pytest.mark.parametrize("cached", [False, True], ids=["inference", "training"])
+def test_tcn_nar_chunked_with_context_equals_monolithic(cached, kernel, lengths):
+    # depth 3 has dilations 1, 2, 4: the odd lengths start chunks mid-block,
+    # and a chunk shorter than a layer's context leaves part of it in place
+    spec = replace(TCN_NAR, kernel=kernel)
+    model = Model.create(spec, 11)
     u = np.random.default_rng(11).standard_normal((2, 64, 2))
-    y_mono, _ = tcn_forward(u, None, model.params, TCN_NAR)
+    y_mono, _ = tcn_forward(u, None, model.params, spec)
     state = model.initial_state(2)
     parts = []
-    for c in range(4):
-        yc, state = model.forward(u[:, c * 16 : (c + 1) * 16], state)
+    for lo, hi in zip(np.cumsum((0,) + lengths[:-1]), np.cumsum(lengths)):
+        yc, state = model.forward(u[:, lo:hi], state, return_cache=cached)[:2]
         parts.append(yc)
-    np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono, atol=1e-12)
+    np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono, rtol=1e-12, atol=1e-12)
+
+
+def _ring_rows(conv, l):
+    """Layer l's ring buffer, oldest step first (steps before 0 included)."""
+    buf = conv.buffers[l]
+    return buf[(conv.steps + np.arange(len(buf))) % len(buf)]
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("T", [5, 40])
+def test_tcn_nar_ring_buffers_hold_each_layers_last_inputs(T, kernel):
+    # after a chunk, layer l's buffer holds its inputs of the last
+    # (kernel-1)*2**l steps, as a monolithic cached forward computes them;
+    # at T=5 the deeper layers' buffers still hold zeros from before step 0
+    spec = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=3, depth=4, kernel=kernel)
+    model = Model.create(spec, 15)
+    u = np.random.default_rng(15).standard_normal((2, T, 2))
+    _, state = model.forward(u[:, :2], model.initial_state(2))
+    _, state = model.forward(u[:, 2:], state)
+    _, _, cache = model.forward(u, model.initial_state(2), return_cache=True)
+    assert state.conv.steps == T
+    for l in range(spec.depth):
+        n = (kernel - 1) * 2 ** l
+        x = np.concatenate([np.zeros((2, cache["xs"][l].shape[1], n)), cache["xs"][l]], axis=2)
+        want = x[:, :, -n:].transpose(2, 0, 1)
+        np.testing.assert_allclose(_ring_rows(state.conv, l), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_tcn_nar_streaming_matches_forward_and_ring_buffers(kernel):
+    # conv_cache_step streams a NAR spec with x_t = u_t: its outputs match
+    # one forward, and its buffers match a chunked forward's at every split
+    spec = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=4, depth=4, kernel=kernel)
+    model = Model.create(spec, 16)
+    B, T = 3, 50
+    u = np.random.default_rng(16).standard_normal((B, T, 2))
+    y_mono, _ = model.forward(u, model.initial_state(B))
+    cache = ConvCache.init(spec, B)
+    state = model.initial_state(B)
+    splits = (0, 1, 7, 8, 23, 50)
+    y_stream = np.empty_like(y_mono)
+    for lo, hi in zip(splits[:-1], splits[1:]):
+        for t in range(lo, hi):
+            y_stream[:, t] = conv_cache_step(cache, model.params, u[:, t])
+        _, state = model.forward(u[:, lo:hi], state)
+        assert cache.steps == state.conv.steps == hi
+        for a, b in zip(cache.buffers, state.conv.buffers, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y_stream, y_mono, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("skip", ["identity", "projection", "off"])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_tcn_nar_backward_vs_finite_differences_after_a_chunk(kernel, skip):
+    # the second chunk reads its carried context as fixed data: its kernel
+    # gradients include the taps that read the context, and the 7-step chunk
+    # after 3 steps starts mid-block in layers 1 and 2
+    hidden = 4 if skip == "projection" else 2
+    spec = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=hidden, depth=3,
+                     kernel=kernel, residual=skip != "off")
+    model = Model.create(spec, 25 + kernel)
+    names = model.params.names()
+    rng = np.random.default_rng(kernel)
+    for l in range(spec.depth):  # keep biases off the ReLU kink (see the AR test)
+        model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, hidden)
+    u = rng.standard_normal((2, 10, 2))
+    _, state = tcn_forward(u[:, :3], None, model.params, spec)
+
+    def f(u_chunk, *arrays):
+        params = ParamStore(dict(zip(names, arrays)))
+        y, _, cache = tcn_forward(u_chunk, state, params, spec, return_cache=True)
+
+        def vjp(g):
+            grads, gu = tcn_backward(cache, g, need_input_grad=True)
+            return [gu] + [grads[n] for n in names]
+
+        return y, vjp
+
+    inputs = [u[:, 3:].copy()] + [model.params[n].copy() for n in names]
+    assert grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,28 @@ def test_conv_backward_vs_finite_differences(dilation):
     assert oracles.grad_check(_conv_op(dilation), [x, k]) < 1e-5
 
 
+@pytest.mark.parametrize("width", [0, 1, 3, 8])
+def test_conv_with_context_equals_the_tail_of_the_longer_conv(width):
+    # ctx holds the inputs just before x: the oldest tap (4 steps back over 5
+    # columns) reads it partly (width 1, 3), wholly (8), or reads zeros (0)
+    rng = np.random.default_rng(width)
+    full = rng.standard_normal((2, 3, width + 5))
+    k = rng.standard_normal((4, 3, 3))
+    ctx, x = full[:, :, :width], full[:, :, width:]
+    want = nk.causal_conv1d(full, k, 2)[:, :, width:]
+    np.testing.assert_allclose(nk.causal_conv1d(x, k, 2, ctx=ctx), want, rtol=1e-12, atol=1e-12)
+    # the longer conv's backward with zero upstream over the context columns:
+    # same kernel gradient, and dx is its input adjoint over x
+    g = rng.standard_normal((2, 4, 5))
+    want_dx, want_dk = nk.causal_conv1d_backward(
+        np.concatenate([np.zeros((2, 4, width)), g], axis=2), full, k, 2)
+    dx, dk = nk.causal_conv1d_backward(g, x, k, 2, ctx=ctx)
+    np.testing.assert_allclose(dk, want_dk, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dx, want_dx[:, :, width:], rtol=1e-12, atol=1e-12)
+    with pytest.raises(DimensionError):
+        nk.causal_conv1d(x, k, 2, ctx=ctx[:1])
+
+
 @pytest.mark.parametrize("T", [3, 12])  # T 3: the oldest tap reaches before the start
 def test_conv_into_given_buffers_equals_allocating_form(T):
     rng = np.random.default_rng(T)

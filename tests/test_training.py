@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -415,8 +416,10 @@ def test_masked_targets_leave_updates_bitwise_unchanged():
             np.testing.assert_array_equal(a[name], b[name])
 
 
-def test_gradients_do_not_cross_chunk_boundaries():
-    spec = ModelSpec(arch="gru", mode="nar", input_dim=1, hidden=3, depth=1)
+@pytest.mark.parametrize("arch,mode", [("gru", "nar"), ("gru", "ar"), ("tcn", "nar"),
+                                       ("tcn", "ar")])
+def test_gradients_do_not_cross_chunk_boundaries(arch, mode):
+    spec = ModelSpec(arch=arch, mode=mode, input_dim=1, hidden=3, depth=2)
     model = Model.create(spec, 11)
     cfg = TrainConfig(window_len=64, chunk_len=32, batch_size=2, seed=11)
     data = _toy_data(T=256, seed=11)
@@ -445,6 +448,70 @@ def test_train_epoch_raises_on_nonfinite_loss():
     with pytest.raises(TrainingError):
         with np.errstate(all="ignore"):
             train_epoch(model, data, cfg, state)
+
+
+@pytest.mark.parametrize("arch,mode", [("gru", "nar"), ("tcn", "nar"), ("tcn", "ar")])
+def test_warmup_only_chunks_run_forward_only(monkeypatch, arch, mode):
+    # the first chunk lies wholly in the warm-up mask (7 samples for depth 3):
+    # it is not trained on, but the second chunk gets the state it ends in
+    spec = ModelSpec(arch=arch, mode=mode, input_dim=1, hidden=3, depth=3)
+    model = Model.create(spec, 6)
+    cfg = TrainConfig(window_len=24, chunk_len=6, batch_size=2, seed=6, lr_max=1e-3,
+                      warmup_mask_n=7)
+    data = _toy_data(T=128, seed=6)
+    received = []
+    chunk_step = training._chunk_step
+
+    def recording(model_, batch, state_h, config, rng_):
+        received.append((batch.offset, copy.deepcopy(state_h), model_.params.copy()))
+        return chunk_step(model_, batch, state_h, config, rng_)
+
+    monkeypatch.setattr(training, "_chunk_step", recording)
+    state = TrainState.init(model.params, lr=1e-3)
+    params0 = model.params.copy()
+    train_epoch(model, data, cfg, state)
+    assert [offset for offset, _, _ in received] == [6, 12, 18]
+    assert state.step == 3
+    b0 = _window_batches(data, 24, 6, 2, seed=6)[0]
+    _, want = Model(spec=spec, params=params0).forward(b0.u, model.initial_state(2))
+    assert _same_state(received[0][1], want)
+
+
+def test_tcn_nar_fit_with_default_chunking_completes():
+    # depth 10 masks 1023 samples, so the first 512-sample chunk of every
+    # 4096-sample window is warm-up only
+    data = _linear_system_data(T=5200, seed=15)
+    spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=2, depth=10)
+    cfg = TrainConfig(max_epochs=1, lr_max=1e-3, batch_size=2)
+    result = fit(Model.create(spec, 2), data, cfg)
+    assert len(result.history) == 1 and math.isfinite(result.best_valid_rmse)
+
+
+def test_finder_skips_warmup_only_chunks(monkeypatch):
+    data = _linear_system_data(T=2000, seed=16)
+    spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=2, depth=6)
+    cfg = TrainConfig(window_len=256, chunk_len=32, batch_size=2, seed=7)
+    offsets = []
+    chunk_step = training._chunk_step
+
+    def recording(model_, batch, state_h, config, rng_):
+        offsets.append(batch.offset)
+        return chunk_step(model_, batch, state_h, config, rng_)
+
+    monkeypatch.setattr(training, "_chunk_step", recording)
+    lr_finder(Model.create(spec, 3), data, cfg, num_steps=8)
+    assert offsets[:4] == [32, 64, 96, 128]  # the first 63 samples are masked
+
+
+@pytest.mark.parametrize("arch,warmup", [("tcn", None), ("gru", 256)])
+def test_fit_rejects_windows_the_warmup_mask_covers(arch, warmup):
+    data = _linear_system_data(T=2000, seed=17)
+    spec = ModelSpec(arch=arch, mode="nar", input_dim=1, hidden=2, depth=9)
+    cfg = TrainConfig(window_len=256, chunk_len=128, lr_max=1e-3, warmup_mask_n=warmup)
+    with pytest.raises(ParameterError, match="window_len"):
+        fit(Model.create(spec, 4), data, cfg)
+    with pytest.raises(ParameterError, match="window_len"):
+        lr_finder(Model.create(spec, 4), data, replace(cfg, lr_max=None))
 
 
 def test_warmup_mask_defaults():
@@ -502,3 +569,17 @@ def test_fit_history_is_deterministic():
     for a, b in zip(r1.history, r2.history):
         assert (a.epoch, a.train_rmse, a.valid_rmse, a.lr) == \
                (b.epoch, b.train_rmse, b.valid_rmse, b.lr)
+
+
+def test_chunked_tcn_nar_fit_history_is_deterministic():
+    # four chunks per window, the first wholly in the 63-sample warm-up: the
+    # carried ring buffers and the forward-only chunk reproduce bit for bit
+    data = _linear_system_data(T=2000, seed=18)
+    spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=3, depth=6)
+    cfg = TrainConfig(max_epochs=2, window_len=128, chunk_len=32, batch_size=4, seed=5)
+    r1 = fit(Model.create(spec, 6), data, cfg)
+    r2 = fit(Model.create(spec, 6), data, cfg)
+    assert [(h.train_rmse, h.valid_rmse, h.lr) for h in r1.history] == \
+           [(h.train_rmse, h.valid_rmse, h.lr) for h in r2.history]
+    for name in r1.params:
+        np.testing.assert_array_equal(r1.params[name], r2.params[name])

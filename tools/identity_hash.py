@@ -60,7 +60,7 @@ def _state_arrays(state):
     arrays = list(state.gru_h or [])
     if state.conv is not None:
         arrays += [*state.conv.buffers, np.array(state.conv.steps)]
-    return arrays + [a for a in (state.input_tail, state.last_output) if a is not None]
+    return arrays + ([] if state.last_output is None else [state.last_output])
 
 
 def _case_arrays(spec: ModelSpec, teacher_forced: bool, batch: int, seed: int):
