@@ -94,20 +94,18 @@ def load_config(path: str | Path) -> dict:
             problems.append(f"unknown field 'model.{key}'")
         else:
             model_cfg[key] = value
-    problems += [f"model.{p}" for p in type_problems(model_cfg, SPEC_TYPES)]
+    model_types = type_problems(model_cfg, SPEC_TYPES)
+    problems += [f"model.{p}" for p in model_types]
     train_cfg = sections["train"]
     for key in train_cfg:
         if key not in TRAIN_FIELDS:
             problems.append(f"unknown field 'train.{key}'")
-    problems += [f"train.{p}" for p in type_problems(train_cfg, TRAIN_FIELDS)]
-    problems += [f"train.{p}" for p in range_problems(train_cfg, TRAIN_LOWS)]
+    train_types = [f"train.{p}" for p in type_problems(train_cfg, TRAIN_FIELDS)]
     betas = train_cfg.get("betas")
     if isinstance(betas, list) and (
             len(betas) != 2 or any(type_problems({"b": b}, {"b": float}) for b in betas)):
-        problems.append(f"train.betas must be a list of two numbers, got {betas!r}")
-    vf = train_cfg.get("valid_fraction", 0.2)
-    if not type_problems({"vf": vf}, {"vf": float}) and not 0.0 < vf < 0.5:
-        problems.append(f"train.valid_fraction must lie in (0, 0.5), got {vf}")
+        train_types.append(f"train.betas must be a list of two numbers, got {betas!r}")
+    problems += train_types
     hpo_cfg = dict(HPO_DEFAULTS)
     for key, value in sections["hpo"].items():
         if key not in hpo_cfg:
@@ -118,13 +116,22 @@ def load_config(path: str | Path) -> dict:
     problems += [f"hpo.{p}" for p in range_problems(hpo_cfg, HPO_LOWS)]
     problems += type_problems(raw, {"seed": int, "out_dir": str})
     problems += range_problems(raw, {"seed": TRAIN_LOWS["seed"]})
-    try:  # mistyped or out-of-range values are reported above or by ModelSpec
-        spec = ModelSpec(input_dim=1, output_dim=1, **model_cfg)
-        config = TrainConfig(**{k: v for k, v in train_cfg.items()
-                                if k in TRAIN_FIELDS and k != "betas"})
+    # the range checks are ModelSpec's and TrainConfig's own, run on
+    # sections whose types are sound
+    spec = config = None
+    if not model_types:
+        try:
+            spec = ModelSpec(input_dim=1, output_dim=1, **model_cfg)
+        except ParameterError as exc:
+            problems.append(f"model: {exc}")
+    if not train_types:
+        try:
+            config = TrainConfig(**{k: tuple(v) if k == "betas" else v
+                                    for k, v in train_cfg.items() if k in TRAIN_FIELDS})
+        except ParameterError as exc:
+            problems.append(f"train: {exc}")
+    if spec is not None and config is not None:
         problems += [f"train.{p}" for p in window_problems(spec, config)]
-    except (ParameterError, TypeError):
-        pass
     if problems:
         raise SchemaError("invalid config: " + "; ".join(problems))
     cfg = {

@@ -20,22 +20,23 @@ for the whole chunk in one matmul; free-running AR adds its feedback per step
 as the top layer's previous state times F = head.W @ W0_fb (W0_fb: the
 feedback rows of the layer-0 input weights), and the head runs once per
 chunk. The backward reads the fed-back outputs from the cache and is
-unchanged by the fold. Both TCN modes carry the same state, per-layer ring
-buffers of each layer's last (kernel-1)*2**l inputs (`ConvCache`). The
+unchanged by the fold. Both TCN modes carry the same state, each layer's
+last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). The
 NAR-TCN convolves the whole chunk layer by layer into reused buffers, each
-layer after its own carried context, so a chunk costs O(depth*T) however long
-the history; its cache keeps each layer's context and input and a bool
-pre-activation sign mask, and a forward without a cache keeps nothing. The
-AR-TCN advances the ring buffers one step at a time, in training and
-simulation alike, and `conv_cache_step` streams either mode the same way.
-Layer l's past taps are at least 2**l steps old, so they are summed once per
-2**l-step block with one matmul per tap; a step costs one current-tap matmul
-per layer, and the backward mirrors this.
+layer after its tail, so a chunk costs O(depth*T) however long the history;
+its cache keeps each layer's tail and input and a bool pre-activation sign
+mask, and a forward without a cache keeps nothing. The AR-TCN runs one path
+in training and simulation alike: it writes each layer's outputs, one step
+at a time, into a dense array that begins with the layer above's tail.
+Layer l's past taps are at least 2**l samples old, so they are summed once
+per 2**l-sample block with one matmul per tap; a step costs one current-tap
+matmul per layer, and the backward mirrors this. `conv_cache_step` streams
+either mode one sample at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def receptive_field(depth: int, kernel: int = 2) -> int:
 
     This is the look-back one output reads (the left pad of the stack,
     excluding the current sample), and the total length of the TCN's
-    carried ring buffers; it is the length used for loss masking and
+    carried tails once that many samples have run; it is the length used for loss masking and
     minimum-sequence checks.
     """
     if depth < 1:
@@ -220,80 +221,50 @@ def init_params(spec: ModelSpec, seed: int) -> ParamStore:
 
 @dataclass
 class ConvCache:
-    """Per-layer ring buffers of the last (kernel-1)*2**l layer inputs: the
-    carried state of a TCN in either mode.
+    """Per-layer input tails: the carried state of a TCN in either mode.
 
-    Buffer slot for time step t is t % len(buffer); unwritten slots are zero,
-    which is exactly the left zero-padding of a fresh sequence. A NAR chunk
-    fills the slots a step-by-step pass would, so both modes and
-    `conv_cache_step` streaming hand the same state on. The cache is state
-    only: the weights are passed to each step.
+    tails[l] holds layer l's inputs of the last min(samples so far,
+    (kernel-1)*2**l) samples, oldest first, as (n, B, C_in); a fresh cache
+    holds empty tails, and samples before the sequence start read as zeros.
+    Both modes and `conv_cache_step` streaming hand the same state on. The
+    cache is state only: the weights are passed to each step.
     """
 
     spec: ModelSpec
-    buffers: list[Array]  # layer l: ((kernel-1)*2**l, B, C_in_l)
-    steps: int = 0
-
-    @staticmethod
-    def buffer_shape(spec: ModelSpec, l: int, batch: int) -> tuple[int, int, int]:
-        """Layer l's buffer; kernel 1 keeps one unused slot."""
-        c_in = spec.feed_dim if l == 0 else spec.hidden
-        return (max((spec.kernel - 1) * 2 ** l, 1), batch, c_in)
+    tails: list[Array]
 
     @classmethod
     def init(cls, spec: ModelSpec, batch: int) -> "ConvCache":
-        buffers = [np.zeros(cls.buffer_shape(spec, l, batch)) for l in range(spec.depth)]
-        return cls(spec=spec, buffers=buffers)
+        return cls(spec=spec, tails=[np.empty((0, batch, spec.feed_dim if l == 0 else spec.hidden))
+                                     for l in range(spec.depth)])
 
     def check(self, batch: int) -> None:
-        if self.steps < 0:
-            raise StateError(f"cache cursor out of range: steps={self.steps}")
-        if len(self.buffers) != self.spec.depth:
-            raise StateError(
-                f"cache holds {len(self.buffers)} layer buffers, expected {self.spec.depth}"
-            )
-        for l, buf in enumerate(self.buffers):
-            expected = self.buffer_shape(self.spec, l, batch)
-            if buf.shape != expected:
-                raise StateError(f"layer {l} buffer has shape {buf.shape}, expected {expected}")
-
-    def copy(self) -> "ConvCache":
-        return replace(self, buffers=[b.copy() for b in self.buffers])
-
-    def context(self, l: int) -> Array:
-        """Layer l's inputs of the last (kernel-1)*2**l steps, oldest first,
-        as (n, B, C_in); steps before the sequence start are left out, so
-        n = min((kernel-1)*2**l, steps)."""
-        n = min((self.spec.kernel - 1) * 2 ** l, self.steps)
-        buf = self.buffers[l]
-        i = (self.steps - n) % len(buf)  # the oldest step's slot
-        k = min(n, len(buf) - i)
-        return np.concatenate([buf[i : i + k], buf[: n - k]])
+        spec = self.spec
+        if len(self.tails) != spec.depth:
+            raise StateError(f"cache holds {len(self.tails)} layer tails, expected {spec.depth}")
+        for l, tail in enumerate(self.tails):
+            n, c_in = (spec.kernel - 1) * 2 ** l, spec.feed_dim if l == 0 else spec.hidden
+            if tail.ndim != 3 or tail.shape[1:] != (batch, c_in) or len(tail) > n:
+                raise StateError(
+                    f"layer {l} tail has shape {tail.shape}, expected (<= {n}, {batch}, {c_in})"
+                )
 
     def advanced(self, l: int, rows: Array) -> Array:
-        """Layer l's buffer with rows (T, B, C_in), the layer's inputs of the T
-        steps from `steps`, written into their slots; a new array."""
-        buf = self.buffers[l]
-        n, T = (self.spec.kernel - 1) * 2 ** l, len(rows)
-        if n == 0:
-            return buf.copy()  # kernel 1: the one unused slot
-        if T >= n:  # every slot is rewritten
-            i = (self.steps + T) % n  # the oldest kept step's slot
-            return np.concatenate([rows[T - i :], rows[T - n : T - i]])
-        new = buf.copy()
-        i = self.steps % n
-        k = min(T, n - i)  # rows before the wrap
-        new[i : i + k] = rows[:k]
-        new[: T - k] = rows[k:]
-        return new
+        """Layer l's tail after rows (T, B, C_in), its inputs of the T samples
+        after the tail: the last (kernel-1)*2**l rows of tail + rows, as
+        a new array."""
+        keep = (self.spec.kernel - 1) * 2 ** l - len(rows)  # rows of the old tail kept
+        if keep <= 0:
+            return rows[-keep:].copy()
+        return np.concatenate([self.tails[l][-keep:], rows])
 
 
 @dataclass
 class HiddenState:
     """Carried state for chunked processing.
 
-    gru_h: per-layer hidden (B, H); conv: TCN ring buffers; last_output: the
-    most recent standardized output (AR modes).
+    gru_h: per-layer hidden (B, H); conv: TCN per-layer input tails;
+    last_output: the most recent standardized output (AR modes).
     """
 
     gru_h: list[Array] | None = None
@@ -593,31 +564,30 @@ def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelS
                      record: bool):
     """Conv stack over one chunk, each layer after its carried context.
 
-    Layer l convolves its context from conv (its inputs of the last
-    (kernel-1)*2**l steps, steps >= 0 only) and the chunk, so chunked
-    processing equals one pass over the whole sequence at O(depth*T) per
-    chunk. The returned state holds new buffers with each layer's last inputs
-    in the ring slots a step-by-step pass would fill; conv is only read. Each
-    layer convolves into one pre-activation buffer (every
-    shifted tap and the projection share one scratch array) and applies
-    bias, ReLU and skip in place. With record set, the cache keeps what the
-    backward reads: every layer's context and input and a bool pre > 0 mask
-    per layer; otherwise two output buffers alternate.
+    Layer l convolves its tail from conv (its inputs of the last
+    (kernel-1)*2**l samples, none before the sequence start) and the chunk,
+    so chunked processing equals one pass over the whole sequence at
+    O(depth*T) per chunk. The returned state holds new tails; conv is only
+    read. Each layer convolves into one pre-activation buffer (every shifted
+    tap and the projection share one scratch array) and applies bias, ReLU
+    and skip in place. With record set, the cache keeps what the backward
+    reads: every layer's context and input and a bool pre > 0 mask per
+    layer; otherwise two output buffers alternate.
     """
     B, T, _ = u.shape
     H = spec.hidden
-    s = conv.steps
     x = np.ascontiguousarray(u.transpose(0, 2, 1))  # (B, C, T)
     shape = (B, H, T)
     pre, scratch = np.empty(shape), np.empty(shape)
-    buffers = []
+    tails = []
     if record:
         xs, ctxs, masks = [x], [], []
     else:
         outs = (np.empty(shape), np.empty(shape))
     for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
-        ctx = conv.context(l).transpose(1, 2, 0) if s else None  # (B, C, n)
-        buffers.append(conv.advanced(l, x.transpose(2, 0, 1)))
+        tail = conv.tails[l]
+        ctx = tail.transpose(1, 2, 0) if len(tail) else None  # (B, C, n)
+        tails.append(conv.advanced(l, x.transpose(2, 0, 1)))
         nk.causal_conv1d(x, k, 2 ** l, ctx=ctx, out=pre, scratch=scratch)
         pre += bias[None, :, None]
         out = np.maximum(pre, ZERO, out=np.empty(shape) if record else outs[l % 2])
@@ -637,7 +607,7 @@ def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelS
     cache = None
     if record:
         cache = {"xs": xs, "ctxs": ctxs, "masks": masks, "spec": spec, "params": params}
-    return y, HiddenState(conv=replace(conv, buffers=buffers, steps=s + T)), cache
+    return y, HiddenState(conv=ConvCache(spec, tails)), cache
 
 
 def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
@@ -699,73 +669,85 @@ def _tcn_step_layers(params: ParamStore, spec: ModelSpec) -> list:
     return layers
 
 
-def _tcn_step(layers: list, conv: ConvCache, v: Array, t: int, T: int, P: list | Array,
-              outs: list | None = None) -> Array:
-    """Advance every layer's ring buffer one time step (step t of a call of T
-    steps); returns the top output.
+def _tcn_step(layers: list, a_pad: list, P: list, t: int) -> Array:
+    """Run every layer at step t of a chunk of T = len(P[0]) samples; returns
+    the top output.
 
-    Layer l reads tap j from (kernel-1-j)*2**l steps ago, so its past taps
-    are at least 2**l steps old: at the first step of each 2**l-aligned block,
-    and of the call, one matmul per past tap writes bias + past taps for the
-    rest of the block (up to the call's end) into P[l], and each step adds
-    only its current tap. With outs (recording), P[l] holds T rows, one per
-    step, and layer l's output goes to outs[l][t]; otherwise P[l] is scratch
-    of min(2**l, T) rows, refilled from row 0 at each block.
+    a_pad[l] holds layer l's inputs, its context and then the chunk's T
+    rows; layer l writes its pre-activation to P[l][t] and its output to
+    chunk row t of a_pad[l+1]. Layer l reads tap j from (kernel-1-j)*2**l
+    samples ago, so its past taps are at least 2**l samples old: at the first
+    step of each 2**l-sample block from the chunk start, one matmul per past
+    tap writes bias + past taps for the whole block into P[l], and every row
+    that reads is already written. Each step then adds only its current tap.
     """
-    s = conv.steps
+    T = len(P[0])
+    v = a_pad[0][t - T]
     B = v.shape[0]
     for l, (w_past, w_now, bias, proj, identity_skip) in enumerate(layers):
         d = 2 ** l
-        i = s % d
-        r = t if outs is not None or i > t else i  # this step's row of P[l]
-        buf = conv.buffers[l]
-        if i == 0 or t == 0:
-            m = min(d - i, T - t)
-            blk = P[l][r : r + m].reshape(m * B, -1)
+        if t % d == 0:
+            m = min(d, T - t)
+            blk = P[l][t : t + m].reshape(m * B, -1)
             blk[...] = bias
+            a = a_pad[l]
             for j, w in enumerate(w_past):
-                lo = (s - (len(w_past) - j) * d) % len(buf)  # m slots, no wrap
-                blk += np.dot(buf[lo : lo + m].reshape(m * B, -1), w)
-        pre = P[l][r]
+                lo = len(a) - T + t - (len(w_past) - j) * d
+                blk += np.dot(a[lo : lo + m].reshape(m * B, -1), w)
+        pre = P[l][t]
         pre += np.dot(v, w_now)
-        out = np.maximum(pre, ZERO, out=None if outs is None else outs[l][t])
+        out = np.maximum(pre, ZERO, out=a_pad[l + 1][t - T])
         if identity_skip:
             out += v
         elif proj is not None:
             out += np.dot(v, proj)
-        if len(w_past):
-            buf[s % len(buf)] = v
         v = out
-    conv.steps = s + 1
     return v
 
 
 def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
-    """Advance the cached conv stack one step; cost independent of history.
+    """Advance the cached conv stack one step in place; cost independent of
+    history.
 
     x_t is the full network input vector (B, feed_dim): concat(u_t, y_{t-1})
     in AR mode, u_t in NAR mode; returns the head output (B, output_dim).
-    For streaming one sample at a time, in either mode; whole chunks go
-    through tcn_forward, which resolves the weights once and hands on the
-    same cache.
+    Layer l's past taps read its tail rows straight through views of the
+    kernel taps (zero before the sequence start), and the step's input is
+    then appended to the tail. For streaming one sample at a time, in either
+    mode; whole chunks go through tcn_forward, which hands on the same cache.
     """
     spec = cache.spec
     if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
         raise DimensionError(f"step input shape {x_t.shape} != (B, {spec.feed_dim})")
-    B = x_t.shape[0]
-    cache.check(B)
-    P = np.empty((spec.depth, 1, B, spec.hidden))
-    top = _tcn_step(_tcn_step_layers(params, spec), cache, x_t, 0, 1, P)
-    return top @ params["head.W"] + params["head.b"]
+    cache.check(x_t.shape[0])
+    K, v = spec.kernel, x_t
+    for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
+        tail = cache.tails[l]
+        pre = bias[None].repeat(len(v), axis=0)  # bias, past taps oldest first, current tap
+        for j in range(K - 1):
+            back = (K - 1 - j) * 2 ** l
+            if back <= len(tail):
+                pre += tail[len(tail) - back] @ k[:, :, j].T
+        pre += v @ k[:, :, K - 1].T
+        out = np.maximum(pre, ZERO, out=pre)
+        if identity_skip:
+            out += v
+        elif proj is not None:
+            out += v @ proj[:, :, 0].T
+        cache.tails[l] = cache.advanced(l, v[None])
+        v = out
+    return v @ params["head.W"] + params["head.b"]
 
 
 def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
-    """Free-running AR TCN through the ring buffers.
+    """Free-running AR TCN, one step at a time.
 
     Sequential generation with input concat(u_t, previous output); equals a
-    naive full-history recompute. With record set, each layer's inputs
-    (preceded by the carried context) and pre-activations are kept in dense
-    time-major arrays so the chunk can be backpropagated.
+    naive full-history recompute. Each layer's inputs, preceded by its
+    context (zeros before the sequence start, then its tail), and its
+    pre-activations are kept in dense time-major arrays: each step reads its
+    past taps from them, the new tails are their last rows, and with record
+    set they are the cache the backward reads.
     """
     B, T, I = u.shape
     H = spec.hidden
@@ -773,56 +755,52 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
         raise StateError("AR forward needs state.last_output (zero for a fresh sequence)")
     layers = _tcn_step_layers(params, spec)
     w_y, b_y = params["head.W"], params["head.b"]
-    cache = outs = None
-    if record:
-        lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
-        a_pad = []
-        for l, n in enumerate(lens):
-            ctx = conv.context(l)
-            arr = np.empty((n + T,) + ctx.shape[1:])
-            arr[: n - len(ctx)] = 0.0  # steps before the sequence start
-            arr[n - len(ctx) : n] = ctx
-            a_pad.append(arr)
-        a_pad.append(np.empty((T, B, H)))  # top-layer outputs, no context
-        P = [np.empty((T, B, H)) for _ in range(spec.depth)]  # pre-activations
-        outs = [a[len(a) - T :] for a in a_pad[1:]]
-        X0 = a_pad[0][lens[0] :]
-        cache = {"a_pad": a_pad, "pres": P, "lens": lens, "layers": layers,
-                 "steps": conv.steps, "spec": spec, "params": params, "shape": (B, T),
-                 "teacher_forced": teacher is not None}
-    else:
-        P = [np.empty((min(2 ** l, T), B, H)) for l in range(spec.depth)]
-        X0 = np.empty((T, B, spec.feed_dim))
+    lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
+    a_pad = []
+    for n, tail in zip(lens, conv.tails):
+        a = np.empty((n + T,) + tail.shape[1:])
+        a[: n - len(tail)] = 0.0  # samples before the sequence start
+        a[n - len(tail) : n] = tail
+        a_pad.append(a)
+    a_pad.append(np.empty((T, B, H)))  # top-layer outputs, no context
+    P = [np.empty((T, B, H)) for _ in range(spec.depth)]  # pre-activations
     # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
+    X0 = a_pad[0][lens[0] :]
     X0[:, :, :I] = u.transpose(1, 0, 2)
     Y = np.empty((T, B, spec.output_dim))
     fb = last_output
     for t in range(T):
         x0 = X0[t]
         x0[:, I:] = fb
-        v = _tcn_step(layers, conv, x0, t, T, P, outs)
+        v = _tcn_step(layers, a_pad, P, t)
         fb = np.add(np.dot(v, w_y), b_y, out=Y[t])
         if teacher is not None:
             fb = teacher[:, t]
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
-    return y, HiddenState(conv=conv, last_output=fb.copy()), cache
+    tails = [conv.advanced(l, a[n:]) for l, (n, a) in enumerate(zip(lens, a_pad))]
+    cache = None
+    if record:
+        cache = {"a_pad": a_pad, "pres": P, "lens": lens, "layers": layers, "spec": spec,
+                 "params": params, "shape": (B, T), "teacher_forced": teacher is not None}
+    return y, HiddenState(conv=ConvCache(spec, tails), last_output=fb.copy()), cache
 
 
 def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     """Reverse-time adjoint sweep through the cached AR-TCN chunk.
 
-    Adjoints only ever flow from later to earlier time steps (conv taps and
+    Adjoints only ever flow from later to earlier time (conv taps and
     the output feedback both look backward), so one descending pass over t
     with a top-down layer loop visits every node after its dependents. Each
     step adds the current-tap and skip adjoints; a block's past-tap adjoints
     are added with one matmul per tap at its first step, which comes before
-    any step those taps read (they lie at least 2**l steps back). Adjoints of
-    the carried context are dropped, as the context is data, not graph.
+    any step those taps read (they lie at least 2**l samples back); blocks
+    start at the chunk start, as in the forward. Adjoints of the carried
+    context are dropped, as the context is data, not graph.
     """
     spec = cache["spec"]
     params = cache["params"]
     a_pad, pres, lens = cache["a_pad"], cache["pres"], cache["lens"]
-    layers, steps = cache["layers"], cache["steps"]
+    layers = cache["layers"]
     B, T = cache["shape"]
     I, O, H = spec.input_dim, spec.output_dim, spec.hidden
     depth = spec.depth
@@ -848,14 +826,13 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
                 g_in += g_out
             elif proj is not None:
                 g_in += np.dot(g_out, proj.T)
-            i = (steps + t) % d
-            if len(w_past) and i == 0:  # a partial first block reads only the context
+            if len(w_past) and t % d == 0:
                 m = min(d, T - t)
                 G = g_pres[l][t : t + m].reshape(m * B, H)
                 for j, w in enumerate(w_past):
                     lo = lens[l] + t - (len(w_past) - j) * d
                     g_a[l][lo : lo + m] += np.dot(G, w.T).reshape(m, B, -1)
-        gx0 = g_a[0][lens[0] + t]  # final: the steps left add to earlier rows only
+        gx0 = g_a[0][lens[0] + t]  # final: the rest of the sweep adds to earlier rows only
         if not cache["teacher_forced"]:
             g_fb = gx0[:, I:]
         if need_input_grad:
@@ -894,24 +871,24 @@ def tcn_forward(
     """TCN over one chunk: dilation 2**l at layer l, ReLU, optional residual;
     returns (y, new state[, cache]).
 
-    Both modes carry per-layer ring buffers (state.conv, never modified).
-    NAR convolves the whole chunk at once, each layer after its carried
-    context. AR generates step by step through the ring buffers; its
-    fed-back value is the model's own output unless a teacher sequence is
-    supplied.
+    Both modes carry per-layer input tails (state.conv, never modified).
+    NAR convolves the whole chunk at once, each layer after its tail. AR
+    generates step by step, each layer's past taps read from its tail and
+    the chunk's earlier samples; its fed-back value is the model's own output
+    unless a teacher sequence is supplied.
     """
     _check_seq_input(u, spec)
     if state is None:
         state = initial_state(spec, u.shape[0])
     elif state.conv is None:
-        raise StateError("TCN forward needs state.conv ring buffers")
+        raise StateError("TCN forward needs state.conv tails")
     else:
         state.conv.check(u.shape[0])
     if spec.mode == "nar":
         y, new_state, cache = _tcn_nar_forward(u, state.conv, params, spec, return_cache)
     else:
-        y, new_state, cache = _tcn_ar_forward(u, state.conv.copy(), state.last_output, params,
-                                              spec, teacher, return_cache)
+        y, new_state, cache = _tcn_ar_forward(u, state.conv, state.last_output, params, spec,
+                                              teacher, return_cache)
     if return_cache:
         return y, new_state, cache
     return y, new_state

@@ -103,6 +103,24 @@ def test_config_reports_windows_the_warmup_mask_covers(tmp_path):
     assert load_config(ok)["train"]["window_len"] == 1536
 
 
+@pytest.mark.parametrize("section, field", [
+    ({"model": {"depth": 0}}, "depth"),
+    ({"model": {"kernel": 0}}, "kernel"),
+    ({"model": {"arch": "tcn", "dropout": 0.5}}, "dropout"),
+    ({"train": {"lookahead_alpha": 2.0}}, "lookahead_alpha"),
+    ({"train": {"betas": [0.9, 1.5]}}, "betas"),
+], ids=["depth", "kernel", "tcn_dropout", "lookahead_alpha", "beta_range"])
+def test_config_reports_out_of_range_values_before_the_dataset_loads(tmp_path, section, field):
+    # ModelSpec's and TrainConfig's own range checks run in load_config, so
+    # the dataset path, which does not exist, is never reached
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": "missing.json", **section}))
+    with pytest.raises(SchemaError) as exc:
+        load_config(path)
+    name = next(iter(section))
+    assert f"{name}: " in str(exc.value) and field in str(exc.value)
+
+
 def test_config_defaults_fill_in(tmp_path):
     path = write_config(tmp_path)
     cfg = load_config(path)

@@ -290,42 +290,44 @@ def test_tcn_nar_chunked_with_context_equals_monolithic(cached, kernel, lengths)
     np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono, rtol=1e-12, atol=1e-12)
 
 
-def _ring_rows(conv, l):
-    """Layer l's ring buffer, oldest step first (steps before 0 included)."""
-    buf = conv.buffers[l]
-    return buf[(conv.steps + np.arange(len(buf))) % len(buf)]
-
-
-@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
 @pytest.mark.parametrize("T", [5, 40])
 def test_tcn_nar_ring_buffers_hold_each_layers_last_inputs(T, kernel):
-    # after a chunk, layer l's buffer holds its inputs of the last
-    # (kernel-1)*2**l steps, as a monolithic cached forward computes them;
-    # at T=5 the deeper layers' buffers still hold zeros from before step 0
-    spec = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=3, depth=4, kernel=kernel)
-    model = Model.create(spec, 15)
-    u = np.random.default_rng(15).standard_normal((2, T, 2))
-    _, state = model.forward(u[:, :2], model.initial_state(2))
-    _, state = model.forward(u[:, 2:], state)
-    _, _, cache = model.forward(u, model.initial_state(2), return_cache=True)
-    assert state.conv.steps == T
-    for l in range(spec.depth):
-        n = (kernel - 1) * 2 ** l
-        x = np.concatenate([np.zeros((2, cache["xs"][l].shape[1], n)), cache["xs"][l]], axis=2)
-        want = x[:, :, -n:].transpose(2, 0, 1)
-        np.testing.assert_allclose(_ring_rows(state.conv, l), want, rtol=1e-12, atol=1e-12)
+    # a fresh state holds empty tails; after chunks of T steps in all, layer
+    # l's tail holds exactly its inputs of the last min(T, (kernel-1)*2**l)
+    # steps as a monolithic cached forward computes them (kernel 1: none),
+    # in either mode; at T=5 the deeper layers' tails are still short
+    for mode in ("nar", "ar"):
+        spec = ModelSpec(arch="tcn", mode=mode, input_dim=2, hidden=3, depth=4, kernel=kernel)
+        model = Model.create(spec, 15)
+        u = np.random.default_rng(15).standard_normal((2, T, 2))
+        state = model.initial_state(2)
+        assert [len(tail) for tail in state.conv.tails] == [0] * spec.depth
+        _, state = model.forward(u[:, :2], state)
+        _, state = model.forward(u[:, 2:], state)
+        _, _, cache = model.forward(u, model.initial_state(2), return_cache=True)
+        for l, tail in enumerate(state.conv.tails):
+            n = (kernel - 1) * 2 ** l
+            if mode == "nar":
+                inputs = cache["xs"][l].transpose(2, 0, 1)
+            else:
+                inputs = cache["a_pad"][l][n:]
+            assert tail.shape == (min(T, n), 2, spec.feed_dim if l == 0 else 3)
+            np.testing.assert_allclose(tail, inputs[T - len(tail) :], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kernel", [2, 3])
 def test_tcn_nar_streaming_matches_forward_and_ring_buffers(kernel):
-    # conv_cache_step streams a NAR spec with x_t = u_t: its outputs match
-    # one forward, and its buffers match a chunked forward's at every split
+    # conv_cache_step streams a NAR spec with x_t = u_t from empty tails: its
+    # outputs match one forward, and its tails match a chunked forward's at
+    # every split
     spec = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=4, depth=4, kernel=kernel)
     model = Model.create(spec, 16)
     B, T = 3, 50
     u = np.random.default_rng(16).standard_normal((B, T, 2))
     y_mono, _ = model.forward(u, model.initial_state(B))
     cache = ConvCache.init(spec, B)
+    assert all(len(tail) == 0 for tail in cache.tails)
     state = model.initial_state(B)
     splits = (0, 1, 7, 8, 23, 50)
     y_stream = np.empty_like(y_mono)
@@ -333,8 +335,8 @@ def test_tcn_nar_streaming_matches_forward_and_ring_buffers(kernel):
         for t in range(lo, hi):
             y_stream[:, t] = conv_cache_step(cache, model.params, u[:, t])
         _, state = model.forward(u[:, lo:hi], state)
-        assert cache.steps == state.conv.steps == hi
-        for a, b in zip(cache.buffers, state.conv.buffers, strict=True):
+        for l, (a, b) in enumerate(zip(cache.tails, state.conv.tails, strict=True)):
+            assert len(a) == min(hi, (kernel - 1) * 2 ** l)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(y_stream, y_mono, rtol=1e-12, atol=1e-12)
 
@@ -447,43 +449,61 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
 @pytest.mark.parametrize("kernel", [2, 3])
 def test_tcn_ar_block_boundaries_across_chunks(kernel, lengths):
     # depth 6 batches up to 32 past taps per block; the chunks start and end
-    # at many block offsets, and the short ones end before their block does
+    # at many block offsets, and the short ones end before their block does;
+    # streaming leaves the chunked forward's tails at every split
     spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=5, depth=6, kernel=kernel)
     model = Model.create(spec, 30 + kernel)
     B, splits = 3, np.cumsum((0,) + lengths)
     u = np.random.default_rng(kernel).standard_normal((B, 200, 2))
     y_mono, _ = model.forward(u, model.initial_state(B))
     state_inf = state_train = model.initial_state(B)
-    parts = []
+    cache = ConvCache.init(spec, B)
+    fb = np.zeros((B, 1))
+    parts, y_stream = [], np.empty_like(y_mono)
     for lo, hi in zip(splits[:-1], splits[1:]):
         y_inf, state_inf = model.forward(u[:, lo:hi], state_inf)
         y_train, state_train, _ = model.forward(u[:, lo:hi], state_train, return_cache=True)
         np.testing.assert_array_equal(y_train, y_inf)
-        assert state_train.conv.steps == state_inf.conv.steps == hi
-        for a, b in zip(state_train.conv.buffers, state_inf.conv.buffers, strict=True):
+        for a, b in zip(state_train.conv.tails, state_inf.conv.tails, strict=True):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(state_train.last_output, state_inf.last_output)
         parts.append(y_inf)
+        for t in range(lo, hi):
+            fb = y_stream[:, t] = conv_cache_step(cache, model.params,
+                                                  np.concatenate([u[:, t], fb], axis=1))
+        for l, (a, b) in enumerate(zip(cache.tails, state_inf.conv.tails, strict=True)):
+            assert len(a) == min(hi, (kernel - 1) * 2 ** l)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(np.concatenate(parts, axis=1), y_mono, rtol=1e-12, atol=1e-12)
-    cache = ConvCache.init(spec, B)
-    fb = np.zeros((B, 1))
-    y_stream = np.empty_like(y_mono)
-    for t in range(200):
-        fb = y_stream[:, t] = conv_cache_step(cache, model.params,
-                                              np.concatenate([u[:, t], fb], axis=1))
     np.testing.assert_allclose(y_stream, y_mono, rtol=1e-12, atol=1e-12)
 
 
 def test_tcn_ar_corrupted_buffers_raise():
+    # layer 1 takes 4 channels and keeps at most 2 rows; layer 0 takes 3
     model = Model.create(TCN_AR, 14)
-    state = model.initial_state(1)
-    state.conv.buffers[1] = state.conv.buffers[1][:, :, :1]
-    with pytest.raises(StateError):
-        model.forward(np.zeros((1, 4, 2)), state)
-    state2 = model.initial_state(1)
-    state2.conv.steps = -1
-    with pytest.raises(StateError):
-        model.forward(np.zeros((1, 4, 2)), state2)
+    for l, tail in ((1, np.zeros((1, 1, 1))),  # wrong channel count
+                    (1, np.zeros((3, 1, 4))),  # longer than the layer's width
+                    (0, np.zeros((1, 2, 3)))):  # wrong batch size
+        state = model.initial_state(1)
+        state.conv.tails[l] = tail
+        with pytest.raises(StateError):
+            model.forward(np.zeros((1, 4, 2)), state)
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+def test_tcn_forward_leaves_the_given_state_unchanged(mode):
+    # neither mode copies the state it is given, so neither may write it
+    spec = ModelSpec(arch="tcn", mode=mode, input_dim=2, hidden=4, depth=4, kernel=3)
+    model = Model.create(spec, 17)
+    u = np.random.default_rng(17).standard_normal((2, 30, 2))
+    _, state = model.forward(u[:, :11], model.initial_state(2))
+    tails = list(state.conv.tails)
+    before = [a.tobytes() for a in tails + [state.last_output] if a is not None]
+    for record in (False, True):
+        model.forward(u[:, 11:], state, return_cache=record)
+        assert all(a is b for a, b in zip(state.conv.tails, tails, strict=True))
+        after = [a.tobytes() for a in state.conv.tails + [state.last_output] if a is not None]
+        assert after == before
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ def _assert_states_equal(a, b):
         np.testing.assert_array_equal(x, y)
     assert (a.conv is None) == (b.conv is None)
     if a.conv is not None:
-        assert a.conv.steps == b.conv.steps
-        for x, y in zip(a.conv.buffers, b.conv.buffers, strict=True):
+        for x, y in zip(a.conv.tails, b.conv.tails, strict=True):
             np.testing.assert_array_equal(x, y)
     assert (a.last_output is None) == (b.last_output is None)
     if a.last_output is not None:
@@ -93,8 +92,8 @@ def _assert_states_equal(a, b):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_training_path_matches_inference_path_bitwise(data):
-    # for AR-TCN this compares the recording sweep with plain ring-buffer
-    # generation, for NAR-TCN the cached stack with the two-buffer one: the
+    # for AR-TCN this compares a recording call with a plain one of the same
+    # path, for NAR-TCN the cached stack with the two-buffer one: the
     # outputs and the final states must be identical
     for spec, model, u, teacher, T1 in _variants(data, dropout=False):
         B, T, _ = u.shape

@@ -573,7 +573,7 @@ def test_fit_history_is_deterministic():
 
 def test_chunked_tcn_nar_fit_history_is_deterministic():
     # four chunks per window, the first wholly in the 63-sample warm-up: the
-    # carried ring buffers and the forward-only chunk reproduce bit for bit
+    # carried tails and the forward-only chunk reproduce bit for bit
     data = _linear_system_data(T=2000, seed=18)
     spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=3, depth=6)
     cfg = TrainConfig(max_epochs=2, window_len=128, chunk_len=32, batch_size=4, seed=5)

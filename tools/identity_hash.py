@@ -59,7 +59,7 @@ def _specs():
 def _state_arrays(state):
     arrays = list(state.gru_h or [])
     if state.conv is not None:
-        arrays += [*state.conv.buffers, np.array(state.conv.steps)]
+        arrays += state.conv.tails
     return arrays + ([] if state.last_output is None else [state.last_output])
 
 
