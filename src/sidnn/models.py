@@ -20,7 +20,12 @@ for the whole chunk in one matmul; free-running AR adds its feedback per step
 as the top layer's previous state times F = head.W @ W0_fb (W0_fb: the
 feedback rows of the layer-0 input weights), and the head runs once per
 chunk. The backward reads the fed-back outputs from the cache and is
-unchanged by the fold. Both TCN modes carry the same state, each layer's
+unchanged by the fold. A GRU step forms both gates with one tanh, as
+sig(a) = 1/2 + tanh(a/2)/2 on z/r weight columns halved once per chunk; a
+cached forward then forms the backward's per-step factors for the whole
+chunk at once, so a backward step is a few multiplies and two matmuls. The
+carried state is checked against the spec and batch before a chunk runs
+(`HiddenState.check`). Both TCN modes carry the same state, each layer's
 last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). The
 NAR-TCN convolves the whole chunk layer by layer into reused buffers, each
 layer after its tail, so a chunk costs O(depth*T) however long the history;
@@ -48,7 +53,7 @@ from .errors import (
     StateError,
     UsageError,
 )
-from .numkit import ONE, ZERO
+from .numkit import HALF, ONE, ZERO
 
 Array = np.ndarray
 
@@ -271,6 +276,27 @@ class HiddenState:
     conv: ConvCache | None = None
     last_output: Array | None = None
 
+    def check(self, spec: ModelSpec, batch: int) -> None:
+        """Raise StateError unless every carried array fits spec and batch;
+        an unset gru_h or conv is left to the caller."""
+        if self.gru_h is not None:
+            if len(self.gru_h) != spec.depth:
+                raise StateError(
+                    f"state holds {len(self.gru_h)} GRU layers, expected {spec.depth}")
+            for l, h in enumerate(self.gru_h):
+                if np.shape(h) != (batch, spec.hidden):
+                    raise StateError(f"layer {l} GRU state has shape {np.shape(h)}, "
+                                     f"expected {(batch, spec.hidden)}")
+        if self.conv is not None:
+            self.conv.check(batch)
+        if spec.mode == "ar":
+            if self.last_output is None:
+                raise StateError("AR forward needs state.last_output "
+                                 "(zero for a fresh sequence)")
+            if np.shape(self.last_output) != (batch, spec.output_dim):
+                raise StateError(f"state.last_output has shape {np.shape(self.last_output)}, "
+                                 f"expected {(batch, spec.output_dim)}")
+
 
 def initial_state(spec: ModelSpec, batch: int) -> HiddenState:
     """Zero state for a fresh sequence."""
@@ -300,23 +326,40 @@ def _gru_layer_mats(params: ParamStore, l: int):
     return w_cat, b_cat, u_zr, Uh
 
 
+def _halved_zr(mats, H: int):
+    """Layer matrices with the z/r columns halved, as `_gru_step` reads
+    them; halving is exact, and the given matrices are not written."""
+    w_cat, b_cat, u_zr, u_h = mats
+    w, b = w_cat.copy(), b_cat.copy()
+    w[:, : 2 * H] *= HALF
+    b[: 2 * H] *= HALF
+    return w, b, u_zr * HALF, u_h
+
+
 def _gru_step(p_zr: Array, p_h: Array, h: Array, u_zr: Array, u_h: Array, H: int,
               h_out: Array, c_out: Array | None = None):
     """One gated update from precomputed input projections; returns (z, r).
 
-    p_zr is x @ [Wz|Wr] + [bz|br] (B, 2H) and p_h is x @ Wh + bh (B, H),
-    views the caller splits once per chunk (layer 0) or per step (above).
-    z = sig(.), r = sig(.), c = tanh(.), h' = (1-z)*h + z*c. h' goes to h_out,
-    which must not alias h, and c to c_out when given. A step makes one
-    nk.sigmoid call and no Python-float operand: each numpy call costs more
-    in dispatch than in arithmetic at these sizes.
+    The gates are logistic in tanh form, sig(a) = 1/2 + tanh(a/2)/2, with
+    the halving folded into the weights: p_zr is x @ [Wz|Wr]/2 + [bz|br]/2
+    (B, 2H), u_zr is [Uz|Ur]/2, and p_h is x @ Wh + bh (B, H), views the
+    caller splits once per chunk (layer 0) or per step (above). z, r =
+    tanh(p_zr + h @ u_zr)/2 + 1/2, c = tanh(p_h + (r*h) @ Uh), h' =
+    h + z*(c - h). h' goes to h_out, which must not alias h, and c to c_out
+    when given. z and r lie in [0, 1] for any pre-activation, infinities
+    included, and a step makes two tanh calls and no Python-float operand:
+    each numpy call costs more in dispatch than in arithmetic at these sizes.
     """
-    zr = nk.sigmoid(p_zr + h @ u_zr)
+    zr = p_zr + h @ u_zr
+    np.tanh(zr, out=zr)
+    zr *= HALF
+    zr += HALF
     z = zr[:, :H]
     r = zr[:, H:]
     c = np.tanh(p_h + (r * h) @ u_h, out=c_out)
-    np.multiply(ONE - z, h, out=h_out)
-    h_out += z * c
+    np.subtract(c, h, out=h_out)
+    h_out *= z
+    h_out += h
     return z, r
 
 
@@ -402,7 +445,10 @@ def gru_forward(
     teacher-forced AR. Free-running AR hoists the u part, and folds the
     feedback fb = h @ head.W + head.b through F = head.W @ W0_fb, so a step
     adds one h_top @ F; its first step uses state.last_output instead. The
-    head runs once after the loop.
+    head runs once after the loop. The z/r columns of every weight, bias and
+    F are halved once per chunk for `_gru_step`, in copies; params is not
+    written. The cache keeps the unhalved matrices and, formed after the
+    loop over the whole chunk, the factors the backward multiplies by.
     """
     _check_seq_input(u, spec)
     B, T, I = u.shape
@@ -410,13 +456,12 @@ def gru_forward(
     ar = spec.mode == "ar"
     if state is None:
         state = initial_state(spec, B)
-    if ar and state.last_output is None:
-        raise StateError("AR forward needs state.last_output (zero for a fresh sequence)")
-    h0 = state.gru_h if state.gru_h is not None else [np.zeros((B, H)) for _ in range(L)]
+    state.check(spec, B)
     mats = [_gru_layer_mats(params, l) for l in range(L)]
+    steps = [_halved_zr(m, H) for m in mats]
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
-    w0, b0, _, _ = mats[0]
+    w0, b0, _, _ = steps[0]
     free = ar and teacher is None
     # scratch arrays are time-major (T, B, .) so each step touches one
     # contiguous block; (B, T, .) slicing thrashes caches for long chunks
@@ -440,8 +485,12 @@ def gru_forward(
     else:
         proj0 = (X0.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
     P_zr, P_h = proj0[:, :, : 2 * H], proj0[:, :, 2 * H :]
-    hs = list(h0)  # read only: each step writes its h' into Hs
-    Hs = [np.empty((T, B, H)) for _ in range(L)]
+    # S[l][0] is the carried state and S[l][t+1] the state after step t, so
+    # the previous states are the view S[l][:-1]
+    S = [np.empty((T + 1, B, H)) for _ in range(L)]
+    for s, h in zip(S, state.gru_h or [ZERO] * L):
+        s[0] = h
+    hs = [s[0] for s in S]  # read only: each step writes its h' into S
     if return_cache:
         Zs = [np.empty((T, B, H)) for _ in range(L)]
         Rs = [np.empty((T, B, H)) for _ in range(L)]
@@ -452,11 +501,11 @@ def gru_forward(
             proj_t += hs[L - 1] @ F
         p_zr, p_h = P_zr[t], P_h[t]
         for l in range(L):
-            w_cat, b_cat, u_zr, u_h = mats[l]
+            w_cat, b_cat, u_zr, u_h = steps[l]
             if l > 0:
                 proj = x @ w_cat + b_cat
                 p_zr, p_h = proj[:, : 2 * H], proj[:, 2 * H :]
-            h = Hs[l][t]
+            h = S[l][t + 1]
             if return_cache:
                 Zs[l][t], Rs[l][t] = _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h, Cs[l][t])
             else:
@@ -464,6 +513,7 @@ def gru_forward(
             hs[l] = h
             if l < L - 1:
                 x = h * masks[l] if masks else h
+    Hs = [s[1:] for s in S]
     Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
     last_output = None
@@ -473,8 +523,27 @@ def gru_forward(
             X0[1:, :, I:] = Y[:-1]
     new_state = HiddenState(gru_h=[h.copy() for h in hs], last_output=last_output)
     if return_cache:
-        cache = {"X0": X0, "h0": h0, "H": Hs, "Z": Zs, "R": Rs, "C": Cs,
-                 "masks": masks, "mats": mats, "spec": spec, "params": params,
+        HP = [s[:-1] for s in S]
+        # proj0 is dead after the loop, so its memory takes the first factors:
+        # fresh arrays would page-fault on first touch
+        spare = list(proj0.reshape(3, T, B, H))
+        FZ, FR = [], []
+        for z, r, c, h_prev in zip(Zs, Rs, Cs, HP):
+            # written over Z and C where the backward no longer needs them
+            fz = np.subtract(c, h_prev, out=spare.pop() if spare else None)
+            fz *= z
+            fr = np.subtract(ONE, r, out=spare.pop() if spare else None)
+            fr *= r
+            fr *= h_prev
+            np.multiply(c, c, out=c)
+            np.subtract(ONE, c, out=c)
+            c *= z  # z * (1 - c**2)
+            np.subtract(ONE, z, out=z)  # 1 - z
+            fz *= z  # (c - h_prev) * z * (1 - z)
+            FZ.append(fz)
+            FR.append(fr)
+        cache = {"X0": X0, "H": Hs, "HP": HP, "R": Rs, "omz": Zs, "fz": FZ, "fc": Cs,
+                 "fr": FR, "masks": masks, "mats": mats, "spec": spec, "params": params,
                  "shape": (B, T), "teacher_forced": ar and teacher is not None}
         return y, new_state, cache
     return y, new_state
@@ -483,13 +552,17 @@ def gru_forward(
 def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     """Reverse sweep through a cached gru_forward chunk; returns (grads, du).
 
-    In AR mode each output's adjoint also collects the adjoint of the next
-    step's fed-back input, unless that input was teacher-forced.
+    A step's gate adjoints are g times the factors the forward cached:
+    1-z for the carried state, (c - h_prev)*z*(1-z) for z, z*(1-c**2) for
+    the candidate, and h_prev*r*(1-r) times the candidate's adjoint pulled
+    through Uh for r. In AR mode each output's adjoint also collects the
+    adjoint of the next step's fed-back input, unless that input was
+    teacher-forced. The cache is only read.
     """
     params = cache["params"]
     spec = cache["spec"]
-    h0 = cache["h0"]
-    Hs, Zs, Rs, Cs = cache["H"], cache["Z"], cache["R"], cache["C"]
+    Hs, HP, Rs = cache["H"], cache["HP"], cache["R"]
+    OMZ, FZ, FC, FR = cache["omz"], cache["fz"], cache["fc"], cache["fr"]
     masks, mats = cache["masks"], cache["mats"]
     B, T = cache["shape"]
     H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
@@ -500,7 +573,6 @@ def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     GY = g_y.transpose(1, 0, 2).copy()
     if not ar:
         g_top = (GY.reshape(T * B, O) @ w_y_t).reshape(T, B, H)
-    HP = [np.concatenate([h0[l][None], Hs[l][:-1]], axis=0) for l in range(L)]
     mats_t = [(w_cat.T, u_zr.T, u_h.T) for w_cat, _, u_zr, u_h in mats]
     GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
     gh_carry = [np.zeros((B, H)) for _ in range(L)]
@@ -516,17 +588,14 @@ def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
             w_t, u_zr_t, u_h_t = mats_t[l]
             ga = GA[l][t]
             g = gh_carry[l] + g_above
-            z, r, c, h_prev = Zs[l][t], Rs[l][t], Cs[l][t], HP[l][t]
-            omz = ONE - z
-            gh = g * omz
-            ga_h = (g * z) * (ONE - c * c)
-            g_rh = ga_h @ u_h_t
-            gh += g_rh * r
-            np.multiply(g * (c - h_prev) * z, omz, out=ga[:, :H])
-            np.multiply(g_rh * h_prev * r, ONE - r, out=ga[:, H : 2 * H])
-            ga[:, 2 * H :] = ga_h
-            gh += ga[:, : 2 * H] @ u_zr_t
-            gh_carry[l] = gh
+            g_rh = np.multiply(g, FC[l][t], out=ga[:, 2 * H :]) @ u_h_t
+            np.multiply(g, FZ[l][t], out=ga[:, :H])
+            np.multiply(g_rh, FR[l][t], out=ga[:, H : 2 * H])
+            g *= OMZ[l][t]  # g is this step's own array, free once read
+            g_rh *= Rs[l][t]
+            g += g_rh
+            g += ga[:, : 2 * H] @ u_zr_t
+            gh_carry[l] = g
             if l > 0:
                 gx = ga @ w_t
                 g_above = gx * masks[l - 1] if masks else gx
@@ -751,8 +820,6 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
     """
     B, T, I = u.shape
     H = spec.hidden
-    if last_output is None:
-        raise StateError("AR forward needs state.last_output (zero for a fresh sequence)")
     layers = _tcn_step_layers(params, spec)
     w_y, b_y = params["head.W"], params["head.b"]
     lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
@@ -883,7 +950,7 @@ def tcn_forward(
     elif state.conv is None:
         raise StateError("TCN forward needs state.conv tails")
     else:
-        state.conv.check(u.shape[0])
+        state.check(spec, u.shape[0])
     if spec.mode == "nar":
         y, new_state, cache = _tcn_nar_forward(u, state.conv, params, spec, return_cache)
     else:

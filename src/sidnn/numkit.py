@@ -2,7 +2,9 @@
 
 Every tensor is a C-contiguous float64 ndarray with an explicit shape; there
 is no autodiff graph. The dilated causal convolution ships its analytic
-backward; the logistic is the numerically stable two-branch form.
+backward. The GRU gates take the logistic as a tanh, sigma(a) = 1/2 +
+tanh(a/2)/2, in `models`; `sigmoid` here is the two-branch form, kept for
+the benchmark's call counter and its bitwise tests.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ Array = np.ndarray
 
 # read-only 0-d operands: numpy dispatches them faster than Python floats
 ZERO = np.zeros(())
+HALF = np.full((), 0.5)
 ONE = np.ones(())
-ZERO.flags.writeable = ONE.flags.writeable = False
+ZERO.flags.writeable = HALF.flags.writeable = ONE.flags.writeable = False
 
 
 def as_f64(values) -> Array:
@@ -155,6 +158,9 @@ def sigmoid(x: Array) -> Array:
     numerator is exp(min(x, 0)): exp(0) == 1 exactly for x >= 0, and for
     x < 0 (or NaN) it is exp(x), the same operation on the same operand as
     e. No exp argument is ever positive, so nothing overflows.
+
+    The program no longer calls it: the GRU step forms its gates with one
+    tanh (`models._gru_step`).
     """
     e = np.exp(np.minimum(x, -x))
     return np.exp(np.minimum(x, ZERO)) / (e + ONE)

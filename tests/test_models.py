@@ -193,6 +193,47 @@ def test_gru_ar_missing_last_output_raises():
         gru_forward(np.zeros((1, 4, 2)), state, model.params, GRU_AR)
 
 
+@pytest.mark.parametrize("spec,field,value", [
+    (GRU_NAR, "gru_h", [np.zeros((1, 3)), np.zeros((1, 3))]),  # batch 1 for batch 4
+    (GRU_NAR, "gru_h", [np.zeros((4, 3))]),  # one layer of two
+    (GRU_NAR, "gru_h", [np.zeros((4, 3)), np.zeros((4, 5))]),  # width 5 for 3
+    (GRU_AR, "last_output", np.zeros((1, 1))),  # batch 1 for batch 4
+    (TCN_AR, "last_output", np.zeros((1, 1))),
+    (TCN_AR, "last_output", np.zeros((4, 2))),  # two outputs for one
+], ids=["gru_h_batch", "gru_h_layers", "gru_h_width", "gru_last_output_batch",
+        "tcn_last_output_batch", "tcn_last_output_width"])
+def test_mismatched_carried_state_raises(spec, field, value):
+    # numpy would broadcast a batch-1 array over the batch, or fail with a
+    # bare IndexError/ValueError, if the forward did not check the state
+    model = Model.create(spec, 0)
+    state = model.initial_state(4)
+    setattr(state, field, value)
+    with pytest.raises(StateError):
+        model.forward(np.zeros((4, 5, 2)), state)
+
+
+def test_gru_gates_stay_bounded_at_extreme_pre_activations():
+    # each hidden unit's gate and candidate biases take one extreme value;
+    # the z/r halving must neither overflow nor turn an infinity into a NaN
+    extremes = np.array([800.0, -800.0, 1e308, -1e308, np.inf, -np.inf])
+    spec = ModelSpec(arch="gru", mode="nar", input_dim=2, hidden=len(extremes), depth=2)
+    model = Model.create(spec, 9)
+    for l in range(spec.depth):
+        for gate in "zrh":
+            model.params[f"gru.{l}.b{gate}"][:] = extremes
+    u = np.random.default_rng(9).standard_normal((2, 12, 2))
+    y, state, cache = model.forward(u, model.initial_state(2), return_cache=True)
+    assert np.isfinite(y).all() and all(np.isfinite(h).all() for h in state.gru_h)
+    for l in range(spec.depth):
+        z, r = 1.0 - cache["omz"][l], cache["R"][l]
+        assert ((0.0 <= z) & (z <= 1.0) & (0.0 <= r) & (r <= 1.0)).all()
+        assert np.isfinite(cache["H"][l]).all()
+    u[0, 4, 1] = np.nan
+    y, _ = model.forward(u, model.initial_state(2))
+    assert np.isnan(y[0, 4:]).all()
+    assert np.isfinite(y[0, :4]).all() and np.isfinite(y[1]).all()
+
+
 def test_ar_with_zero_feedback_weights_equals_nar():
     # zeroing the feedback input rows must reproduce the NAR twin exactly
     rng = np.random.default_rng(7)
@@ -612,18 +653,25 @@ def _cached_arrays(obj):
             yield from _cached_arrays(item)
 
 
-@pytest.mark.parametrize("spec", [GRU_NAR, GRU_AR, replace(TCN_NAR, kernel=3),
-                                  replace(TCN_AR, kernel=3)],
-                         ids=["gru_nar", "gru_ar", "tcn_nar", "tcn_ar"])
-def test_backward_twice_on_one_cache_is_bitwise_stable(spec):
+@pytest.mark.parametrize("spec,teacher_forced", [
+    (GRU_NAR, False), (GRU_AR, False), (replace(TCN_NAR, kernel=3), False),
+    (replace(TCN_AR, kernel=3), False), (GRU_AR, True), (replace(GRU_NAR, dropout=0.3), False),
+], ids=["gru_nar", "gru_ar", "tcn_nar", "tcn_ar", "gru_ar_teacher", "gru_dropout"])
+def test_backward_twice_on_one_cache_is_bitwise_stable(spec, teacher_forced):
     # the backward passes reuse scratch buffers, which must never alias an
-    # array the cache holds: a second backward then reads what the first did
+    # array the cache holds: a second backward then reads what the first did.
+    # The forward works on copies of the parameters (the GRU halves its
+    # gate columns), so the parameters must come out bitwise unchanged too
     model = Model.create(spec, 40)
     rng = np.random.default_rng(40)
     u = rng.standard_normal((2, 30, spec.input_dim))
     g = rng.standard_normal((2, 20, spec.output_dim))
+    kw = {"teacher": rng.standard_normal((2, 20, spec.output_dim))} if teacher_forced else {}
+    params = [a.tobytes() for a in _cached_arrays(model.params)]
     _, state = model.forward(u[:, :10], model.initial_state(2))  # a carried context
-    _, _, cache = model.forward(u[:, 10:], state, training=True, return_cache=True)
+    _, _, cache = model.forward(u[:, 10:], state, training=True, rng=rng,
+                                return_cache=True, **kw)
+    assert [a.tobytes() for a in _cached_arrays(model.params)] == params
     cached = [a.tobytes() for a in _cached_arrays(cache)]
     runs = []
     for _ in range(2):

@@ -151,6 +151,12 @@ def test_affine_and_conv_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def test_operand_constants_are_read_only_scalars():
+    for const, value in ((nk.ZERO, 0.0), (nk.HALF, 0.5), (nk.ONE, 1.0)):
+        assert const.shape == () and const.dtype == np.float64 and const == value
+        assert not const.flags.writeable
+
+
 def test_activation_fixed_points():
     assert nk.sigmoid(np.array([0.0]))[0] == 0.5
     assert oracles.tanh(np.array([0.0]))[0] == 0.0
