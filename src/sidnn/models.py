@@ -524,15 +524,12 @@ def gru_forward(
     new_state = HiddenState(gru_h=[h.copy() for h in hs], last_output=last_output)
     if return_cache:
         HP = [s[:-1] for s in S]
-        # proj0 is dead after the loop, so its memory takes the first factors:
-        # fresh arrays would page-fault on first touch
-        spare = list(proj0.reshape(3, T, B, H))
         FZ, FR = [], []
         for z, r, c, h_prev in zip(Zs, Rs, Cs, HP):
             # written over Z and C where the backward no longer needs them
-            fz = np.subtract(c, h_prev, out=spare.pop() if spare else None)
+            fz = c - h_prev
             fz *= z
-            fr = np.subtract(ONE, r, out=spare.pop() if spare else None)
+            fr = ONE - r
             fr *= r
             fr *= h_prev
             np.multiply(c, c, out=c)
