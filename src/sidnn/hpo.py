@@ -3,14 +3,17 @@
 Random search with early stopping: a trial finishing rung r is promoted to
 rung r+1 iff its validation loss ranks within the top ceil(k/eta) of the k
 results completed at rung r so far (ties favor the lower trial id), else it
-stops. Every decision is appended to a JSON-lines event log, so a run can be
-replayed and audited.
+stops. The thread that calls run_search makes every decision; worker threads
+only train. Every decision is written to a JSON-lines event log that holds
+one search, so a run can be replayed and audited.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import queue
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -203,12 +206,18 @@ def run_search(
 ) -> tuple[list[TrialRecord], list[SearchEvent]]:
     """Run ASHA until `budget` trials have been sampled and all work drained.
 
-    Workers pull either a pending promotion or a new trial: trial 0 runs the
-    space's default overlay, every later one a sampled config.
-    Trial failures are recorded and skipped; the search continues. Any other
-    exception from a trial is also recorded as a failure, but stops the hand-out
-    of new work; once every worker has returned it is raised as a
-    TrainingError. Returns the records sorted by best achieved validation
+    The calling thread is the only one that touches the search state. It
+    hands each idle worker a job: a pending promotion first, else a new trial
+    while the budget lasts (trial 0 runs the space's default overlay, every
+    later one a sampled config). It takes each result from a queue, decides
+    it, and writes the records, rungs, events and the log at out_path, which
+    holds this search alone. The `workers` daemon threads only call
+    trial_runner, so an interrupt of the caller ends the search at once: no
+    further trial starts, and the trials in flight run out in the background.
+    A SidnnError from a trial is logged and the search goes on. Any other
+    exception is logged too, but stops the hand-out; once the running trials
+    have returned it is raised as a TrainingError, as it is when no trial
+    completes a rung. Returns the records sorted by best achieved validation
     RMSE plus the event log.
     """
     problems = range_problems(dict(budget=budget, workers=workers, eta=eta, r_min=r_min,
@@ -221,113 +230,90 @@ def run_search(
                                  "unless a trial_runner is injected")
         trial_runner = _default_trial_runner(data, base_spec, base_config)
     rungs = [Rung(r, r_min * eta ** r) for r in range(num_rungs)]
-    records: dict[int, TrialRecord] = {}
+    records: dict[int, TrialRecord] = {}  # status "running" while its job is out
     events: list[SearchEvent] = []
     pending: list[tuple[int, int]] = []  # (trial_id, rung_index) promotions to run
-    lock = threading.Lock()
-    cond = threading.Condition(lock)
-    sampled = 0
-    in_flight = 0
-    crashes: list[tuple[int, Exception]] = []  # non-SidnnError trial exceptions
-    log_fh = open(out_path, "a", encoding="utf-8") if out_path is not None else None
+    crash: tuple[int, BaseException] | None = None  # first non-SidnnError of a trial
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def work() -> None:
+        # job: (trial_id, rung_index, overlay, epochs, trial_seed); None ends it
+        while (job := jobs.get()) is not None:
+            try:
+                outcome = float(trial_runner(*job[2:]))
+            except BaseException as exc:  # handed back, so no job is ever lost
+                outcome = exc
+            results.put((job, outcome))
+
+    def hand_out() -> bool:
+        if pending:
+            trial_id, rung_index = pending.pop(0)
+        elif len(records) < budget:
+            trial_id, rung_index = len(records), 0
+            overlay = (space.default_overlay() if trial_id == 0
+                       else sample_config(space, seed, trial_id))
+            records[trial_id] = TrialRecord(trial_id=trial_id, config=overlay)
+        else:
+            return False
+        records[trial_id].status = "running"
+        jobs.put((trial_id, rung_index, dict(records[trial_id].config),
+                  rungs[rung_index].resource, _trial_seed(seed, trial_id)))
+        return True
+
+    def running() -> int:
+        return sum(r.status == "running" for r in records.values())
 
     def emit(trial_id: int, rung_index: int, loss: float, decision: str,
              error: str | None = None) -> None:
         ev = SearchEvent(trial_id, rung_index, rungs[rung_index].resource, loss,
                          decision, time.time(), error)
         events.append(ev)
-        if log_fh is not None:
-            log_fh.write(ev.to_json() + "\n")
-            log_fh.flush()
+        log_fh.write(ev.to_json() + "\n")
+        log_fh.flush()
 
-    def next_job():
-        nonlocal sampled, in_flight
-        with cond:
-            while True:
-                if crashes:
-                    return None
-                if pending:
-                    job = pending.pop(0)
-                    in_flight += 1
-                    return job
-                if sampled < budget:
-                    trial_id = sampled
-                    sampled += 1
-                    if trial_id == 0:
-                        overlay = space.default_overlay()
-                    else:
-                        overlay = sample_config(space, seed, trial_id)
-                    records[trial_id] = TrialRecord(trial_id=trial_id, config=overlay)
-                    in_flight += 1
-                    return (trial_id, 0)
-                if in_flight == 0:
-                    return None
-                cond.wait()
-
-    def complete(trial_id: int, rung_index: int, loss: float | None,
-                 error: str | None) -> None:
-        nonlocal in_flight
-        with cond:
-            record = records[trial_id]
-            if loss is None:
-                record.status = "failed"
-                emit(trial_id, rung_index, math.nan, "fail", error)
-            else:
-                rungs[rung_index].results.append((trial_id, loss))
-                record.rungs.append((rungs[rung_index].resource, loss))
-                if rung_index == num_rungs - 1:
-                    record.status = "completed"
-                    emit(trial_id, rung_index, loss, "complete")
-                else:
-                    decision = asha_decide(rungs, (trial_id, rung_index, loss), eta)
-                    if decision == "promote":
-                        record.status = "promoted"
-                        pending.append((trial_id, rung_index + 1))
-                    else:
-                        record.status = "stopped"
-                    emit(trial_id, rung_index, loss, decision)
-            in_flight -= 1
-            cond.notify_all()
-
-    def worker() -> None:
-        while True:
-            job = next_job()
-            if job is None:
-                return
-            trial_id, rung_index = job
-            overlay = records[trial_id].config
-            loss = error = None
-            try:
-                loss = float(trial_runner(overlay, rungs[rung_index].resource,
-                                          _trial_seed(seed, trial_id)))
-            except Exception as exc:
-                # a failed trial is logged; after a SidnnError the search
-                # goes on, any other exception stops the hand-out of work
-                error = f"{type(exc).__name__}: {exc}"
-                if not isinstance(exc, SidnnError):
-                    with cond:
-                        crashes.append((trial_id, exc))
-            finally:
-                # release the job whatever happened, or peers wait forever
-                complete(trial_id, rung_index, loss, error)
-
+    log_fh = open(out_path if out_path is not None else os.devnull, "w", encoding="utf-8")
+    for _ in range(workers):
+        threading.Thread(target=work, daemon=True).start()
     try:
-        if workers == 1:
-            worker()
-        else:
-            threads = [threading.Thread(target=worker) for _ in range(workers)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
+        while True:
+            while crash is None and running() < workers and hand_out():
+                pass
+            if not running():
+                break
+            (trial_id, rung_index, *_), outcome = results.get()
+            record = records[trial_id]
+            if isinstance(outcome, BaseException):
+                # after a SidnnError the search goes on; any other exception
+                # stops the hand-out of work
+                record.status = "failed"
+                emit(trial_id, rung_index, math.nan, "fail",
+                     f"{type(outcome).__name__}: {outcome}")
+                if not isinstance(outcome, SidnnError) and crash is None:
+                    crash = (trial_id, outcome)
+                continue
+            rungs[rung_index].results.append((trial_id, outcome))
+            record.rungs.append((rungs[rung_index].resource, outcome))
+            if rung_index == num_rungs - 1:
+                record.status = "completed"
+                emit(trial_id, rung_index, outcome, "complete")
+                continue
+            decision = asha_decide(rungs, (trial_id, rung_index, outcome), eta)
+            if decision == "promote":
+                record.status = "promoted"
+                pending.append((trial_id, rung_index + 1))
+            else:
+                record.status = "stopped"
+            emit(trial_id, rung_index, outcome, decision)
     finally:
-        if log_fh is not None:
-            log_fh.close()
-    if crashes:
-        trial_id, exc = crashes[0]
-        raise TrainingError(
-            f"trial {trial_id} raised {type(exc).__name__}: {exc}"
-        ) from exc
+        for _ in range(workers):
+            jobs.put(None)  # idle workers end now, busy ones after their trial
+        log_fh.close()
+    if crash is not None:
+        trial_id, exc = crash
+        raise TrainingError(f"trial {trial_id} raised {type(exc).__name__}: {exc}") from exc
+    if all(r.status == "failed" for r in records.values()):
+        raise TrainingError(f"no trial completed a rung; trial 0 failed with "
+                            f"{next(e.error for e in events if e.trial_id == 0)}")
     ranked = sorted(records.values(), key=lambda r: (r.best_loss, r.trial_id))
     return ranked, events
 

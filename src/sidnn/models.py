@@ -812,8 +812,9 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
     naive full-history recompute. Each layer's inputs, preceded by its
     context (zeros before the sequence start, then its tail), and its
     pre-activations are kept in dense time-major arrays: each step reads its
-    past taps from them, the new tails are their last rows, and with record
-    set they are the cache the backward reads.
+    past taps from them and the new tails are their last rows. With record
+    set, the cache keeps the input arrays and a bool pre > 0 mask per layer,
+    formed once after the time loop.
     """
     B, T, I = u.shape
     H = spec.hidden
@@ -844,8 +845,9 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
     tails = [conv.advanced(l, a[n:]) for l, (n, a) in enumerate(zip(lens, a_pad))]
     cache = None
     if record:
-        cache = {"a_pad": a_pad, "pres": P, "lens": lens, "layers": layers, "spec": spec,
-                 "params": params, "shape": (B, T), "teacher_forced": teacher is not None}
+        cache = {"a_pad": a_pad, "masks": [p > 0.0 for p in P], "lens": lens,
+                 "layers": layers, "spec": spec, "params": params, "shape": (B, T),
+                 "teacher_forced": teacher is not None}
     return y, HiddenState(conv=ConvCache(spec, tails), last_output=fb.copy()), cache
 
 
@@ -863,7 +865,7 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     """
     spec = cache["spec"]
     params = cache["params"]
-    a_pad, pres, lens = cache["a_pad"], cache["pres"], cache["lens"]
+    a_pad, masks, lens = cache["a_pad"], cache["masks"], cache["lens"]
     layers = cache["layers"]
     B, T = cache["shape"]
     I, O, H = spec.input_dim, spec.output_dim, spec.hidden
@@ -883,7 +885,7 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
             w_past, w_now, _, proj, identity_skip = layers[l]
             d = 2 ** l
             g_out = g_outs[l][t]
-            g_pre = np.multiply(g_out, pres[l][t] > ZERO, out=g_pres[l][t])
+            g_pre = np.multiply(g_out, masks[l][t], out=g_pres[l][t])
             g_in = g_a[l][lens[l] + t]
             g_in += np.dot(g_pre, w_now.T)
             if identity_skip:

@@ -446,6 +446,19 @@ def test_hpo_smoke(tmp_path):
     assert "config" in best and best["best_valid_rmse"] > 0
 
 
+def test_hpo_without_a_completed_trial_fails_and_writes_no_best_config(tmp_path, capsys):
+    # every trial's window (at least the base 1024) outgrows the 960-sample training split
+    cfg = write_config(tmp_path, train={"max_epochs": 1, "window_len": 1024, "chunk_len": 128,
+                                        "batch_size": 4},
+                       hpo={"budget": 3, "workers": 2, "eta": 3, "r_min": 1, "num_rungs": 2})
+    out = tmp_path / "hpo"
+    assert main(["hpo", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error[training]" in err and "trial 0 failed with PlanError" in err
+    assert not (out / "best_config.json").exists()
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 3
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ ALLOWED_UNREAD = {
     "FinderResult.lrs": "the finder's sweep curve, to be written to finder.csv",
     "FinderResult.losses": "the finder's sweep curve, to be written to finder.csv",
     "FinderResult.smoothed": "the finder's sweep curve, to be written to finder.csv",
-    "TrialRecord.status": "run_search returns the records to its callers",
 }
 
 

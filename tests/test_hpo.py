@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from sidnn.data import synth_wiener_hammerstein
 from sidnn.errors import BookkeepingError, ParameterError, TrainingError
 from sidnn.hpo import (
     Rung,
+    SearchEvent,
     SearchSpace,
     _trial_seed,
     asha_decide,
@@ -283,3 +285,100 @@ def test_search_on_synthetic_system_beats_default_config():
     baseline = baseline_runner(space.default_overlay(), 9, _trial_seed(0, 0))
     best = min(r.best_loss for r in records)
     assert best <= baseline + 1e-12
+
+
+def _fail_all_but(ok_trials, seed, make_exc):
+    seed_to_trial = {_trial_seed(seed, t): t for t in range(27)}
+
+    def runner(config, epochs, trial_seed):
+        trial = seed_to_trial[trial_seed]
+        if trial not in ok_trials:
+            raise make_exc(trial)
+        return trial / 10.0
+
+    return runner
+
+
+def test_system_exit_in_a_worker_ends_the_search_as_training_error(tmp_path):
+    import json
+
+    out = tmp_path / "trials.jsonl"
+    runner = _fail_all_but(set(range(27)) - {1}, 9, lambda trial: SystemExit(3))
+    with pytest.raises(TrainingError, match="trial 1 raised SystemExit: 3") as info:
+        run_search(SearchSpace(), 9, 2, None, eta=3, seed=9, trial_runner=runner,
+                   out_path=out)
+    assert isinstance(info.value.__cause__, SystemExit)
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(e["trial_id"], e["error"]) for e in lines if e["decision"] == "fail"] == \
+           [(1, "SystemExit: 3")]
+    # the hand-out stopped: at most the other worker's trial ran after trial 1
+    assert len({e["trial_id"] for e in lines}) <= 3
+
+
+def test_budget_below_worker_count_runs_each_trial_once():
+    records, events = run_search(SearchSpace(), 2, 3, None, eta=3, num_rungs=2, seed=0,
+                                 trial_runner=lambda config, epochs, trial_seed: 1.0)
+    assert sorted(r.trial_id for r in records) == [0, 1]
+    assert replay_decisions(events, eta=3, num_rungs=2)
+
+
+def test_event_log_holds_one_search(tmp_path):
+    losses = [r / 10.0 for r in _rank_table_27()]
+    out = tmp_path / "trials.jsonl"
+    run_search(SearchSpace(), 6, 1, None, seed=0, trial_runner=_make_runner(losses, 0),
+               out_path=out)
+    _, events = run_search(SearchSpace(), 6, 1, None, seed=5,
+                           trial_runner=_make_runner(losses, 5), out_path=out)
+    logged = [SearchEvent(**json.loads(line)) for line in out.read_text().splitlines()]
+    assert [(e.trial_id, e.rung, e.valid_rmse, e.decision) for e in logged] == \
+           [(e.trial_id, e.rung, e.valid_rmse, e.decision) for e in events]
+    assert replay_decisions(logged)
+
+
+def test_search_with_no_completed_trial_raises():
+    runner = _fail_all_but(set(), 2, lambda trial: ParameterError(f"bad trial {trial}"))
+    with pytest.raises(TrainingError, match="trial 0 failed with ParameterError: bad trial 0"):
+        run_search(SearchSpace(), 4, 2, None, seed=2, trial_runner=runner)
+
+
+_INTERRUPTED_SEARCH = """
+import sys, time
+from sidnn.hpo import SearchSpace, run_search
+
+def runner(config, epochs, trial_seed):
+    with open(sys.argv[1], "a") as fh:
+        fh.write("start\\n")
+    time.sleep(30)
+    return 1.0
+
+run_search(SearchSpace(), 9, int(sys.argv[2]), None, trial_runner=runner)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_ends_the_search_at_once(tmp_path, workers):
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    import sidnn
+
+    starts = tmp_path / "starts.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(sidnn.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_SEARCH, str(starts),
+                             str(workers)], env=env, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (starts.exists() and len(starts.read_text().splitlines()) == workers):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=5)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode != 0
+    assert len(starts.read_text().splitlines()) == workers, "a trial started after Ctrl-C"
