@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -327,15 +328,24 @@ _INPUT_SMOOTH = 0.7  # u[t] = 0.3 w[t] + 0.7 u[t-1], w ~ N(0, 1)
 
 
 def _second_order_filter(x: Array, b, a) -> Array:
-    y = np.zeros_like(x)
-    for t in range(x.shape[0]):
-        acc = b[0] * x[t]
+    """y[t] = b0 x[t] + (b1 x[t-1] + a0 y[t-1]) + (b2 x[t-2] + a1 y[t-2]) from
+    zero state, summed in that order on Python floats: they round as numpy
+    float64 scalars do, at a fraction of the cost per operation. The samples
+    pass through C-double arrays and the last two of each in locals, so no
+    float object outlives its step (a list of them leaves the interpreter's
+    allocator holding about 2 MB per 31,000 samples)."""
+    (b0, b1, b2), (a0, a1) = b, a
+    ys = array("d")
+    x1 = x2 = y1 = y2 = 0.0
+    for t, xt in enumerate(array("d", x.tobytes())):  # x is 1-d float64
+        acc = b0 * xt
         if t >= 1:
-            acc += b[1] * x[t - 1] + a[0] * y[t - 1]
+            acc += b1 * x1 + a0 * y1
         if t >= 2:
-            acc += b[2] * x[t - 2] + a[1] * y[t - 2]
-        y[t] = acc
-    return y
+            acc += b2 * x2 + a1 * y2
+        ys.append(acc)
+        x2, x1, y2, y1 = x1, xt, y1, acc
+    return np.array(ys)
 
 
 def wiener_hammerstein_response(u: Array) -> Array:
@@ -352,11 +362,12 @@ def synth_wiener_hammerstein(n: int, seed: int = 0, noise_std: float = 0.0) -> S
         raise ParameterError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(n)
-    u = np.empty(n)
+    us = array("d")
     prev = 0.0
-    for t in range(n):
-        prev = (1.0 - _INPUT_SMOOTH) * w[t] + _INPUT_SMOOTH * prev
-        u[t] = prev
+    for wt in array("d", w.tobytes()):  # Python floats, as in _second_order_filter
+        prev = (1.0 - _INPUT_SMOOTH) * wt + _INPUT_SMOOTH * prev
+        us.append(prev)
+    u = np.array(us)
     y = wiener_hammerstein_response(u)
     if noise_std > 0.0:
         y = y + noise_std * rng.standard_normal(n)

@@ -35,8 +35,13 @@ in training and simulation alike: it writes each layer's outputs, one step
 at a time, into a dense array that begins with the layer above's tail.
 Layer l's past taps are at least 2**l samples old, so they are summed once
 per 2**l-sample block with one matmul per tap; a step costs one current-tap
-matmul per layer, and the backward mirrors this. `conv_cache_step` streams
-either mode one sample at a time.
+matmul per layer, and the backward mirrors this. An identity skip is folded
+into the current tap as w_now + I, once per chunk, so a step accumulates
+q = pre + v and outputs max(q, v): three numpy calls per layer, every product
+through np.dot into a buffer allocated once per chunk. Its cached mask is
+q > v, which keeps pre > 0's rule that a zero pre-activation sends the
+adjoint through the skip only. `conv_cache_step` streams either mode one
+sample at a time.
 """
 
 from __future__ import annotations
@@ -723,51 +728,80 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
     return grads, gu
 
 
-def _tcn_step_layers(params: ParamStore, spec: ModelSpec) -> list:
-    """Per layer: the past taps as contiguous (C_in, H) matrices stacked
-    oldest first, the current tap's matrix, the bias, the transposed
-    projection or None, and whether the skip is the identity."""
+def _tcn_step_layers(params: ParamStore, spec: ModelSpec, batch: int) -> list:
+    """Per layer, what a step of `_tcn_step` reads: the past taps as
+    contiguous (C_in, H) matrices stacked oldest first, the bias, the
+    current-tap matrix w, a (batch, w columns) product buffer and its views
+    `now` (the pre-activation's share) and `side` (the projection's share, or
+    None), and whether the skip is the identity.
+
+    An identity skip is folded into the current tap as w_now + I, so a step
+    accumulates q = pre + v and its output relu(pre) + v is max(q, v). A
+    projection is appended to the current tap's columns, [w_now | proj], so
+    one product serves both. The buffers are allocated here, once per chunk.
+    """
     layers = []
     for k, bias, proj, identity_skip in _tcn_layers(params, spec):
         w = np.ascontiguousarray(k.T)  # (kernel, C_in, H)
-        proj_t = None if proj is None else np.ascontiguousarray(proj[:, :, 0].T)
-        layers.append((w[:-1], w[-1], bias, proj_t, identity_skip))
+        w_now = w[-1]
+        if identity_skip:
+            w_now = w_now + np.eye(len(w_now))
+        elif proj is not None:
+            w_now = np.concatenate([w_now, proj[:, :, 0].T], axis=1)
+        H = len(bias)
+        prod = np.empty((batch, w_now.shape[1]))
+        now, side = (prod, None) if proj is None else (prod[:, :H], prod[:, H:])
+        layers.append((w[:-1], bias, w_now, prod, now, side, identity_skip))
     return layers
 
 
-def _tcn_step(layers: list, a_pad: list, P: list, t: int) -> Array:
+def _tcn_step(layers: list, a_pad: list, P: list, t: int, tmp: Array) -> Array:
     """Run every layer at step t of a chunk of T = len(P[0]) samples; returns
     the top output.
 
     a_pad[l] holds layer l's inputs, its context and then the chunk's T
-    rows; layer l writes its pre-activation to P[l][t] and its output to
-    chunk row t of a_pad[l+1]. Layer l reads tap j from (kernel-1-j)*2**l
-    samples ago, so its past taps are at least 2**l samples old: at the first
-    step of each 2**l-sample block from the chunk start, one matmul per past
-    tap writes bias + past taps for the whole block into P[l], and every row
-    that reads is already written. Each step then adds only its current tap.
+    rows; layer l accumulates its pre-activation in P[l][t] and writes its
+    output to chunk row t of a_pad[l+1]. Layer l reads tap j from
+    (kernel-1-j)*2**l samples ago, so its past taps are at least 2**l samples
+    old: at the first step of each 2**l-sample block from the chunk start, one
+    matmul per past tap writes the past taps for the whole block into P[l]
+    (the first through out=, the bias added after), and every row that reads
+    is already written. Each step then adds its current tap through the
+    layer's product buffer and takes the output as max(P, v) for an identity
+    skip (w_now + I folded, see `_tcn_step_layers`) or max(P, 0) plus the
+    projection's share otherwise: three numpy calls for an identity or no
+    skip, four with a projection. tmp is a (B, H) scratch for the second and
+    later past taps of a one-row block. A kernel-1 layer has no past taps,
+    and the caller fills its P with the bias.
     """
     T = len(P[0])
     v = a_pad[0][t - T]
-    B = v.shape[0]
-    for l, (w_past, w_now, bias, proj, identity_skip) in enumerate(layers):
+    B = len(v)
+    for l, (w_past, bias, w, prod, now, side, identity_skip) in enumerate(layers):
         d = 2 ** l
-        if t % d == 0:
-            m = min(d, T - t)
-            blk = P[l][t : t + m].reshape(m * B, -1)
-            blk[...] = bias
-            a = a_pad[l]
-            for j, w in enumerate(w_past):
-                lo = len(a) - T + t - (len(w_past) - j) * d
-                blk += np.dot(a[lo : lo + m].reshape(m * B, -1), w)
         pre = P[l][t]
-        pre += np.dot(v, w_now)
-        out = np.maximum(pre, ZERO, out=a_pad[l + 1][t - T])
-        if identity_skip:
-            out += v
-        elif proj is not None:
-            out += np.dot(v, proj)
-        v = out
+        if len(w_past) and t % d == 0:
+            a = a_pad[l]
+            lo = len(a) - T + t - len(w_past) * d
+            m = min(d, T - t)
+            if m == 1:  # one row: no reshapes
+                np.dot(a[lo], w_past[0], out=pre)
+                for j in range(1, len(w_past)):
+                    pre += np.dot(a[lo + j * d], w_past[j], out=tmp)
+                pre += bias
+            else:
+                blk = P[l][t : t + m].reshape(m * B, -1)
+                np.dot(a[lo : lo + m].reshape(m * B, -1), w_past[0], out=blk)
+                for j in range(1, len(w_past)):
+                    blk += np.dot(a[lo + j * d : lo + j * d + m].reshape(m * B, -1), w_past[j])
+                blk += bias
+        row = a_pad[l + 1][t - T]
+        np.dot(v, w, out=prod)
+        pre += now
+        np.maximum(pre, v if identity_skip else ZERO, out=row)
+        if side is not None:
+            row += side
+        v = row
     return v
 
 
@@ -811,14 +845,17 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
     Sequential generation with input concat(u_t, previous output); equals a
     naive full-history recompute. Each layer's inputs, preceded by its
     context (zeros before the sequence start, then its tail), and its
-    pre-activations are kept in dense time-major arrays: each step reads its
-    past taps from them and the new tails are their last rows. With record
-    set, the cache keeps the input arrays and a bool pre > 0 mask per layer,
-    formed once after the time loop.
+    accumulated pre-activations are kept in dense time-major arrays: each step
+    reads its past taps from them and the new tails are their last rows. With
+    record set, the cache keeps the input arrays and a bool mask per layer,
+    formed once after the time loop: P > v for an identity skip (the
+    accumulator holds q = pre + v, and q > v is pre > 0 with a zero
+    pre-activation sending the adjoint through the skip only), P > 0
+    otherwise.
     """
     B, T, I = u.shape
     H = spec.hidden
-    layers = _tcn_step_layers(params, spec)
+    layers = _tcn_step_layers(params, spec, B)
     w_y, b_y = params["head.W"], params["head.b"]
     lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
     a_pad = []
@@ -829,6 +866,10 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
         a_pad.append(a)
     a_pad.append(np.empty((T, B, H)))  # top-layer outputs, no context
     P = [np.empty((T, B, H)) for _ in range(spec.depth)]  # pre-activations
+    if spec.kernel == 1:  # no past taps: the bias starts every step's sum
+        for p, (_, bias, *_) in zip(P, layers):
+            p[...] = bias
+    tmp = np.empty((B, H))
     # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
     X0 = a_pad[0][lens[0] :]
     X0[:, :, :I] = u.transpose(1, 0, 2)
@@ -837,17 +878,20 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
     for t in range(T):
         x0 = X0[t]
         x0[:, I:] = fb
-        v = _tcn_step(layers, a_pad, P, t)
-        fb = np.add(np.dot(v, w_y), b_y, out=Y[t])
+        v = _tcn_step(layers, a_pad, P, t, tmp)
+        fb = Y[t]
+        np.dot(v, w_y, out=fb)
+        fb += b_y
         if teacher is not None:
             fb = teacher[:, t]
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
     tails = [conv.advanced(l, a[n:]) for l, (n, a) in enumerate(zip(lens, a_pad))]
     cache = None
     if record:
-        cache = {"a_pad": a_pad, "masks": [p > 0.0 for p in P], "lens": lens,
-                 "layers": layers, "spec": spec, "params": params, "shape": (B, T),
-                 "teacher_forced": teacher is not None}
+        masks = [p > (a[n:] if identity_skip else 0.0)
+                 for p, a, n, (*_, identity_skip) in zip(P, a_pad, lens, layers)]
+        cache = {"a_pad": a_pad, "masks": masks, "lens": lens, "spec": spec,
+                 "params": params, "shape": (B, T), "teacher_forced": teacher is not None}
     return y, HiddenState(conv=ConvCache(spec, tails), last_output=fb.copy()), cache
 
 
@@ -857,20 +901,31 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     Adjoints only ever flow from later to earlier time (conv taps and
     the output feedback both look backward), so one descending pass over t
     with a top-down layer loop visits every node after its dependents. Each
-    step adds the current-tap and skip adjoints; a block's past-tap adjoints
-    are added with one matmul per tap at its first step, which comes before
-    any step those taps read (they lie at least 2**l samples back); blocks
-    start at the chunk start, as in the forward. Adjoints of the carried
-    context are dropped, as the context is data, not graph.
+    step adds the current-tap and skip adjoints, g_in += g_pre @ w_now.T +
+    g_out for an identity skip: with the cached mask q > v this is the exact
+    adjoint of the forward's max(q, v), q = pre + v @ (w_now + I). A block's
+    past-tap adjoints are added with one matmul per tap at its first step,
+    which comes before any step those taps read (they lie at least 2**l
+    samples back); blocks start at the chunk start, as in the forward. The
+    transposed tap and projection matrices are made contiguous once per
+    chunk, and per-step products go through np.dot into one (B, C_in)
+    buffer per layer. Adjoints of the carried context are dropped, as the
+    context is data, not graph.
     """
     spec = cache["spec"]
     params = cache["params"]
     a_pad, masks, lens = cache["a_pad"], cache["masks"], cache["lens"]
-    layers = cache["layers"]
     B, T = cache["shape"]
     I, O, H = spec.input_dim, spec.output_dim, spec.hidden
     depth = spec.depth
-    w_y_t = params["head.W"].T
+    layers = []
+    for k, _, proj, identity_skip in _tcn_layers(params, spec):
+        taps_t = np.ascontiguousarray(k.transpose(2, 0, 1))  # (kernel, H, C_in)
+        proj_t = None if proj is None else np.ascontiguousarray(proj[:, :, 0])
+        layers.append((taps_t[:-1], taps_t[-1], proj_t, identity_skip,
+                       np.empty((B, k.shape[1]))))
+    w_y_t = np.ascontiguousarray(params["head.W"].T)
+    g_head = np.empty((B, H))
     # a copy, never a view of g_y: the feedback adjoint accumulates in place
     GY = g_y.transpose(1, 0, 2).copy()
     g_a = [np.zeros_like(a) for a in a_pad]
@@ -880,31 +935,36 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     gu = np.empty((T, B, I)) if need_input_grad else None
     for t in range(T - 1, -1, -1):
         GY[t] += g_fb
-        g_outs[-1][t] += np.dot(GY[t], w_y_t)
+        g_outs[-1][t] += np.dot(GY[t], w_y_t, out=g_head)
         for l in range(depth - 1, -1, -1):
-            w_past, w_now, _, proj, identity_skip = layers[l]
+            past_t, now_t, proj_t, identity_skip, prod = layers[l]
             d = 2 ** l
             g_out = g_outs[l][t]
             g_pre = np.multiply(g_out, masks[l][t], out=g_pres[l][t])
             g_in = g_a[l][lens[l] + t]
-            g_in += np.dot(g_pre, w_now.T)
+            g_in += np.dot(g_pre, now_t, out=prod)
             if identity_skip:
                 g_in += g_out
-            elif proj is not None:
-                g_in += np.dot(g_out, proj.T)
-            if len(w_past) and t % d == 0:
+            elif proj_t is not None:
+                g_in += np.dot(g_out, proj_t, out=prod)
+            if len(past_t) and t % d == 0:
                 m = min(d, T - t)
-                G = g_pres[l][t : t + m].reshape(m * B, H)
-                for j, w in enumerate(w_past):
-                    lo = lens[l] + t - (len(w_past) - j) * d
-                    g_a[l][lo : lo + m] += np.dot(G, w.T).reshape(m, B, -1)
+                lo = lens[l] + t - len(past_t) * d
+                if m == 1:  # one row: no reshapes
+                    for j, w in enumerate(past_t):
+                        g_a[l][lo + j * d] += np.dot(g_pre, w, out=prod)
+                else:
+                    G = g_pres[l][t : t + m].reshape(m * B, H)
+                    for j, w in enumerate(past_t):
+                        rows = g_a[l][lo + j * d : lo + j * d + m].reshape(m * B, -1)
+                        rows += np.dot(G, w)
         gx0 = g_a[0][lens[0] + t]  # final: the rest of the sweep adds to earlier rows only
         if not cache["teacher_forced"]:
             g_fb = gx0[:, I:]
         if need_input_grad:
             gu[t] = gx0[:, :I]
     grads: dict[str, Array] = {}
-    for l, (_, _, _, proj, _) in enumerate(layers):
+    for l, (_, _, proj_t, _, _) in enumerate(layers):
         d = 2 ** l
         dk = np.empty_like(params[f"tcn.{l}.kernel"])
         for j in range(spec.kernel):
@@ -913,7 +973,7 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
                                        axes=([0, 1], [0, 1]))
         grads[f"tcn.{l}.kernel"] = dk
         grads[f"tcn.{l}.bias"] = g_pres[l].sum(axis=(0, 1))
-        if proj is not None:
+        if proj_t is not None:
             dp = np.tensordot(g_outs[l], a_pad[l][lens[l] :], axes=([0, 1], [0, 1]))
             grads[f"tcn.{l}.proj"] = dp[:, :, None]
     gy_flat = GY.reshape(T * B, O)

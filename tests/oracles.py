@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from sidnn import data
 from sidnn import numkit as nk
 from sidnn.errors import DimensionError, ParameterError
 from sidnn.inference import BenchTable
@@ -166,6 +167,43 @@ def masked_mse(y_hat: Array, y: Array, mask: Array | None = None) -> float:
     """Mean squared error over unmasked elements; mask marks excluded samples."""
     loss, _ = masked_mse_grad(y_hat, y, mask)
     return loss
+
+
+# ---------------------------------------------------------------------------
+# synthetic Wiener-Hammerstein data
+# ---------------------------------------------------------------------------
+
+
+def second_order_filter(x: Array, b, a) -> Array:
+    """The cascade's second-order filter from zero state, indexing numpy
+    scalars one sample at a time."""
+    y = np.zeros_like(x)
+    for t in range(x.shape[0]):
+        acc = b[0] * x[t]
+        if t >= 1:
+            acc += b[1] * x[t - 1] + a[0] * y[t - 1]
+        if t >= 2:
+            acc += b[2] * x[t - 2] + a[1] * y[t - 2]
+        y[t] = acc
+    return y
+
+
+def synth_wiener_hammerstein_scalars(n: int, seed: int, noise_std: float) -> tuple[Array, Array]:
+    """(u, y) of data.synth_wiener_hammerstein, each (n,), with every
+    recursion on numpy scalars: the smoothed input, then
+    G2(tanh(2 * G1(u))) plus the measurement noise."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n)
+    u = np.empty(n)
+    prev = 0.0
+    for t in range(n):
+        prev = (1.0 - data._INPUT_SMOOTH) * w[t] + data._INPUT_SMOOTH * prev
+        u[t] = prev
+    x1 = second_order_filter(u, data._G1_B, data._G1_A)
+    y = second_order_filter(np.tanh(2.0 * x1), data._G2_B, data._G2_A)
+    if noise_std > 0.0:
+        y = y + noise_std * rng.standard_normal(n)
+    return u, y
 
 
 # ---------------------------------------------------------------------------

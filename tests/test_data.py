@@ -15,6 +15,8 @@ from sidnn.data import (
 )
 from sidnn.errors import DataError, ParameterError, ParseError, PlanError, SchemaError
 
+from oracles import synth_wiener_hammerstein_scalars
+
 
 def make_data(T=100, I=1, O=1, seed=0, n_seq=1):
     rng = np.random.default_rng(seed)
@@ -221,6 +223,19 @@ def test_synth_deterministic_per_seed():
     b = synth_wiener_hammerstein(500, seed=9, noise_std=0.0)
     np.testing.assert_array_equal(a.sequences[0][0], b.sequences[0][0])
     np.testing.assert_array_equal(a.sequences[0][1], b.sequences[0][1])
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_synth_equals_numpy_scalar_recursions_bitwise(n, seed, noise_std):
+    # the Python-float loops round as the numpy-scalar ones do; n 1-3 cover
+    # the filter's start-up branches
+    data = synth_wiener_hammerstein(n, seed=seed, noise_std=noise_std)
+    (u, y), = data.sequences
+    u_ref, y_ref = synth_wiener_hammerstein_scalars(n, seed, noise_std)
+    assert u.shape == y.shape == (n, 1) and u.dtype == y.dtype == np.float64
+    assert np.array_equal(u[:, 0], u_ref) and np.array_equal(y[:, 0], y_ref)
 
 
 def test_synth_zero_input_gives_zero_output():

@@ -485,6 +485,53 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
         state = tcn_forward(u[:, lo:hi], state, model.params, spec, **kw)[1]
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+@pytest.mark.parametrize("skip", ["identity", "projection", "off"])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
+    # teacher-forced, the AR-TCN is the NAR-TCN over [u_t | y_{t-1}], the
+    # twin of test_tcn_ar_equals_naive_recompute: the conv path checks the
+    # folded skip, its q > v mask and the step-wise backward. The zero case
+    # zeroes every conv parameter, so each identity-skip pre-activation is
+    # exactly 0; the head stays random, so the adjoints reach the ties.
+    hidden = 4 if skip == "projection" else 3
+    spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
+                     kernel=kernel, residual=skip != "off")
+    twin = replace(spec, mode="nar", input_dim=spec.feed_dim)
+    rng = np.random.default_rng(kernel)
+    params = ParamStore({name: np.zeros(shape) if zero and name.startswith("tcn.")
+                         else rng.uniform(-0.5, 0.5, shape)
+                         for name, shape in param_shapes(spec).items()})
+    B, T1, T = 3, 5, 14
+    u = rng.standard_normal((B, T, 2))
+    teacher = rng.standard_normal((B, T, 1))
+    g = rng.standard_normal((B, T, 1))
+    last = rng.standard_normal((B, 1))
+    x = np.concatenate([u, np.concatenate([last[:, None], teacher[:, :-1]], axis=1)], axis=2)
+    state_ar = HiddenState(conv=ConvCache.init(spec, B), last_output=last)
+    state_nar = None
+
+    def close(a, b):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for lo, hi in ((0, T1), (T1, T)):
+        y_ar, state_ar, cache_ar = tcn_forward(u[:, lo:hi], state_ar, params, spec,
+                                               teacher=teacher[:, lo:hi], return_cache=True)
+        y_nar, state_nar, cache_nar = tcn_forward(x[:, lo:hi], state_nar, params, twin,
+                                                  return_cache=True)
+        grads_ar, gu_ar = tcn_backward(cache_ar, g[:, lo:hi], need_input_grad=True)
+        grads_nar, gu_nar = tcn_backward(cache_nar, g[:, lo:hi], need_input_grad=True)
+        close(y_ar, y_nar)
+        close(gu_ar, gu_nar[:, :, :2])
+        assert grads_ar.keys() == grads_nar.keys() == params.keys()
+        for name in params:
+            close(grads_ar[name], grads_nar[name])
+        if zero and skip == "identity":
+            # every tie sends its adjoint through the skip only
+            assert not any(grads_ar[f"tcn.{l}.kernel"].any() for l in range(spec.depth))
+            assert gu_ar.any()
+
+
 @pytest.mark.parametrize("lengths", [(1, 37, 162), (3, 2, 6, 1, 29, 159)],
                          ids=["1-37-162", "short-chunks"])
 @pytest.mark.parametrize("kernel", [2, 3])

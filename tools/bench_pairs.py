@@ -22,6 +22,8 @@ it. Every run's metrics are also written to SCRATCH_DIR/pairs.json.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import shutil
 import statistics
@@ -44,6 +46,26 @@ def export(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def load_models(name: str, package: Path):
+    """Import the package directory under name; returns its models module.
+    The package uses only relative imports, so an exported parent's package
+    lives beside the checkout's `sidnn`."""
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.models")
+
+
+def rel_diff(parent, change) -> float:
+    """Largest absolute difference of two arrays over the largest magnitude
+    of the parent's (the plain difference when that is zero)."""
+    scale = float(abs(parent).max()) if parent.size else 0.0
+    diff = float(abs(change - parent).max()) if parent.size else 0.0
+    return diff / scale if scale else diff
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:

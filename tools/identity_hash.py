@@ -1,7 +1,7 @@
 """Print one sha256 over what all four model variants compute on a fixed grid,
 then one sha256 per variant (GRU-NAR, GRU-AR, TCN-NAR, TCN-AR).
 
-    python tools/identity_hash.py
+    python tools/identity_hash.py [--parent REV]
 
 A refactor that must not change a single bit (buffer reuse, a different
 loop order with the same arithmetic) prints the same hash before and after.
@@ -17,26 +17,37 @@ unchanged in their own lines. The grid is fixed:
          x B 1/3 (x teacher forcing in AR)
 
 Parameters are drawn at random (biases non-zero), so ReLU patterns mix.
+
+With --parent, REV is exported with `git archive` into a temporary directory
+(as `bench_pairs.py` does) and its package imported as `sidnn_parent`, beside
+the checkout's; both run the grid, and each family's line gives both hashes
+and the largest difference of any array between the sides, relative to the
+largest magnitude of the parent's array. A change that moves numbers in the
+last bits reports that figure.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+from bench_pairs import ROOT, export, load_models, rel_diff
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(ROOT / "src"))
 
-from sidnn.models import Model, ModelSpec, ParamStore, param_shapes  # noqa: E402
+from sidnn import models as checkout_models  # noqa: E402
 
 T1, T2 = 7, 13  # the split chunk; T1 + T2 exceeds the receptive field of depth 3, kernel 3
 INPUT_DIM = 2
 
 
-def _specs():
+def _specs(models):
+    ModelSpec = models.ModelSpec
     for mode, depth, dropout, teacher in itertools.product(
             ("nar", "ar"), (1, 2, 3), (0.0, 0.3), (False, True)):
         if teacher and mode == "nar":
@@ -63,11 +74,11 @@ def _state_arrays(state):
     return arrays + ([] if state.last_output is None else [state.last_output])
 
 
-def _case_arrays(spec: ModelSpec, teacher_forced: bool, batch: int, seed: int):
+def _case_arrays(models, spec, teacher_forced: bool, batch: int, seed: int):
     rng = np.random.default_rng(seed)
-    params = ParamStore({name: 0.5 * rng.standard_normal(shape)
-                         for name, shape in param_shapes(spec).items()})
-    model = Model(spec=spec, params=params)
+    params = models.ParamStore({name: 0.5 * rng.standard_normal(shape)
+                                for name, shape in models.param_shapes(spec).items()})
+    model = models.Model(spec=spec, params=params)
     T = T1 + T2
     u = rng.standard_normal((batch, T, spec.input_dim))
     teacher = rng.standard_normal((batch, T, spec.output_dim)) if teacher_forced else None
@@ -90,26 +101,68 @@ def _case_arrays(spec: ModelSpec, teacher_forced: bool, batch: int, seed: int):
                 yield from _state_arrays(state)
 
 
+def _grid(models):
+    """(family, case arrays) of every case of the grid, in order."""
+    seed = 0
+    for spec, teacher_forced in _specs(models):
+        for batch in (1, 3):
+            yield (f"{spec.arch}-{spec.mode}".upper(),
+                   [np.array(a, order="C")
+                    for a in _case_arrays(models, spec, teacher_forced, batch, seed)])
+            seed += 1
+
+
+def _update(h, a: np.ndarray) -> None:
+    h.update(f"{a.dtype}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="git revision to compare the checkout with")
+    args = parser.parse_args()
+    if args.parent is None:
+        report(checkout_models)
+        return
+    with tempfile.TemporaryDirectory() as scratch:
+        parent_dir = Path(scratch) / "parent"
+        export(args.parent, parent_dir)
+        compare(load_models("sidnn_parent", parent_dir / "src" / "sidnn"), checkout_models,
+                args.parent)
+
+
+def report(models) -> None:
     digest = hashlib.sha256()
     families: dict[str, list] = {}  # variant -> [sha256, cases, arrays]
     cases = arrays = 0
-    for spec, teacher_forced in _specs():
-        family = families.setdefault(f"{spec.arch}-{spec.mode}".upper(),
-                                     [hashlib.sha256(), 0, 0])
-        for batch in (1, 3):
-            for a in _case_arrays(spec, teacher_forced, batch, seed=cases):
-                a = np.ascontiguousarray(a)
-                for h in (digest, family[0]):
-                    h.update(f"{a.dtype}{a.shape}".encode())
-                    h.update(a.tobytes())
-                arrays += 1
-                family[2] += 1
-            cases += 1
-            family[1] += 1
+    for name, case in _grid(models):
+        family = families.setdefault(name, [hashlib.sha256(), 0, 0])
+        for a in case:
+            for h in (digest, family[0]):
+                _update(h, a)
+        arrays += len(case)
+        family[2] += len(case)
+        cases += 1
+        family[1] += 1
     print(f"{cases} cases, {arrays} arrays, sha256 {digest.hexdigest()}")
     for name, (h, n_cases, n_arrays) in families.items():
         print(f"{name}: {n_cases} cases, {n_arrays} arrays, sha256 {h.hexdigest()}")
+
+
+def compare(parent, change, rev: str) -> None:
+    families: dict[str, list] = {}  # variant -> [parent sha256, change sha256, largest diff]
+    for (name, case_p), (_, case_c) in zip(_grid(parent), _grid(change), strict=True):
+        family = families.setdefault(name, [hashlib.sha256(), hashlib.sha256(), 0.0])
+        for a, b in zip(case_p, case_c, strict=True):
+            _update(family[0], a)
+            _update(family[1], b)
+            diff = rel_diff(a, b) if a.shape == b.shape else float("inf")
+            family[2] = max(family[2], diff)
+    print(f"parent {rev} vs checkout")
+    for name, (h_p, h_c, diff) in families.items():
+        same = "unchanged" if h_p.digest() == h_c.digest() else "moved"
+        print(f"{name}: {same}, parent sha256 {h_p.hexdigest()}, "
+              f"checkout sha256 {h_c.hexdigest()}, largest relative difference {diff:.3g}")
 
 
 if __name__ == "__main__":

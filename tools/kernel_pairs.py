@@ -2,7 +2,7 @@
 one process and in alternating blocks.
 
     python tools/kernel_pairs.py SCRATCH_DIR [--parent HEAD~1] [--hidden 32]
-        [--batch 16] [--time 64]
+        [--batch 16] [--time 64] [--depth 1]
 
 The parent revision is exported with `git archive` into SCRATCH_DIR/parent
 (replaced if it exists), as `bench_pairs.py` does, and its `src/sidnn` is
@@ -11,11 +11,12 @@ uncommitted edits included, is imported as `sidnn`. The package uses only
 relative imports, so the two live side by side. BLAS runs on one thread
 (`OPENBLAS_NUM_THREADS=1`, set before numpy loads).
 
-For each of the four variants (GRU and TCN, NAR and AR, depth 1) both sides
-get the same parameters and inputs, and three kernels are timed: the training
-forward (`return_cache=True`) and the backward of one (batch, time) chunk,
-and a simulation, a cache-free forward of one sequence of SIM_LEN samples at
-batch 1 (what `inference.simulate` runs). Each of BLOCKS blocks times REPS
+For each of the four variants (GRU and TCN, NAR and AR, at --depth; the
+benchmark's TCNs run depth 10) both sides get the same parameters and inputs,
+and three kernels are timed: the training forward (`return_cache=True`) and
+the backward of one (batch, time) chunk, and a simulation, a cache-free
+forward of one sequence of SIM_LEN samples at batch 1 (what
+`inference.simulate` runs). Each of BLOCKS blocks times REPS
 calls of one side and then of the other, the side that goes first switching
 from block to block. It prints per kernel the median seconds per call of
 each side, the change's relative difference, and the blocks the change won,
@@ -31,36 +32,23 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
-import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
-from bench_pairs import ROOT, export  # noqa: E402
+from bench_pairs import ROOT, export, load_models, rel_diff  # noqa: E402
 
-DEPTH = 1
 SIM_LEN = 1023
 BLOCKS = 40
 REPS = 5
 
 
-def load_models(name: str, package: Path):
-    """Import the package directory under name; returns its models module."""
-    spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py", submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.models")
-
-
 def kernels(models, arch: str, mode: str, arrays: dict, args, u, g, u_sim):
     """The three timed calls of one side, each returning what it computes."""
     spec = models.ModelSpec(arch=arch, mode=mode, input_dim=u.shape[2], hidden=args.hidden,
-                            depth=DEPTH)
+                            depth=args.depth)
     model = models.Model(spec=spec, params=models.ParamStore(arrays))
     _, _, cache = model.forward(u, None, training=True, return_cache=True)
 
@@ -83,12 +71,6 @@ def per_call(fn) -> float:
     return (time.perf_counter() - start) / REPS
 
 
-def rel_diff(parent: np.ndarray, change: np.ndarray) -> float:
-    scale = float(np.max(np.abs(parent))) if parent.size else 0.0
-    diff = float(np.max(np.abs(change - parent))) if parent.size else 0.0
-    return diff / scale if scale else diff
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("scratch", type=Path, help="directory for the parent's package")
@@ -96,14 +78,15 @@ def main() -> int:
     parser.add_argument("--hidden", type=int, default=32)
     parser.add_argument("--batch", type=int, default=16)
     parser.add_argument("--time", type=int, default=64)
+    parser.add_argument("--depth", type=int, default=1)
     args = parser.parse_args()
-    if min(args.hidden, args.batch, args.time) < 1:
+    if min(args.hidden, args.batch, args.time, args.depth) < 1:
         parser.error("sizes must be >= 1")
     parent_dir = args.scratch.resolve() / "parent"
     export(args.parent, parent_dir)
     sides = {"parent": load_models("sidnn_parent", parent_dir / "src" / "sidnn"),
              "change": load_models("sidnn", ROOT / "src" / "sidnn")}
-    print(f"parent {args.parent} vs checkout; H{args.hidden} depth {DEPTH} "
+    print(f"parent {args.parent} vs checkout; H{args.hidden} depth {args.depth} "
           f"B{args.batch} T{args.time}, simulation B1 T{SIM_LEN}; "
           f"{BLOCKS} blocks of {REPS} calls")
     print(f"{'kernel':22s} {'parent s':>10s} {'change s':>10s} {'diff':>8s} {'won':>7s}")
@@ -113,7 +96,7 @@ def main() -> int:
             variant = f"{arch}_{mode}"
             models = sides["change"]
             spec = models.ModelSpec(arch=arch, mode=mode, input_dim=1, hidden=args.hidden,
-                                    depth=DEPTH)
+                                    depth=args.depth)
             arrays = dict(models.init_params(spec, 0))
             u = rng.standard_normal((args.batch, args.time, 1))
             g = rng.standard_normal((args.batch, args.time, 1))
