@@ -26,22 +26,22 @@ cached forward then forms the backward's per-step factors for the whole
 chunk at once, so a backward step is a few multiplies and two matmuls. The
 carried state is checked against the spec and batch before a chunk runs
 (`HiddenState.check`). Both TCN modes carry the same state, each layer's
-last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). The
-NAR-TCN convolves the whole chunk layer by layer into reused buffers, each
-layer after its tail, so a chunk costs O(depth*T) however long the history;
-its cache keeps each layer's tail and input and a bool pre-activation sign
-mask, and a forward without a cache keeps nothing. The AR-TCN runs one path
-in training and simulation alike: it writes each layer's outputs, one step
-at a time, into a dense array that begins with the layer above's tail.
-Layer l's past taps are at least 2**l samples old, so they are summed once
-per 2**l-sample block with one matmul per tap; a step costs one current-tap
+last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). A
+TCN whose input is known (NAR; AR given a teacher, over [u_t | y_{t-1}];
+`conv_cache_step` streaming a sample) convolves the chunk layer by layer into
+reused buffers, each layer after its tail, so a chunk costs O(depth*T) however
+long the history; its cache keeps each layer's tail and input and a bool
+pre-activation sign mask, and a forward without a cache keeps nothing. Only
+the free-running AR-TCN steps: it writes each layer's outputs, one step at a
+time, into a dense array that begins with the layer above's tail. Layer l's
+past taps are at least 2**l samples old, so they are summed once per
+2**l-sample block with one matmul per tap; a step costs one current-tap
 matmul per layer, and the backward mirrors this. An identity skip is folded
 into the current tap as w_now + I, once per chunk, so a step accumulates
 q = pre + v and outputs max(q, v): three numpy calls per layer, every product
 through np.dot into a buffer allocated once per chunk. Its cached mask is
 q > v, which keeps pre > 0's rule that a zero pre-activation sends the
-adjoint through the skip only. `conv_cache_step` streams either mode one
-sample at a time.
+adjoint through the skip only.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ class ConvCache:
     tails[l] holds layer l's inputs of the last min(samples so far,
     (kernel-1)*2**l) samples, oldest first, as (n, B, C_in); a fresh cache
     holds empty tails, and samples before the sequence start read as zeros.
-    Both modes and `conv_cache_step` streaming hand the same state on. The
-    cache is state only: the weights are passed to each step.
+    The convolution, the AR step and streaming hand the same state on. The
+    cache is state only: the weights are passed to each call.
     """
 
     spec: ModelSpec
@@ -418,7 +418,7 @@ def _gru_weight_grads(cache, GA, HP):
     return grads
 
 
-def _check_seq_input(u: Array, spec: ModelSpec) -> None:
+def _check_seq_input(u: Array, spec: ModelSpec, teacher: Array | None) -> None:
     if u.ndim != 3:
         raise DimensionError(f"expected (batch, time, channels) input, got shape {u.shape}")
     if u.shape[2] != spec.input_dim:
@@ -427,6 +427,9 @@ def _check_seq_input(u: Array, spec: ModelSpec) -> None:
         )
     if u.shape[1] < 1:
         raise InputError("input must contain at least one time step")
+    if teacher is not None and np.shape(teacher) != u.shape[:2] + (spec.output_dim,):
+        raise DimensionError(f"teacher has shape {np.shape(teacher)}, "
+                             f"expected {u.shape[:2] + (spec.output_dim,)}")
 
 
 def gru_forward(
@@ -455,7 +458,7 @@ def gru_forward(
     written. The cache keeps the unhalved matrices and, formed after the
     loop over the whole chunk, the factors the backward multiplies by.
     """
-    _check_seq_input(u, spec)
+    _check_seq_input(u, spec, teacher)
     B, T, I = u.shape
     H, L, O = spec.hidden, spec.depth, spec.output_dim
     ar = spec.mode == "ar"
@@ -633,7 +636,7 @@ def _tcn_layers(params: ParamStore, spec: ModelSpec) -> list:
 
 def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelSpec,
                      record: bool):
-    """Conv stack over one chunk, each layer after its carried context.
+    """Conv stack over one chunk of known input, each layer after its context.
 
     Layer l convolves its tail from conv (its inputs of the last
     (kernel-1)*2**l samples, none before the sequence start) and the chunk,
@@ -683,7 +686,8 @@ def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelS
 
 def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
     """The contexts' adjoints are not formed (a context is carried data, not
-    part of the chunk's graph), but their share of each kernel gradient is.
+    part of the chunk's graph), but their share of each kernel gradient is;
+    du is the first input_dim columns (teacher-forced AR: the rest is data).
     One g_pre buffer serves every layer, and the input adjoint alternates
     between two flat buffers viewed at each layer's input width; none of them
     aliases the cache."""
@@ -724,7 +728,7 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
             dx += dx_p
             grads[f"tcn.{l}.proj"] = dp
         g_x = dx
-    gu = g_x.transpose(0, 2, 1).copy() if need_input_grad else None
+    gu = g_x[:, : spec.input_dim].transpose(0, 2, 1).copy() if need_input_grad else None
     return grads, gu
 
 
@@ -811,39 +815,25 @@ def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
 
     x_t is the full network input vector (B, feed_dim): concat(u_t, y_{t-1})
     in AR mode, u_t in NAR mode; returns the head output (B, output_dim).
-    Layer l's past taps read its tail rows straight through views of the
-    kernel taps (zero before the sequence start), and the step's input is
-    then appended to the tail. For streaming one sample at a time, in either
-    mode; whole chunks go through tcn_forward, which hands on the same cache.
+    With the whole input known, a step is the NAR convolution over a
+    one-sample chunk after the tails (`_tcn_nar_forward`), and the new tails
+    replace the cache's. For streaming one sample at a time, in either mode;
+    whole chunks go through tcn_forward, which hands on the same cache.
     """
     spec = cache.spec
     if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
         raise DimensionError(f"step input shape {x_t.shape} != (B, {spec.feed_dim})")
     cache.check(x_t.shape[0])
-    K, v = spec.kernel, x_t
-    for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
-        tail = cache.tails[l]
-        pre = bias[None].repeat(len(v), axis=0)  # bias, past taps oldest first, current tap
-        for j in range(K - 1):
-            back = (K - 1 - j) * 2 ** l
-            if back <= len(tail):
-                pre += tail[len(tail) - back] @ k[:, :, j].T
-        pre += v @ k[:, :, K - 1].T
-        out = np.maximum(pre, ZERO, out=pre)
-        if identity_skip:
-            out += v
-        elif proj is not None:
-            out += v @ proj[:, :, 0].T
-        cache.tails[l] = cache.advanced(l, v[None])
-        v = out
-    return v @ params["head.W"] + params["head.b"]
+    y, state, _ = _tcn_nar_forward(x_t[:, None], cache, params, spec, False)
+    cache.tails[:] = state.conv.tails
+    return y[:, 0]
 
 
-def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
+def _tcn_ar_forward(u, conv, last_output, params, spec, record):
     """Free-running AR TCN, one step at a time.
 
-    Sequential generation with input concat(u_t, previous output); equals a
-    naive full-history recompute. Each layer's inputs, preceded by its
+    Sequential generation with input concat(u_t, own previous output); equals
+    a naive full-history recompute. Each layer's inputs, preceded by its
     context (zeros before the sequence start, then its tail), and its
     accumulated pre-activations are kept in dense time-major arrays: each step
     reads its past taps from them and the new tails are their last rows. With
@@ -882,8 +872,6 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
         fb = Y[t]
         np.dot(v, w_y, out=fb)
         fb += b_y
-        if teacher is not None:
-            fb = teacher[:, t]
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
     tails = [conv.advanced(l, a[n:]) for l, (n, a) in enumerate(zip(lens, a_pad))]
     cache = None
@@ -891,7 +879,7 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, teacher, record):
         masks = [p > (a[n:] if identity_skip else 0.0)
                  for p, a, n, (*_, identity_skip) in zip(P, a_pad, lens, layers)]
         cache = {"a_pad": a_pad, "masks": masks, "lens": lens, "spec": spec,
-                 "params": params, "shape": (B, T), "teacher_forced": teacher is not None}
+                 "params": params, "shape": (B, T)}
     return y, HiddenState(conv=ConvCache(spec, tails), last_output=fb.copy()), cache
 
 
@@ -959,8 +947,7 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
                         rows = g_a[l][lo + j * d : lo + j * d + m].reshape(m * B, -1)
                         rows += np.dot(G, w)
         gx0 = g_a[0][lens[0] + t]  # final: the rest of the sweep adds to earlier rows only
-        if not cache["teacher_forced"]:
-            g_fb = gx0[:, I:]
+        g_fb = gx0[:, I:]
         if need_input_grad:
             gu[t] = gx0[:, :I]
     grads: dict[str, Array] = {}
@@ -998,12 +985,12 @@ def tcn_forward(
     returns (y, new state[, cache]).
 
     Both modes carry per-layer input tails (state.conv, never modified).
-    NAR convolves the whole chunk at once, each layer after its tail. AR
-    generates step by step, each layer's past taps read from its tail and
-    the chunk's earlier samples; its fed-back value is the model's own output
-    unless a teacher sequence is supplied.
+    NAR convolves the whole chunk at once, each layer after its tail, and so
+    does AR given a teacher, over [u_t | y_{t-1}] with y_{-1} = last_output.
+    Free-running AR generates step by step, each layer's past taps read from
+    its tail and the chunk's earlier samples.
     """
-    _check_seq_input(u, spec)
+    _check_seq_input(u, spec, teacher)
     if state is None:
         state = initial_state(spec, u.shape[0])
     elif state.conv is None:
@@ -1012,9 +999,14 @@ def tcn_forward(
         state.check(spec, u.shape[0])
     if spec.mode == "nar":
         y, new_state, cache = _tcn_nar_forward(u, state.conv, params, spec, return_cache)
-    else:
+    elif teacher is None:
         y, new_state, cache = _tcn_ar_forward(u, state.conv, state.last_output, params, spec,
-                                              teacher, return_cache)
+                                              return_cache)
+    else:
+        fb = np.concatenate([state.last_output[:, None], teacher[:, :-1]], axis=1)
+        y, new_state, cache = _tcn_nar_forward(np.concatenate([u, fb], axis=2), state.conv,
+                                               params, spec, return_cache)
+        new_state.last_output = teacher[:, -1].copy()
     if return_cache:
         return y, new_state, cache
     return y, new_state
@@ -1022,7 +1014,7 @@ def tcn_forward(
 
 def tcn_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     """Gradients of a cached tcn_forward chunk; returns (grads, du)."""
-    if cache["spec"].mode == "nar":
+    if "xs" in cache:  # built by the convolution
         return _tcn_nar_backward(cache, g_y, need_input_grad)
     return _tcn_ar_backward(cache, g_y, need_input_grad)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidnn.errors import ParameterError, StateError
+from sidnn.errors import DimensionError, ParameterError, StateError
 from sidnn.models import (
     ConvCache,
     HiddenState,
@@ -212,6 +212,18 @@ def test_mismatched_carried_state_raises(spec, field, value):
         model.forward(np.zeros((4, 5, 2)), state)
 
 
+@pytest.mark.parametrize("shape", [(1, 5, 1), (4, 4, 1), (4, 5, 2)],
+                         ids=["batch", "short", "wide"])
+@pytest.mark.parametrize("spec", [GRU_AR, TCN_AR], ids=["gru", "tcn"])
+def test_mismatched_teacher_raises(spec, shape):
+    # a batch-1 teacher would broadcast over the batch and hand on a
+    # batch-1 last_output; a short or wide one would fail with a bare
+    # IndexError/ValueError
+    model = Model.create(spec, 0)
+    with pytest.raises(DimensionError):
+        model.forward(np.zeros((4, 5, 2)), model.initial_state(4), teacher=np.zeros(shape))
+
+
 def test_gru_gates_stay_bounded_at_extreme_pre_activations():
     # each hidden unit's gate and candidate biases take one extreme value;
     # the z/r halving must neither overflow nor turn an infinity into a NaN
@@ -357,15 +369,18 @@ def test_tcn_nar_ring_buffers_hold_each_layers_last_inputs(T, kernel):
             np.testing.assert_allclose(tail, inputs[T - len(tail) :], rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
 def test_tcn_nar_streaming_matches_forward_and_ring_buffers(kernel):
     # conv_cache_step streams a NAR spec with x_t = u_t from empty tails: its
     # outputs match one forward, and its tails match a chunked forward's at
-    # every split
+    # every split; the biases are random, so a step that drops one shows
     spec = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=4, depth=4, kernel=kernel)
     model = Model.create(spec, 16)
     B, T = 3, 50
-    u = np.random.default_rng(16).standard_normal((B, T, 2))
+    rng = np.random.default_rng(16)
+    for l in range(spec.depth):
+        model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, spec.hidden)
+    u = rng.standard_normal((B, T, 2))
     y_mono, _ = model.forward(u, model.initial_state(B))
     cache = ConvCache.init(spec, B)
     assert all(len(tail) == 0 for tail in cache.tails)
@@ -490,10 +505,12 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
 @pytest.mark.parametrize("kernel", [1, 2, 3])
 def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
     # teacher-forced, the AR-TCN is the NAR-TCN over [u_t | y_{t-1}], the
-    # twin of test_tcn_ar_equals_naive_recompute: the conv path checks the
-    # folded skip, its q > v mask and the step-wise backward. The zero case
-    # zeroes every conv parameter, so each identity-skip pre-activation is
-    # exactly 0; the head stays random, so the adjoints reach the ties.
+    # twin of test_tcn_ar_equals_naive_recompute: tcn_forward routes it
+    # through the convolution, carries the teacher's last sample and drops
+    # the feedback columns from du. The zero case zeroes every conv
+    # parameter, so each identity-skip pre-activation is exactly 0; the head
+    # stays random, so the adjoints reach the ties. It also runs the chunks
+    # free-running, which checks the AR step's q > v mask on those ties.
     hidden = 4 if skip == "projection" else 3
     spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
                      kernel=kernel, residual=skip != "off")
@@ -508,7 +525,7 @@ def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
     g = rng.standard_normal((B, T, 1))
     last = rng.standard_normal((B, 1))
     x = np.concatenate([u, np.concatenate([last[:, None], teacher[:, :-1]], axis=1)], axis=2)
-    state_ar = HiddenState(conv=ConvCache.init(spec, B), last_output=last)
+    state_ar = state_free = HiddenState(conv=ConvCache.init(spec, B), last_output=last)
     state_nar = None
 
     def close(a, b):
@@ -523,13 +540,21 @@ def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
         grads_nar, gu_nar = tcn_backward(cache_nar, g[:, lo:hi], need_input_grad=True)
         close(y_ar, y_nar)
         close(gu_ar, gu_nar[:, :, :2])
+        np.testing.assert_array_equal(state_ar.last_output, teacher[:, hi - 1])
+        for a, b in zip(state_ar.conv.tails, state_nar.conv.tails, strict=True):
+            np.testing.assert_array_equal(a, b)
         assert grads_ar.keys() == grads_nar.keys() == params.keys()
         for name in params:
             close(grads_ar[name], grads_nar[name])
         if zero and skip == "identity":
-            # every tie sends its adjoint through the skip only
-            assert not any(grads_ar[f"tcn.{l}.kernel"].any() for l in range(spec.depth))
-            assert gu_ar.any()
+            # every tie sends its adjoint through the skip only, teacher-forced
+            # and free-running alike
+            _, state_free, cache = tcn_forward(u[:, lo:hi], state_free, params, spec,
+                                               return_cache=True)
+            free = tcn_backward(cache, g[:, lo:hi], need_input_grad=True)
+            for grads, gu in ((grads_ar, gu_ar), free):
+                assert not any(grads[f"tcn.{l}.kernel"].any() for l in range(spec.depth))
+                assert gu.any()
 
 
 @pytest.mark.parametrize("lengths", [(1, 37, 162), (3, 2, 6, 1, 29, 159)],
@@ -538,11 +563,15 @@ def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
 def test_tcn_ar_block_boundaries_across_chunks(kernel, lengths):
     # depth 6 batches up to 32 past taps per block; the chunks start and end
     # at many block offsets, and the short ones end before their block does;
-    # streaming leaves the chunked forward's tails at every split
+    # streaming leaves the chunked forward's tails at every split; the
+    # biases are random, so a streaming step that drops one shows
     spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=5, depth=6, kernel=kernel)
     model = Model.create(spec, 30 + kernel)
     B, splits = 3, np.cumsum((0,) + lengths)
-    u = np.random.default_rng(kernel).standard_normal((B, 200, 2))
+    rng = np.random.default_rng(kernel)
+    for l in range(spec.depth):
+        model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, spec.hidden)
+    u = rng.standard_normal((B, 200, 2))
     y_mono, _ = model.forward(u, model.initial_state(B))
     state_inf = state_train = model.initial_state(B)
     cache = ConvCache.init(spec, B)

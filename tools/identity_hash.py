@@ -23,7 +23,9 @@ With --parent, REV is exported with `git archive` into a temporary directory
 the checkout's; both run the grid, and each family's line gives both hashes
 and the largest difference of any array between the sides, relative to the
 largest magnitude of the parent's array. A change that moves numbers in the
-last bits reports that figure.
+last bits reports that figure. There the teacher-forced AR cases get their
+own line per arch ("GRU-AR teacher-forced"), apart from the free-running ones,
+since the two run different code.
 """
 
 from __future__ import annotations
@@ -102,11 +104,11 @@ def _case_arrays(models, spec, teacher_forced: bool, batch: int, seed: int):
 
 
 def _grid(models):
-    """(family, case arrays) of every case of the grid, in order."""
+    """(family, teacher forced, case arrays) of every case of the grid, in order."""
     seed = 0
     for spec, teacher_forced in _specs(models):
         for batch in (1, 3):
-            yield (f"{spec.arch}-{spec.mode}".upper(),
+            yield (f"{spec.arch}-{spec.mode}".upper(), teacher_forced,
                    [np.array(a, order="C")
                     for a in _case_arrays(models, spec, teacher_forced, batch, seed)])
             seed += 1
@@ -135,7 +137,7 @@ def report(models) -> None:
     digest = hashlib.sha256()
     families: dict[str, list] = {}  # variant -> [sha256, cases, arrays]
     cases = arrays = 0
-    for name, case in _grid(models):
+    for name, _, case in _grid(models):
         family = families.setdefault(name, [hashlib.sha256(), 0, 0])
         for a in case:
             for h in (digest, family[0]):
@@ -151,7 +153,9 @@ def report(models) -> None:
 
 def compare(parent, change, rev: str) -> None:
     families: dict[str, list] = {}  # variant -> [parent sha256, change sha256, largest diff]
-    for (name, case_p), (_, case_c) in zip(_grid(parent), _grid(change), strict=True):
+    for (name, forced, case_p), (_, _, case_c) in zip(_grid(parent), _grid(change),
+                                                      strict=True):
+        name += " teacher-forced" if forced else ""
         family = families.setdefault(name, [hashlib.sha256(), hashlib.sha256(), 0.0])
         for a, b in zip(case_p, case_c, strict=True):
             _update(family[0], a)
