@@ -28,12 +28,8 @@ from .models import (
     ModelSpec,
     ParamStore,
     conv_cache_step,
-    gru_backward,
-    gru_forward,
     init_params,
     receptive_field,
-    tcn_backward,
-    tcn_forward,
 )
 from .training import (
     TrainConfig,

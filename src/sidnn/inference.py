@@ -1,9 +1,7 @@
 """Free-running simulation, the pooled simulation RMSE with transient skip,
 and wall-clock timing harnesses for training and inference cost versus
-sequence length. TCN streaming one sample at a time, in either mode, is
-`models.conv_cache_step`: it runs the convolution of a known-input chunk on
-one sample after the per-layer input tails of a `models.ConvCache`, the
-state a chunked forward hands on, and writes the new tails back.
+sequence length. Every model run here goes through `Model.forward` and
+`Model.backward`, which check each chunk.
 """
 
 from __future__ import annotations

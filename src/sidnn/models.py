@@ -14,18 +14,28 @@ Each architecture has one forward and one backward for both modes: an AR
 model is the NAR model with its previous output fed back as extra input
 channels, so gradients flow through the feedback path inside a chunk;
 truncation happens only at chunk boundaries (the carried state is plain
-values). The GRU runs one recurrence for both modes (NAR carries a
-zero-width feedback). Every GRU mode computes its layer-0 input projection
-for the whole chunk in one matmul; free-running AR adds its feedback per step
-as the top layer's previous state times F = head.W @ W0_fb (W0_fb: the
-feedback rows of the layer-0 input weights), and the head runs once per
-chunk. The backward reads the fed-back outputs from the cache and is
-unchanged by the fold. A GRU step forms both gates with one tanh, as
-sig(a) = 1/2 + tanh(a/2)/2 on z/r weight columns halved once per chunk; a
-cached forward then forms the backward's per-step factors for the whole
-chunk at once, so a backward step is a few multiplies and two matmuls. The
-carried state is checked against the spec and batch before a chunk runs
-(`HiddenState.check`). Both TCN modes carry the same state, each layer's
+values). `Model.forward` and `Model.backward` are the only entry for a chunk.
+The forward checks the input, the teacher and the carried state against the
+model's spec and batch (`HiddenState.check`) and starts a fresh state when
+none is given. For an AR model given a teacher it builds the known layer-0
+input [u_t | y_{t-1}], y_{-1} being the carried last output, and carries the
+teacher's last sample on; both architectures take this one route. The cores
+tell a known input from a free-running one by its width: feed_dim columns
+are all known (NAR, teacher-forced AR), input_dim < feed_dim leaves the
+feedback to the model's own output. Each cache records its input's shape,
+which the backward checks g_y against and dispatches on.
+
+The GRU runs one recurrence for both modes (NAR carries a zero-width
+feedback). Every GRU chunk computes its layer-0 input projection in one
+matmul; free-running AR adds its feedback per step as the top layer's
+previous state times F = head.W @ W0_fb (W0_fb: the feedback rows of the
+layer-0 input weights), and the head runs once per chunk. The backward reads
+the fed-back outputs from the cache and is unchanged by the fold; with the
+input known it forms the head adjoint once per chunk. A GRU step forms both
+gates with one tanh, as sig(a) = 1/2 + tanh(a/2)/2 on z/r weight columns
+halved once per chunk; a cached forward then forms the backward's per-step
+factors for the whole chunk at once, so a backward step is a few multiplies
+and two matmuls. Both TCN modes carry the same state, each layer's
 last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). A
 TCN whose input is known (NAR; AR given a teacher, over [u_t | y_{t-1}];
 `conv_cache_step` streaming a sample) convolves the chunk layer by layer into
@@ -237,7 +247,9 @@ class ConvCache:
     (kernel-1)*2**l) samples, oldest first, as (n, B, C_in); a fresh cache
     holds empty tails, and samples before the sequence start read as zeros.
     The convolution, the AR step and streaming hand the same state on. The
-    cache is state only: the weights are passed to each call.
+    cache is state only: the weights are passed to each call, and a chunk
+    checks the tails against its model's spec, not against the cache's own
+    (which `conv_cache_step` reads).
     """
 
     spec: ModelSpec
@@ -248,8 +260,9 @@ class ConvCache:
         return cls(spec=spec, tails=[np.empty((0, batch, spec.feed_dim if l == 0 else spec.hidden))
                                      for l in range(spec.depth)])
 
-    def check(self, batch: int) -> None:
-        spec = self.spec
+    def check(self, spec: ModelSpec, batch: int) -> None:
+        """Raise StateError unless there is one tail per layer of spec, each
+        of spec's width and batch and no longer than its layer's window."""
         if len(self.tails) != spec.depth:
             raise StateError(f"cache holds {len(self.tails)} layer tails, expected {spec.depth}")
         for l, tail in enumerate(self.tails):
@@ -259,14 +272,14 @@ class ConvCache:
                     f"layer {l} tail has shape {tail.shape}, expected (<= {n}, {batch}, {c_in})"
                 )
 
-    def advanced(self, l: int, rows: Array) -> Array:
-        """Layer l's tail after rows (T, B, C_in), its inputs of the T samples
-        after the tail: the last (kernel-1)*2**l rows of tail + rows, as
-        a new array."""
-        keep = (self.spec.kernel - 1) * 2 ** l - len(rows)  # rows of the old tail kept
-        if keep <= 0:
-            return rows[-keep:].copy()
-        return np.concatenate([self.tails[l][-keep:], rows])
+
+def _tail_after(tail: Array, rows: Array, n: int) -> Array:
+    """A layer's tail after rows (T, B, C_in), its inputs of the T samples
+    after tail: the last n rows of tail + rows, as a new array."""
+    keep = n - len(rows)  # rows of the old tail kept
+    if keep <= 0:
+        return rows[-keep:].copy()
+    return np.concatenate([tail[-keep:], rows])
 
 
 @dataclass
@@ -282,9 +295,12 @@ class HiddenState:
     last_output: Array | None = None
 
     def check(self, spec: ModelSpec, batch: int) -> None:
-        """Raise StateError unless every carried array fits spec and batch;
-        an unset gru_h or conv is left to the caller."""
-        if self.gru_h is not None:
+        """Raise StateError unless the state carries what spec's architecture
+        and mode need (gru_h or conv; last_output in AR), each array fitting
+        spec and batch; a field spec does not read is ignored."""
+        if spec.arch == "gru":
+            if self.gru_h is None:
+                raise StateError("GRU forward needs state.gru_h")
             if len(self.gru_h) != spec.depth:
                 raise StateError(
                     f"state holds {len(self.gru_h)} GRU layers, expected {spec.depth}")
@@ -292,8 +308,10 @@ class HiddenState:
                 if np.shape(h) != (batch, spec.hidden):
                     raise StateError(f"layer {l} GRU state has shape {np.shape(h)}, "
                                      f"expected {(batch, spec.hidden)}")
-        if self.conv is not None:
-            self.conv.check(batch)
+        elif self.conv is None:
+            raise StateError("TCN forward needs state.conv tails")
+        else:
+            self.conv.check(spec, batch)
         if spec.mode == "ar":
             if self.last_output is None:
                 raise StateError("AR forward needs state.last_output "
@@ -388,7 +406,7 @@ def _gru_weight_grads(cache, GA, HP):
     spec = cache["spec"]
     Hs, Rs = cache["H"], cache["R"]
     masks = cache["masks"]
-    B, T = cache["shape"]
+    B, T, _ = cache["shape"]
     H = spec.hidden
     grads: dict[str, Array] = {}
     for l in range(spec.depth):
@@ -418,70 +436,34 @@ def _gru_weight_grads(cache, GA, HP):
     return grads
 
 
-def _check_seq_input(u: Array, spec: ModelSpec, teacher: Array | None) -> None:
-    if u.ndim != 3:
-        raise DimensionError(f"expected (batch, time, channels) input, got shape {u.shape}")
-    if u.shape[2] != spec.input_dim:
-        raise DimensionError(
-            f"input has {u.shape[2]} channels, spec expects {spec.input_dim}"
-        )
-    if u.shape[1] < 1:
-        raise InputError("input must contain at least one time step")
-    if teacher is not None and np.shape(teacher) != u.shape[:2] + (spec.output_dim,):
-        raise DimensionError(f"teacher has shape {np.shape(teacher)}, "
-                             f"expected {u.shape[:2] + (spec.output_dim,)}")
+def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSpec,
+                 training: bool, rng, record: bool):
+    """Stacked GRU over one chunk; returns (y, final state, cache or None).
 
-
-def gru_forward(
-    u: Array,
-    state: HiddenState | None,
-    params: ParamStore,
-    spec: ModelSpec,
-    *,
-    teacher: Array | None = None,
-    training: bool = False,
-    rng=None,
-    return_cache: bool = False,
-):
-    """Stacked GRU over one chunk; returns (y, final state[, cache]).
-
-    In AR mode the layer-0 input at t is concat(u_t, fb), where fb is the
-    model's own previous standardized output, or the teacher sample
-    (standardized ground truth) when a teacher sequence is supplied. Every
-    mode computes the known part of the layer-0 projection for the whole
-    chunk in one matmul before the time loop: all of it in NAR and
-    teacher-forced AR. Free-running AR hoists the u part, and folds the
-    feedback fb = h @ head.W + head.b through F = head.W @ W0_fb, so a step
-    adds one h_top @ F; its first step uses state.last_output instead. The
-    head runs once after the loop. The z/r columns of every weight, bias and
-    F are halved once per chunk for `_gru_step`, in copies; params is not
-    written. The cache keeps the unhalved matrices and, formed after the
-    loop over the whole chunk, the factors the backward multiplies by.
+    u is the layer-0 input: all feed_dim columns when known (NAR; AR given a
+    teacher, as `Model.forward` builds it), or the input_dim columns of u_t
+    when AR runs free, its layer-0 input at t being concat(u_t, fb) with fb
+    its own previous standardized output. A known input's layer-0
+    projection is computed for the whole chunk in one matmul before the time
+    loop. Free-running AR hoists the u part, and folds the feedback
+    fb = h @ head.W + head.b through F = head.W @ W0_fb, so a step adds one
+    h_top @ F; its first step uses state.last_output instead. The head runs
+    once after the loop. The z/r columns of every weight, bias and F are
+    halved once per chunk for `_gru_step`, in copies; params is not written.
+    The cache keeps the unhalved matrices and, formed after the loop over
+    the whole chunk, the factors the backward multiplies by.
     """
-    _check_seq_input(u, spec, teacher)
-    B, T, I = u.shape
-    H, L, O = spec.hidden, spec.depth, spec.output_dim
-    ar = spec.mode == "ar"
-    if state is None:
-        state = initial_state(spec, B)
-    state.check(spec, B)
+    B, T, W = u.shape
+    H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
+    free = W < spec.feed_dim  # AR feeding back its own output
     mats = [_gru_layer_mats(params, l) for l in range(L)]
     steps = [_halved_zr(m, H) for m in mats]
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
     w0, b0, _, _ = steps[0]
-    free = ar and teacher is None
     # scratch arrays are time-major (T, B, .) so each step touches one
     # contiguous block; (B, T, .) slicing thrashes caches for long chunks
     X0 = U = np.ascontiguousarray(u.transpose(1, 0, 2))
-    if ar and (return_cache or not free):
-        # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t the teacher
-        # sample t-1 or, free-running, Y[t-1], filled in after the loop
-        X0 = np.empty((T, B, I + O))
-        X0[:, :, :I] = U
-        X0[0, :, I:] = state.last_output
-        if not free:
-            X0[1:, :, I:] = teacher[:, :-1].transpose(1, 0, 2)
     if free:
         # fb_t = h_top(t-1) @ w_y + b_y enters layer 0 as h_top(t-1) @ F plus
         # b_y @ w0_fb, so only the matmul by F stays in the loop
@@ -490,16 +472,22 @@ def gru_forward(
         proj0 = (U.reshape(T * B, I) @ w0[:I] + b0).reshape(T, B, 3 * H)
         proj0[0] += state.last_output @ w0_fb
         proj0[1:] += b_y @ w0_fb
+        if record:
+            # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t is
+            # Y[t-1], filled in after the loop
+            X0 = np.empty((T, B, I + O))
+            X0[:, :, :I] = U
+            X0[0, :, I:] = state.last_output
     else:
         proj0 = (X0.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
     P_zr, P_h = proj0[:, :, : 2 * H], proj0[:, :, 2 * H :]
     # S[l][0] is the carried state and S[l][t+1] the state after step t, so
     # the previous states are the view S[l][:-1]
     S = [np.empty((T + 1, B, H)) for _ in range(L)]
-    for s, h in zip(S, state.gru_h or [ZERO] * L):
+    for s, h in zip(S, state.gru_h):
         s[0] = h
     hs = [s[0] for s in S]  # read only: each step writes its h' into S
-    if return_cache:
+    if record:
         Zs = [np.empty((T, B, H)) for _ in range(L)]
         Rs = [np.empty((T, B, H)) for _ in range(L)]
         Cs = [np.empty((T, B, H)) for _ in range(L)]
@@ -514,7 +502,7 @@ def gru_forward(
                 proj = x @ w_cat + b_cat
                 p_zr, p_h = proj[:, : 2 * H], proj[:, 2 * H :]
             h = S[l][t + 1]
-            if return_cache:
+            if record:
                 Zs[l][t], Rs[l][t] = _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h, Cs[l][t])
             else:
                 _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h)
@@ -525,12 +513,13 @@ def gru_forward(
     Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
     last_output = None
-    if ar:
-        last_output = (Y[T - 1] if free else teacher[:, T - 1]).copy()
-        if free and return_cache:
+    if free:
+        last_output = Y[T - 1].copy()
+        if record:
             X0[1:, :, I:] = Y[:-1]
     new_state = HiddenState(gru_h=[h.copy() for h in hs], last_output=last_output)
-    if return_cache:
+    cache = None
+    if record:
         HP = [s[:-1] for s in S]
         FZ, FR = [], []
         for z, r, c, h_prev in zip(Zs, Rs, Cs, HP):
@@ -549,34 +538,33 @@ def gru_forward(
             FR.append(fr)
         cache = {"X0": X0, "H": Hs, "HP": HP, "R": Rs, "omz": Zs, "fz": FZ, "fc": Cs,
                  "fr": FR, "masks": masks, "mats": mats, "spec": spec, "params": params,
-                 "shape": (B, T), "teacher_forced": ar and teacher is not None}
-        return y, new_state, cache
-    return y, new_state
+                 "shape": u.shape}
+    return y, new_state, cache
 
 
-def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
-    """Reverse sweep through a cached gru_forward chunk; returns (grads, du).
+def _gru_backward(cache, g_y: Array, need_input_grad: bool):
+    """Reverse sweep through a cached GRU chunk; returns (grads, du).
 
     A step's gate adjoints are g times the factors the forward cached:
     1-z for the carried state, (c - h_prev)*z*(1-z) for z, z*(1-c**2) for
     the candidate, and h_prev*r*(1-r) times the candidate's adjoint pulled
-    through Uh for r. In AR mode each output's adjoint also collects the
-    adjoint of the next step's fed-back input, unless that input was
-    teacher-forced. The cache is only read.
+    through Uh for r. With the input known (NAR, teacher-forced AR) the top
+    layer's adjoint from the head is one product per chunk; free-running,
+    each output's adjoint also collects the adjoint of the next step's
+    fed-back input, so it is formed per step. The cache is only read.
     """
     params = cache["params"]
     spec = cache["spec"]
     Hs, HP, Rs = cache["H"], cache["HP"], cache["R"]
     OMZ, FZ, FC, FR = cache["omz"], cache["fz"], cache["fc"], cache["fr"]
     masks, mats = cache["masks"], cache["mats"]
-    B, T = cache["shape"]
+    B, T, W = cache["shape"]
     H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
-    ar = spec.mode == "ar"
-    feedback = ar and not cache["teacher_forced"]
+    feedback = W < spec.feed_dim
     w_y_t = params["head.W"].T
     # a copy, never a view of g_y: the feedback adjoint accumulates in place
     GY = g_y.transpose(1, 0, 2).copy()
-    if not ar:
+    if not feedback:
         g_top = (GY.reshape(T * B, O) @ w_y_t).reshape(T, B, H)
     mats_t = [(w_cat.T, u_zr.T, u_h.T) for w_cat, _, u_zr, u_h in mats]
     GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
@@ -584,7 +572,7 @@ def gru_backward(cache, g_y: Array, *, need_input_grad: bool = False):
     gu = np.empty((T, B, I)) if need_input_grad else None
     g_fb = np.zeros((B, O))
     for t in range(T - 1, -1, -1):
-        if ar:
+        if feedback:
             GY[t] += g_fb
             g_above = GY[t] @ w_y_t
         else:
@@ -661,7 +649,7 @@ def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelS
     for l, (k, bias, proj, identity_skip) in enumerate(_tcn_layers(params, spec)):
         tail = conv.tails[l]
         ctx = tail.transpose(1, 2, 0) if len(tail) else None  # (B, C, n)
-        tails.append(conv.advanced(l, x.transpose(2, 0, 1)))
+        tails.append(_tail_after(tail, x.transpose(2, 0, 1), (spec.kernel - 1) * 2 ** l))
         nk.causal_conv1d(x, k, 2 ** l, ctx=ctx, out=pre, scratch=scratch)
         pre += bias[None, :, None]
         out = np.maximum(pre, ZERO, out=np.empty(shape) if record else outs[l % 2])
@@ -680,7 +668,8 @@ def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelS
     )
     cache = None
     if record:
-        cache = {"xs": xs, "ctxs": ctxs, "masks": masks, "spec": spec, "params": params}
+        cache = {"xs": xs, "ctxs": ctxs, "masks": masks, "spec": spec, "params": params,
+                 "shape": u.shape}
     return y, HiddenState(conv=ConvCache(spec, tails)), cache
 
 
@@ -818,12 +807,12 @@ def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
     With the whole input known, a step is the NAR convolution over a
     one-sample chunk after the tails (`_tcn_nar_forward`), and the new tails
     replace the cache's. For streaming one sample at a time, in either mode;
-    whole chunks go through tcn_forward, which hands on the same cache.
+    whole chunks go through `Model.forward`, which hands on the same cache.
     """
     spec = cache.spec
     if x_t.ndim != 2 or x_t.shape[1] != spec.feed_dim:
         raise DimensionError(f"step input shape {x_t.shape} != (B, {spec.feed_dim})")
-    cache.check(x_t.shape[0])
+    cache.check(spec, x_t.shape[0])
     y, state, _ = _tcn_nar_forward(x_t[:, None], cache, params, spec, False)
     cache.tails[:] = state.conv.tails
     return y[:, 0]
@@ -873,13 +862,13 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, record):
         np.dot(v, w_y, out=fb)
         fb += b_y
     y = np.ascontiguousarray(Y.transpose(1, 0, 2))
-    tails = [conv.advanced(l, a[n:]) for l, (n, a) in enumerate(zip(lens, a_pad))]
+    tails = [_tail_after(tail, a[n:], n) for tail, n, a in zip(conv.tails, lens, a_pad)]
     cache = None
     if record:
         masks = [p > (a[n:] if identity_skip else 0.0)
                  for p, a, n, (*_, identity_skip) in zip(P, a_pad, lens, layers)]
         cache = {"a_pad": a_pad, "masks": masks, "lens": lens, "spec": spec,
-                 "params": params, "shape": (B, T)}
+                 "params": params, "shape": u.shape}
     return y, HiddenState(conv=ConvCache(spec, tails), last_output=fb.copy()), cache
 
 
@@ -903,7 +892,7 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     spec = cache["spec"]
     params = cache["params"]
     a_pad, masks, lens = cache["a_pad"], cache["masks"], cache["lens"]
-    B, T = cache["shape"]
+    B, T, _ = cache["shape"]
     I, O, H = spec.input_dim, spec.output_dim, spec.hidden
     depth = spec.depth
     layers = []
@@ -972,53 +961,6 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
     return grads, gu
 
 
-def tcn_forward(
-    u: Array,
-    state: HiddenState | None,
-    params: ParamStore,
-    spec: ModelSpec,
-    *,
-    teacher: Array | None = None,
-    return_cache: bool = False,
-):
-    """TCN over one chunk: dilation 2**l at layer l, ReLU, optional residual;
-    returns (y, new state[, cache]).
-
-    Both modes carry per-layer input tails (state.conv, never modified).
-    NAR convolves the whole chunk at once, each layer after its tail, and so
-    does AR given a teacher, over [u_t | y_{t-1}] with y_{-1} = last_output.
-    Free-running AR generates step by step, each layer's past taps read from
-    its tail and the chunk's earlier samples.
-    """
-    _check_seq_input(u, spec, teacher)
-    if state is None:
-        state = initial_state(spec, u.shape[0])
-    elif state.conv is None:
-        raise StateError("TCN forward needs state.conv tails")
-    else:
-        state.check(spec, u.shape[0])
-    if spec.mode == "nar":
-        y, new_state, cache = _tcn_nar_forward(u, state.conv, params, spec, return_cache)
-    elif teacher is None:
-        y, new_state, cache = _tcn_ar_forward(u, state.conv, state.last_output, params, spec,
-                                              return_cache)
-    else:
-        fb = np.concatenate([state.last_output[:, None], teacher[:, :-1]], axis=1)
-        y, new_state, cache = _tcn_nar_forward(np.concatenate([u, fb], axis=2), state.conv,
-                                               params, spec, return_cache)
-        new_state.last_output = teacher[:, -1].copy()
-    if return_cache:
-        return y, new_state, cache
-    return y, new_state
-
-
-def tcn_backward(cache, g_y: Array, *, need_input_grad: bool = False):
-    """Gradients of a cached tcn_forward chunk; returns (grads, du)."""
-    if "xs" in cache:  # built by the convolution
-        return _tcn_nar_backward(cache, g_y, need_input_grad)
-    return _tcn_ar_backward(cache, g_y, need_input_grad)
-
-
 # ---------------------------------------------------------------------------
 # unified model handle
 # ---------------------------------------------------------------------------
@@ -1026,7 +968,12 @@ def tcn_backward(cache, g_y: Array, *, need_input_grad: bool = False):
 
 @dataclass
 class Model:
-    """A spec plus its parameters, with arch-dispatched forward/backward."""
+    """A spec plus its parameters: the only entry for running a chunk.
+
+    forward checks every chunk (input, teacher, carried state) against the
+    spec and routes it to its architecture's core; backward checks g_y
+    against the cache and runs the backward of the core that built it.
+    """
 
     spec: ModelSpec
     params: ParamStore
@@ -1051,14 +998,61 @@ class Model:
         teacher: Array | None = None,
         return_cache: bool = False,
     ):
-        """Run one chunk; returns (y, new_state[, cache])."""
-        if self.spec.arch == "gru":
-            return gru_forward(u, state, self.params, self.spec, teacher=teacher,
-                               training=training, rng=rng, return_cache=return_cache)
-        return tcn_forward(u, state, self.params, self.spec, teacher=teacher,
-                           return_cache=return_cache)
+        """Run one chunk u (B, T, input_dim) from state (fresh when None);
+        returns (y, new_state[, cache]). The given state is not written.
+
+        An AR model given a teacher (B, T, output_dim), standardized ground
+        truth, runs on the known input [u_t | y_{t-1}] with y_{-1} the
+        carried last output, and carries the teacher's last sample on;
+        without one it feeds back its own output. Dropout (GRU) draws its
+        masks from rng when training.
+        """
+        spec = self.spec
+        if u.ndim != 3:
+            raise DimensionError(f"expected (batch, time, channels) input, got shape {u.shape}")
+        if u.shape[2] != spec.input_dim:
+            raise DimensionError(f"input has {u.shape[2]} channels, spec expects {spec.input_dim}")
+        B, T, _ = u.shape
+        if B < 1 or T < 1:
+            raise InputError(f"input must hold at least one sequence and one time step, "
+                             f"got shape {u.shape}")
+        if state is None:
+            state = initial_state(spec, B)
+        else:
+            state.check(spec, B)
+        x = u
+        if teacher is not None:
+            if spec.mode != "ar":
+                raise UsageError("a teacher replaces fed-back outputs; a NAR model has none")
+            if np.shape(teacher) != (B, T, spec.output_dim):
+                raise DimensionError(f"teacher has shape {np.shape(teacher)}, "
+                                     f"expected {(B, T, spec.output_dim)}")
+            fb = np.concatenate([state.last_output[:, None], teacher[:, :-1]], axis=1)
+            x = np.concatenate([u, fb], axis=2)
+        if spec.arch == "gru":
+            y, new_state, cache = _gru_forward(x, state, self.params, spec, training, rng,
+                                               return_cache)
+        elif x.shape[2] == spec.feed_dim:
+            y, new_state, cache = _tcn_nar_forward(x, state.conv, self.params, spec,
+                                                   return_cache)
+        else:
+            y, new_state, cache = _tcn_ar_forward(x, state.conv, state.last_output,
+                                                  self.params, spec, return_cache)
+        if teacher is not None:
+            new_state.last_output = teacher[:, -1].copy()
+        if return_cache:
+            return y, new_state, cache
+        return y, new_state
 
     def backward(self, cache, g_y: Array, *, need_input_grad: bool = False):
-        """Gradients for a cached forward chunk; returns (grads, du)."""
-        backward = gru_backward if self.spec.arch == "gru" else tcn_backward
-        return backward(cache, g_y, need_input_grad=need_input_grad)
+        """Gradients for a cached forward chunk, g_y being the adjoint of its
+        y; returns (grads, du), du being None unless need_input_grad."""
+        B, T, width = cache["shape"]
+        if np.shape(g_y) != (B, T, self.spec.output_dim):
+            raise DimensionError(f"g_y has shape {np.shape(g_y)}, "
+                                 f"expected {(B, T, self.spec.output_dim)}")
+        if self.spec.arch == "gru":
+            return _gru_backward(cache, g_y, need_input_grad)
+        if width == self.spec.feed_dim:
+            return _tcn_nar_backward(cache, g_y, need_input_grad)
+        return _tcn_ar_backward(cache, g_y, need_input_grad)

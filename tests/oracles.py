@@ -145,7 +145,7 @@ def gru_ar_explicit(u: Array, state: HiddenState, params: ParamStore, spec: Mode
     """AR-GRU over one chunk with the feedback explicit at every step: the
     layer-0 input [u_t | fb], every layer's gru_cell, then the head, whose
     output is the next step's fb (or the teacher sample). Returns (y, final
-    state); dropout masks are drawn as gru_forward draws them."""
+    state); dropout masks are drawn as the model's forward draws them."""
     T = u.shape[1]
     L = spec.depth
     masks = _dropout_masks(spec, u.shape[0], training, rng)

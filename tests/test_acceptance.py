@@ -25,7 +25,6 @@ from sidnn.models import (
     ModelSpec,
     init_params,
     receptive_field,
-    tcn_forward,
 )
 from sidnn.training import (
     TrainConfig,
@@ -166,13 +165,13 @@ def test_criterion_3_cache_oracle():
             model.params[name] *= 0.5
         u = rng.standard_normal((1, T, 1))
         y_cached, _ = model.forward(u, model.initial_state(1))
-        nar_twin = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=3,
-                             depth=depth)
+        nar_twin = Model(spec=ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=3,
+                                        depth=depth), params=model.params)
         y_naive = np.empty((1, T, 1))
         for t in range(T):
             fb_hist = np.concatenate([np.zeros((1, 1, 1)), y_naive[:, :t]], axis=1)
             hist = np.concatenate([u[:, : t + 1], fb_hist], axis=2)
-            y_naive[:, t] = tcn_forward(hist, None, model.params, nar_twin)[0][:, -1]
+            y_naive[:, t] = nar_twin.forward(hist)[0][:, -1]
         worst = max(worst, float(np.abs(y_cached - y_naive).max()))
     wall = time.perf_counter() - t0
     ok = worst < 1e-9 and wall < 120

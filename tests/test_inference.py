@@ -13,7 +13,7 @@ from sidnn.inference import (
     simulate,
     _bench_lock,
 )
-from sidnn.models import ConvCache, Model, ModelSpec, conv_cache_step, gru_forward, tcn_forward
+from sidnn.models import ConvCache, Model, ModelSpec, conv_cache_step
 
 import oracles
 
@@ -34,7 +34,7 @@ def test_simulate_nar_gru_matches_forward():
     model = Model.create(spec, 1)
     u, _ = data.sequences[0]
     y_hat = simulate(model, u, std)
-    y_ref, _ = gru_forward(std.apply_u(u)[None], None, model.params, spec)
+    y_ref, _ = model.forward(std.apply_u(u)[None])
     np.testing.assert_allclose(y_hat, std.invert_y(y_ref[0]), atol=1e-12)
 
 
@@ -80,7 +80,7 @@ def test_fast_ar_step_first_step_equals_length_one_forward():
     x = np.array([[0.7, -0.3]])  # concat(u_0, zero feedback)
     y_step = conv_cache_step(cache, model.params, x)
     nar_twin = ModelSpec(arch="tcn", mode="nar", input_dim=2, hidden=4, depth=3)
-    y_full, _ = tcn_forward(x[:, None, :], None, model.params, nar_twin)
+    y_full, _ = Model(spec=nar_twin, params=model.params).forward(x[:, None, :])
     np.testing.assert_allclose(y_step, y_full[:, 0], atol=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_fast_ar_step_matches_naive_recompute():
     for t in range(T):
         fb_hist = np.concatenate([np.zeros((1, 1, 1)), y_naive[:, :t]], axis=1)
         hist = np.concatenate([u[:, : t + 1], fb_hist], axis=2)
-        y_naive[:, t] = tcn_forward(hist, None, model.params, nar_twin)[0][:, -1]
+        y_naive[:, t] = Model(spec=nar_twin, params=model.params).forward(hist)[0][:, -1]
     assert np.abs(y - y_naive).max() < 1e-9
 
 

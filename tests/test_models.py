@@ -3,20 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidnn.errors import DimensionError, ParameterError, StateError
+from sidnn.errors import DimensionError, InputError, ParameterError, StateError, UsageError
 from sidnn.models import (
     ConvCache,
     HiddenState,
     Model,
     ModelSpec,
     ParamStore,
-    gru_forward,
     init_params,
     param_shapes,
     conv_cache_step,
     receptive_field,
-    tcn_backward,
-    tcn_forward,
 )
 
 from oracles import grad_check, gru_ar_explicit, gru_cell
@@ -79,14 +76,14 @@ def test_gru_cell_bptt_vs_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# gru_forward, NAR mode
+# GRU, NAR mode
 # ---------------------------------------------------------------------------
 
 
 def test_gru_forward_zero_params_outputs_zero():
     params = zero_params(GRU_NAR)
     u = np.random.default_rng(1).standard_normal((2, 7, 2))
-    y, _ = gru_forward(u, None, params, GRU_NAR)
+    y, _ = Model(spec=GRU_NAR, params=params).forward(u)
     np.testing.assert_array_equal(y, np.zeros_like(y))
 
 
@@ -111,7 +108,7 @@ def test_gru_forward_chunked_equals_monolithic():
 
 
 # ---------------------------------------------------------------------------
-# gru_forward, AR mode
+# GRU, AR mode
 # ---------------------------------------------------------------------------
 
 
@@ -121,7 +118,7 @@ def test_gru_ar_zero_params_stable_zero():
     state = HiddenState(
         gru_h=[np.zeros((2, 3)) for _ in range(2)], last_output=np.zeros((2, 1))
     )
-    y, _ = gru_forward(u, state, params, GRU_AR)
+    y, _ = Model(spec=GRU_AR, params=params).forward(u, state)
     np.testing.assert_array_equal(y, np.zeros_like(y))
 
 
@@ -161,6 +158,7 @@ def test_gru_ar_fold_matches_explicit_feedback_oracle(teacher_forced, depth, bat
     rng = np.random.default_rng(depth * 10 + batch)
     params = ParamStore({name: 0.5 * rng.standard_normal(shape)
                          for name, shape in param_shapes(spec).items()})
+    model = Model(spec=spec, params=params)
     T1, T = 7, 20
     u = rng.standard_normal((batch, T, 2))
     teacher = rng.standard_normal((batch, T, 1)) if teacher_forced else None
@@ -176,8 +174,8 @@ def test_gru_ar_fold_matches_explicit_feedback_oracle(teacher_forced, depth, bat
             rng_fold, rng_oracle = np.random.default_rng(1), np.random.default_rng(1)
             for lo, hi in bounds:
                 kw = {} if teacher is None else {"teacher": teacher[:, lo:hi]}
-                y, state = gru_forward(u[:, lo:hi], state, params, spec, training=True,
-                                       rng=rng_fold, return_cache=cached, **kw)[:2]
+                y, state = model.forward(u[:, lo:hi], state, training=True,
+                                         rng=rng_fold, return_cache=cached, **kw)[:2]
                 y_ref, expected = gru_ar_explicit(u[:, lo:hi], expected, params, spec,
                                                   training=True, rng=rng_oracle, **kw)
                 close(y, y_ref)
@@ -190,7 +188,7 @@ def test_gru_ar_missing_last_output_raises():
     model = Model.create(GRU_AR, 0)
     state = HiddenState(gru_h=[np.zeros((1, 3)) for _ in range(2)])
     with pytest.raises(StateError):
-        gru_forward(np.zeros((1, 4, 2)), state, model.params, GRU_AR)
+        model.forward(np.zeros((1, 4, 2)), state)
 
 
 @pytest.mark.parametrize("spec,field,value", [
@@ -222,6 +220,50 @@ def test_mismatched_teacher_raises(spec, shape):
     model = Model.create(spec, 0)
     with pytest.raises(DimensionError):
         model.forward(np.zeros((4, 5, 2)), model.initial_state(4), teacher=np.zeros(shape))
+
+
+@pytest.mark.parametrize("source,target", [
+    (replace(TCN_NAR, depth=5), TCN_NAR),  # the extra tails would be dropped
+    (replace(TCN_NAR, kernel=3), TCN_NAR),  # tails longer than kernel 2 keeps
+    (TCN_NAR, GRU_NAR),  # the GRU would run from zeros
+    (GRU_NAR, TCN_NAR),
+], ids=["tcn_depth", "tcn_kernel", "tcn_to_gru", "gru_to_tcn"])
+def test_state_of_another_model_raises(source, target):
+    # a carried state is checked against the spec of the model it enters,
+    # not against its own
+    u = np.random.default_rng(0).standard_normal((2, 9, 2))
+    _, state = Model.create(source, 0).forward(u)
+    with pytest.raises(StateError):
+        Model.create(target, 0).forward(u, state)
+
+
+@pytest.mark.parametrize("spec", [GRU_NAR, GRU_AR, TCN_NAR, TCN_AR],
+                         ids=["gru_nar", "gru_ar", "tcn_nar", "tcn_ar"])
+def test_empty_batch_raises(spec):
+    # the GRU failed with a bare ValueError; the TCN returned an empty output
+    with pytest.raises(InputError):
+        Model.create(spec, 0).forward(np.zeros((0, 5, 2)))
+
+
+@pytest.mark.parametrize("spec", [GRU_NAR, TCN_NAR], ids=["gru", "tcn"])
+def test_teacher_for_a_nar_model_raises(spec):
+    # a NAR model feeds back no output, so a teacher would be ignored
+    model = Model.create(spec, 0)
+    with pytest.raises(UsageError):
+        model.forward(np.zeros((2, 5, 2)), teacher=np.zeros((2, 5, 1)))
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 1), (2, 5), (2, 4, 1), (2, 5, 2)],
+                         ids=["transposed", "2d", "short", "wide"])
+@pytest.mark.parametrize("spec", [GRU_NAR, GRU_AR, TCN_NAR, TCN_AR],
+                         ids=["gru_nar", "gru_ar", "tcn_nar", "tcn_ar"])
+def test_mismatched_output_gradient_raises(spec, shape):
+    # a NAR backward took a transposed g_y and returned wrong gradients, the
+    # TCN-NAR one also a 2-D g_y; the rest failed with a bare numpy error
+    model = Model.create(spec, 0)
+    _, _, cache = model.forward(np.zeros((2, 5, 2)), return_cache=True)
+    with pytest.raises(DimensionError):
+        model.backward(cache, np.zeros(shape))
 
 
 def test_gru_gates_stay_bounded_at_extreme_pre_activations():
@@ -270,7 +312,7 @@ def test_ar_with_zero_feedback_weights_equals_nar():
 
 
 # ---------------------------------------------------------------------------
-# tcn_forward, NAR mode
+# TCN, NAR mode
 # ---------------------------------------------------------------------------
 
 
@@ -282,7 +324,7 @@ def test_tcn_depth1_pairwise_sums():
     params["tcn.0.kernel"] = np.array([[[1.0, 1.0]]])
     params["head.W"] = np.array([[1.0]])
     u = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    y, _ = tcn_forward(u, None, params, spec)
+    y, _ = Model(spec=spec, params=params).forward(u)
     np.testing.assert_array_equal(y.ravel(), [1.0, 3.0, 5.0, 7.0])
 
 
@@ -290,11 +332,11 @@ def test_tcn_causality():
     model = Model.create(TCN_NAR, 9)
     rng = np.random.default_rng(9)
     u = rng.standard_normal((1, 20, 2))
-    base, _ = tcn_forward(u, None, model.params, TCN_NAR)
+    base, _ = model.forward(u)
     t = 11
     up = u.copy()
     up[0, t, 0] += 1.0
-    out, _ = tcn_forward(up, None, model.params, TCN_NAR)
+    out, _ = model.forward(up)
     np.testing.assert_array_equal(out[:, :t], base[:, :t])
 
 
@@ -306,22 +348,22 @@ def test_tcn_receptive_field_limit():
     span = receptive_field(spec.depth)  # 7
     T = 24
     u = rng.standard_normal((1, T, 1))
-    base, _ = tcn_forward(u, None, model.params, spec)
+    base, _ = model.forward(u)
     t_probe = 20
     up = u.copy()
     up[0, t_probe - span - 1, 0] += 10.0
-    out, _ = tcn_forward(up, None, model.params, spec)
+    out, _ = model.forward(up)
     np.testing.assert_array_equal(out[0, t_probe], base[0, t_probe])
     up2 = u.copy()
     up2[0, t_probe - span, 0] += 10.0
-    out2, _ = tcn_forward(up2, None, model.params, spec)
+    out2, _ = model.forward(up2)
     assert np.any(out2[0, t_probe] != base[0, t_probe])
 
 
 def test_tcn_rejects_empty_sequence():
     model = Model.create(TCN_NAR, 0)
     with pytest.raises(Exception):
-        tcn_forward(np.zeros((1, 0, 2)), None, model.params, TCN_NAR)
+        model.forward(np.zeros((1, 0, 2)))
 
 
 @pytest.mark.parametrize("lengths", [(16, 16, 16, 16), (3, 5, 1, 30, 25), (1, 63)],
@@ -334,7 +376,7 @@ def test_tcn_nar_chunked_with_context_equals_monolithic(cached, kernel, lengths)
     spec = replace(TCN_NAR, kernel=kernel)
     model = Model.create(spec, 11)
     u = np.random.default_rng(11).standard_normal((2, 64, 2))
-    y_mono, _ = tcn_forward(u, None, model.params, spec)
+    y_mono, _ = model.forward(u)
     state = model.initial_state(2)
     parts = []
     for lo, hi in zip(np.cumsum((0,) + lengths[:-1]), np.cumsum(lengths)):
@@ -412,14 +454,14 @@ def test_tcn_nar_backward_vs_finite_differences_after_a_chunk(kernel, skip):
     for l in range(spec.depth):  # keep biases off the ReLU kink (see the AR test)
         model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, hidden)
     u = rng.standard_normal((2, 10, 2))
-    _, state = tcn_forward(u[:, :3], None, model.params, spec)
+    _, state = model.forward(u[:, :3])
 
     def f(u_chunk, *arrays):
-        params = ParamStore(dict(zip(names, arrays)))
-        y, _, cache = tcn_forward(u_chunk, state, params, spec, return_cache=True)
+        chunk_model = Model(spec=spec, params=ParamStore(dict(zip(names, arrays))))
+        y, _, cache = chunk_model.forward(u_chunk, state, return_cache=True)
 
         def vjp(g):
-            grads, gu = tcn_backward(cache, g, need_input_grad=True)
+            grads, gu = chunk_model.backward(cache, g, need_input_grad=True)
             return [gu] + [grads[n] for n in names]
 
         return y, vjp
@@ -429,7 +471,7 @@ def test_tcn_nar_backward_vs_finite_differences_after_a_chunk(kernel, skip):
 
 
 # ---------------------------------------------------------------------------
-# tcn_forward, AR mode
+# TCN, AR mode
 # ---------------------------------------------------------------------------
 
 
@@ -455,7 +497,7 @@ def test_tcn_ar_equals_naive_recompute():
             [np.zeros((1, 1, 1)), y_naive[:, :t]], axis=1
         )
         hist = np.concatenate([u[:, : t + 1], fb_hist], axis=2)
-        out, _ = tcn_forward(hist, None, model.params, nar_twin)
+        out, _ = Model(spec=nar_twin, params=model.params).forward(hist)
         y_naive[:, t] = out[:, -1]
     assert np.abs(y_cached - y_naive).max() < 1e-9
 
@@ -486,62 +528,82 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
         kw = {} if teacher is None else {"teacher": teacher[:, lo:hi]}
 
         def f(u_chunk, *arrays):
-            params = ParamStore(dict(zip(names, arrays)))
-            y, _, cache = tcn_forward(u_chunk, state, params, spec, return_cache=True, **kw)
+            chunk_model = Model(spec=spec, params=ParamStore(dict(zip(names, arrays))))
+            y, _, cache = chunk_model.forward(u_chunk, state, return_cache=True, **kw)
 
             def vjp(g):
-                grads, gu = tcn_backward(cache, g, need_input_grad=True)
+                grads, gu = chunk_model.backward(cache, g, need_input_grad=True)
                 return [gu] + [grads[n] for n in names]
 
             return y, vjp
 
         inputs = [u[:, lo:hi].copy()] + [model.params[n].copy() for n in names]
         assert grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
-        state = tcn_forward(u[:, lo:hi], state, model.params, spec, **kw)[1]
+        state = model.forward(u[:, lo:hi], state, **kw)[1]
 
 
-@pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
-@pytest.mark.parametrize("skip", ["identity", "projection", "off"])
-@pytest.mark.parametrize("kernel", [1, 2, 3])
-def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
-    # teacher-forced, the AR-TCN is the NAR-TCN over [u_t | y_{t-1}], the
-    # twin of test_tcn_ar_equals_naive_recompute: tcn_forward routes it
-    # through the convolution, carries the teacher's last sample and drops
-    # the feedback columns from du. The zero case zeroes every conv
-    # parameter, so each identity-skip pre-activation is exactly 0; the head
-    # stays random, so the adjoints reach the ties. It also runs the chunks
-    # free-running, which checks the AR step's q > v mask on those ties.
-    hidden = 4 if skip == "projection" else 3
-    spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
-                     kernel=kernel, residual=skip != "off")
+# the TCN cases keep their kernel-skip-zero ids; a GRU case reads neither
+# kernel nor skip, and runs with dropout and two outputs
+TWIN_CASES = [pytest.param("tcn", kernel, skip, zero,
+                           id=f"{kernel}-{skip}-{'zero' if zero else 'random'}")
+              for kernel in (1, 2, 3) for skip in ("identity", "projection", "off")
+              for zero in (False, True)]
+TWIN_CASES += [pytest.param("gru", None, None, zero, id=f"gru-{'zero' if zero else 'random'}")
+               for zero in (False, True)]
+
+
+@pytest.mark.parametrize("arch,kernel,skip,zero", TWIN_CASES)
+def test_tcn_ar_teacher_forced_equals_nar_twin(arch, kernel, skip, zero):
+    # teacher-forced, an AR model is the NAR model over [u_t | y_{t-1}], the
+    # twin of test_tcn_ar_equals_naive_recompute: Model.forward builds that
+    # input for both architectures, carries the teacher's last sample, and
+    # the backward drops the feedback columns from du. The zero case zeroes
+    # every conv or GRU parameter, so each identity-skip pre-activation is
+    # exactly 0; the head stays random, so the adjoints reach the ties. It
+    # also runs the TCN chunks free-running, which checks the AR step's
+    # q > v mask on those ties.
+    if arch == "tcn":
+        hidden = 4 if skip == "projection" else 3
+        spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
+                         kernel=kernel, residual=skip != "off")
+    else:
+        spec = ModelSpec(arch="gru", mode="ar", input_dim=2, hidden=3, depth=2,
+                         output_dim=2, dropout=0.3)
     twin = replace(spec, mode="nar", input_dim=spec.feed_dim)
-    rng = np.random.default_rng(kernel)
-    params = ParamStore({name: np.zeros(shape) if zero and name.startswith("tcn.")
+    O = spec.output_dim
+    rng = np.random.default_rng(kernel or 0)
+    params = ParamStore({name: np.zeros(shape) if zero and name.startswith(arch + ".")
                          else rng.uniform(-0.5, 0.5, shape)
                          for name, shape in param_shapes(spec).items()})
+    model, twin_model = Model(spec=spec, params=params), Model(spec=twin, params=params)
     B, T1, T = 3, 5, 14
     u = rng.standard_normal((B, T, 2))
-    teacher = rng.standard_normal((B, T, 1))
-    g = rng.standard_normal((B, T, 1))
-    last = rng.standard_normal((B, 1))
+    teacher = rng.standard_normal((B, T, O))
+    g = rng.standard_normal((B, T, O))
+    last = rng.standard_normal((B, O))
     x = np.concatenate([u, np.concatenate([last[:, None], teacher[:, :-1]], axis=1)], axis=2)
-    state_ar = state_free = HiddenState(conv=ConvCache.init(spec, B), last_output=last)
+    state_ar = state_free = replace(model.initial_state(B), last_output=last)
     state_nar = None
+    # the twins draw the same dropout masks
+    rng_ar, rng_nar = np.random.default_rng(1), np.random.default_rng(1)
 
     def close(a, b):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     for lo, hi in ((0, T1), (T1, T)):
-        y_ar, state_ar, cache_ar = tcn_forward(u[:, lo:hi], state_ar, params, spec,
-                                               teacher=teacher[:, lo:hi], return_cache=True)
-        y_nar, state_nar, cache_nar = tcn_forward(x[:, lo:hi], state_nar, params, twin,
-                                                  return_cache=True)
-        grads_ar, gu_ar = tcn_backward(cache_ar, g[:, lo:hi], need_input_grad=True)
-        grads_nar, gu_nar = tcn_backward(cache_nar, g[:, lo:hi], need_input_grad=True)
+        y_ar, state_ar, cache_ar = model.forward(u[:, lo:hi], state_ar, training=True,
+                                                 rng=rng_ar, teacher=teacher[:, lo:hi],
+                                                 return_cache=True)
+        y_nar, state_nar, cache_nar = twin_model.forward(x[:, lo:hi], state_nar, training=True,
+                                                         rng=rng_nar, return_cache=True)
+        grads_ar, gu_ar = model.backward(cache_ar, g[:, lo:hi], need_input_grad=True)
+        grads_nar, gu_nar = twin_model.backward(cache_nar, g[:, lo:hi], need_input_grad=True)
         close(y_ar, y_nar)
         close(gu_ar, gu_nar[:, :, :2])
         np.testing.assert_array_equal(state_ar.last_output, teacher[:, hi - 1])
-        for a, b in zip(state_ar.conv.tails, state_nar.conv.tails, strict=True):
+        carried = (state_ar.conv.tails, state_nar.conv.tails) if arch == "tcn" else (
+            state_ar.gru_h, state_nar.gru_h)
+        for a, b in zip(*carried, strict=True):
             np.testing.assert_array_equal(a, b)
         assert grads_ar.keys() == grads_nar.keys() == params.keys()
         for name in params:
@@ -549,9 +611,8 @@ def test_tcn_ar_teacher_forced_equals_nar_twin(kernel, skip, zero):
         if zero and skip == "identity":
             # every tie sends its adjoint through the skip only, teacher-forced
             # and free-running alike
-            _, state_free, cache = tcn_forward(u[:, lo:hi], state_free, params, spec,
-                                               return_cache=True)
-            free = tcn_backward(cache, g[:, lo:hi], need_input_grad=True)
+            _, state_free, cache = model.forward(u[:, lo:hi], state_free, return_cache=True)
+            free = model.backward(cache, g[:, lo:hi], need_input_grad=True)
             for grads, gu in ((grads_ar, gu_ar), free):
                 assert not any(grads[f"tcn.{l}.kernel"].any() for l in range(spec.depth))
                 assert gu.any()

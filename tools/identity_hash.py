@@ -15,6 +15,8 @@ unchanged in their own lines. The grid is fixed:
     GRU: NAR/AR x depth 1-3 x B 1/3 x dropout 0/0.3 (x teacher forcing in AR)
     TCN: NAR/AR x depth 1-3 x kernel 1-3 x residual identity/off/projection
          x B 1/3 (x teacher forcing in AR)
+    and per arch one AR spec with output_dim 2 x B 1/3 x teacher forcing,
+    where the head's products have more than one column.
 
 Parameters are drawn at random (biases non-zero), so ReLU patterns mix.
 
@@ -25,7 +27,8 @@ and the largest difference of any array between the sides, relative to the
 largest magnitude of the parent's array. A change that moves numbers in the
 last bits reports that figure. There the teacher-forced AR cases get their
 own line per arch ("GRU-AR teacher-forced"), apart from the free-running ones,
-since the two run different code.
+since the two run different code, and so do the output_dim 2 cases
+("GRU-AR teacher-forced output_dim 2").
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ def _specs(models):
                          hidden=feed if skip == "identity" else 4, depth=depth,
                          kernel=kernel, residual=skip != "off")
         yield spec, teacher
+    for arch, teacher in itertools.product(("gru", "tcn"), (False, True)):
+        yield ModelSpec(arch=arch, mode="ar", input_dim=INPUT_DIM, hidden=4, depth=2,
+                        output_dim=2), teacher
 
 
 def _state_arrays(state):
@@ -103,12 +109,16 @@ def _case_arrays(models, spec, teacher_forced: bool, batch: int, seed: int):
                 yield from _state_arrays(state)
 
 
+def _family(spec) -> str:
+    return f"{spec.arch}-{spec.mode}".upper()
+
+
 def _grid(models):
-    """(family, teacher forced, case arrays) of every case of the grid, in order."""
+    """(spec, teacher forced, case arrays) of every case of the grid, in order."""
     seed = 0
     for spec, teacher_forced in _specs(models):
         for batch in (1, 3):
-            yield (f"{spec.arch}-{spec.mode}".upper(), teacher_forced,
+            yield (spec, teacher_forced,
                    [np.array(a, order="C")
                     for a in _case_arrays(models, spec, teacher_forced, batch, seed)])
             seed += 1
@@ -137,8 +147,8 @@ def report(models) -> None:
     digest = hashlib.sha256()
     families: dict[str, list] = {}  # variant -> [sha256, cases, arrays]
     cases = arrays = 0
-    for name, _, case in _grid(models):
-        family = families.setdefault(name, [hashlib.sha256(), 0, 0])
+    for spec, _, case in _grid(models):
+        family = families.setdefault(_family(spec), [hashlib.sha256(), 0, 0])
         for a in case:
             for h in (digest, family[0]):
                 _update(h, a)
@@ -153,9 +163,10 @@ def report(models) -> None:
 
 def compare(parent, change, rev: str) -> None:
     families: dict[str, list] = {}  # variant -> [parent sha256, change sha256, largest diff]
-    for (name, forced, case_p), (_, _, case_c) in zip(_grid(parent), _grid(change),
+    for (spec, forced, case_p), (_, _, case_c) in zip(_grid(parent), _grid(change),
                                                       strict=True):
-        name += " teacher-forced" if forced else ""
+        name = _family(spec) + (" teacher-forced" if forced else "")
+        name += f" output_dim {spec.output_dim}" if spec.output_dim > 1 else ""
         family = families.setdefault(name, [hashlib.sha256(), hashlib.sha256(), 0.0])
         for a, b in zip(case_p, case_c, strict=True):
             _update(family[0], a)
