@@ -125,6 +125,11 @@ def asha_decide(rungs: list[Rung], trial_result: tuple[int, int, float], eta: in
 
 @dataclass
 class SearchEvent:
+    """One decided trial result. seconds is the trial's wall time, measured
+    by the worker around trial_runner; config, the trial's overlay, is set on
+    rung-0 events only. Like timestamp, seconds varies run to run, and no
+    decision reads it."""
+
     trial_id: int
     rung: int
     epochs: int
@@ -132,13 +137,16 @@ class SearchEvent:
     decision: str  # promote | stop | complete | fail
     timestamp: float
     error: str | None = None  # "<ExcClass>: <message>" of a failed trial
+    seconds: float | None = None
+    config: dict | None = None
 
     def to_json(self) -> str:
         line = {"trial_id": self.trial_id, "rung": self.rung, "epochs": self.epochs,
                 "valid_rmse": self.valid_rmse, "decision": self.decision,
-                "timestamp": self.timestamp}
-        if self.error is not None:
-            line["error"] = self.error
+                "timestamp": self.timestamp, "seconds": self.seconds}
+        for key, value in (("error", self.error), ("config", self.config)):
+            if value is not None:
+                line[key] = value
         return json.dumps(line)
 
 
@@ -239,11 +247,12 @@ def run_search(
     def work() -> None:
         # job: (trial_id, rung_index, overlay, epochs, trial_seed); None ends it
         while (job := jobs.get()) is not None:
+            start = time.perf_counter()
             try:
                 outcome = float(trial_runner(*job[2:]))
             except BaseException as exc:  # handed back, so no job is ever lost
                 outcome = exc
-            results.put((job, outcome))
+            results.put((job, outcome, time.perf_counter() - start))
 
     def hand_out() -> bool:
         if pending:
@@ -263,10 +272,11 @@ def run_search(
     def running() -> int:
         return sum(r.status == "running" for r in records.values())
 
-    def emit(trial_id: int, rung_index: int, loss: float, decision: str,
+    def emit(trial_id: int, rung_index: int, loss: float, decision: str, seconds: float,
              error: str | None = None) -> None:
+        config = dict(records[trial_id].config) if rung_index == 0 else None
         ev = SearchEvent(trial_id, rung_index, rungs[rung_index].resource, loss,
-                         decision, time.time(), error)
+                         decision, time.time(), error, seconds, config)
         events.append(ev)
         log_fh.write(ev.to_json() + "\n")
         log_fh.flush()
@@ -280,13 +290,13 @@ def run_search(
                 pass
             if not running():
                 break
-            (trial_id, rung_index, *_), outcome = results.get()
+            (trial_id, rung_index, *_), outcome, seconds = results.get()
             record = records[trial_id]
             if isinstance(outcome, BaseException):
                 # after a SidnnError the search goes on; any other exception
                 # stops the hand-out of work
                 record.status = "failed"
-                emit(trial_id, rung_index, math.nan, "fail",
+                emit(trial_id, rung_index, math.nan, "fail", seconds,
                      f"{type(outcome).__name__}: {outcome}")
                 if not isinstance(outcome, SidnnError) and crash is None:
                     crash = (trial_id, outcome)
@@ -295,7 +305,7 @@ def run_search(
             record.rungs.append((rungs[rung_index].resource, outcome))
             if rung_index == num_rungs - 1:
                 record.status = "completed"
-                emit(trial_id, rung_index, outcome, "complete")
+                emit(trial_id, rung_index, outcome, "complete", seconds)
                 continue
             decision = asha_decide(rungs, (trial_id, rung_index, outcome), eta)
             if decision == "promote":
@@ -303,7 +313,7 @@ def run_search(
                 pending.append((trial_id, rung_index + 1))
             else:
                 record.status = "stopped"
-            emit(trial_id, rung_index, outcome, decision)
+            emit(trial_id, rung_index, outcome, decision, seconds)
     finally:
         for _ in range(workers):
             jobs.put(None)  # idle workers end now, busy ones after their trial

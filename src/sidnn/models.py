@@ -46,12 +46,20 @@ the free-running AR-TCN steps: it writes each layer's outputs, one step at a
 time, into a dense array that begins with the layer above's tail. Layer l's
 past taps are at least 2**l samples old, so they are summed once per
 2**l-sample block with one matmul per tap; a step costs one current-tap
-matmul per layer, and the backward mirrors this. An identity skip is folded
-into the current tap as w_now + I, once per chunk, so a step accumulates
-q = pre + v and outputs max(q, v): three numpy calls per layer, every product
-through np.dot into a buffer allocated once per chunk. Its cached mask is
-q > v, which keeps pre > 0's rule that a zero pre-activation sends the
-adjoint through the skip only.
+matmul per layer, and the backward mirrors this. Above layer 0 an identity
+skip is folded into the current tap as w_now + I, once per chunk, so a step
+accumulates q = pre + v and outputs max(q, v): three numpy calls per layer,
+every product through np.dot into a buffer allocated once per chunk. Its
+cached mask is q > v, which keeps pre > 0's rule that a zero pre-activation
+sends the adjoint through the skip only. Layer 0 and the head are folded
+together (`_tcn_fold`): layer 0's output is max(q, s) with s its skip (I, the
+projection or 0) and q = pre + s; the known share of [q | s] (bias, the u
+taps, head.b's share of the feedback, the carried context) is convolved once
+per chunk, and a step adds one product, a window of the last kernel top
+outputs times G = head.W @ (the feedback rows of layer 0's taps), then takes
+max(q, s). The head runs once after the loop. So layer 0 and the head cost
+three numpy calls per step, down from nine; the backward's layer 0 costs
+five, down from about ten, with the head's gradients formed per chunk.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import numkit as nk
 from .errors import (
@@ -722,57 +731,46 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
 
 
 def _tcn_step_layers(params: ParamStore, spec: ModelSpec, batch: int) -> list:
-    """Per layer, what a step of `_tcn_step` reads: the past taps as
-    contiguous (C_in, H) matrices stacked oldest first, the bias, the
-    current-tap matrix w, a (batch, w columns) product buffer and its views
-    `now` (the pre-activation's share) and `side` (the projection's share, or
-    None), and whether the skip is the identity.
+    """Per layer above layer 0, what a step of `_tcn_step` reads: the past
+    taps as contiguous (H, H) matrices stacked oldest first, the bias, the
+    current-tap matrix w, a (batch, H) product buffer allocated here, once per
+    chunk, and whether the skip is the identity.
 
-    An identity skip is folded into the current tap as w_now + I, so a step
-    accumulates q = pre + v and its output relu(pre) + v is max(q, v). A
-    projection is appended to the current tap's columns, [w_now | proj], so
-    one product serves both. The buffers are allocated here, once per chunk.
+    Layers above layer 0 take H channels, so their skip is the identity or
+    none. An identity skip is folded into the current tap as w_now + I, so a
+    step accumulates q = pre + v and its output relu(pre) + v is max(q, v).
     """
     layers = []
-    for k, bias, proj, identity_skip in _tcn_layers(params, spec):
-        w = np.ascontiguousarray(k.T)  # (kernel, C_in, H)
-        w_now = w[-1]
-        if identity_skip:
-            w_now = w_now + np.eye(len(w_now))
-        elif proj is not None:
-            w_now = np.concatenate([w_now, proj[:, :, 0].T], axis=1)
-        H = len(bias)
-        prod = np.empty((batch, w_now.shape[1]))
-        now, side = (prod, None) if proj is None else (prod[:, :H], prod[:, H:])
-        layers.append((w[:-1], bias, w_now, prod, now, side, identity_skip))
+    for k, bias, _, identity_skip in _tcn_layers(params, spec)[1:]:
+        w = np.ascontiguousarray(k.T)  # (kernel, H, H)
+        w_now = w[-1] + np.eye(len(bias)) if identity_skip else w[-1]
+        layers.append((w[:-1], bias, w_now, np.empty((batch, len(bias))), identity_skip))
     return layers
 
 
-def _tcn_step(layers: list, a_pad: list, P: list, t: int, tmp: Array) -> Array:
-    """Run every layer at step t of a chunk of T = len(P[0]) samples; returns
-    the top output.
+def _tcn_step(layers: list, a_pad: list, outs: list, P: list, t: int, v: Array,
+              tmp: Array) -> None:
+    """Run the layers above layer 0 at step t of a chunk, v being layer 0's
+    output at t.
 
     a_pad[l] holds layer l's inputs, its context and then the chunk's T
-    rows; layer l accumulates its pre-activation in P[l][t] and writes its
-    output to chunk row t of a_pad[l+1]. Layer l reads tap j from
+    rows; layer l (from 1) accumulates its pre-activation in P[l-1][t] and
+    writes its output to outs[l][t]. Layer l reads tap j from
     (kernel-1-j)*2**l samples ago, so its past taps are at least 2**l samples
     old: at the first step of each 2**l-sample block from the chunk start, one
-    matmul per past tap writes the past taps for the whole block into P[l]
+    matmul per past tap writes the past taps for the whole block into P[l-1]
     (the first through out=, the bias added after), and every row that reads
     is already written. Each step then adds its current tap through the
     layer's product buffer and takes the output as max(P, v) for an identity
-    skip (w_now + I folded, see `_tcn_step_layers`) or max(P, 0) plus the
-    projection's share otherwise: three numpy calls for an identity or no
-    skip, four with a projection. tmp is a (B, H) scratch for the second and
-    later past taps of a one-row block. A kernel-1 layer has no past taps,
-    and the caller fills its P with the bias.
+    skip (w_now + I folded, see `_tcn_step_layers`) or max(P, 0) otherwise:
+    three numpy calls. tmp is a (B, H) scratch for the second and later past
+    taps of a one-row block. A kernel-1 layer has no past taps, and the
+    caller fills its P with the bias.
     """
-    T = len(P[0])
-    v = a_pad[0][t - T]
-    B = len(v)
-    for l, (w_past, bias, w, prod, now, side, identity_skip) in enumerate(layers):
+    T, B = len(outs[0]), len(v)
+    for l, (w_past, bias, w, prod, identity_skip) in enumerate(layers, 1):
         d = 2 ** l
-        pre = P[l][t]
+        pre = P[l - 1][t]
         if len(w_past) and t % d == 0:
             a = a_pad[l]
             lo = len(a) - T + t - len(w_past) * d
@@ -783,19 +781,54 @@ def _tcn_step(layers: list, a_pad: list, P: list, t: int, tmp: Array) -> Array:
                     pre += np.dot(a[lo + j * d], w_past[j], out=tmp)
                 pre += bias
             else:
-                blk = P[l][t : t + m].reshape(m * B, -1)
+                blk = P[l - 1][t : t + m].reshape(m * B, -1)
                 np.dot(a[lo : lo + m].reshape(m * B, -1), w_past[0], out=blk)
                 for j in range(1, len(w_past)):
                     blk += np.dot(a[lo + j * d : lo + j * d + m].reshape(m * B, -1), w_past[j])
                 blk += bias
-        row = a_pad[l + 1][t - T]
-        np.dot(v, w, out=prod)
-        pre += now
-        np.maximum(pre, v if identity_skip else ZERO, out=row)
-        if side is not None:
-            row += side
-        v = row
-    return v
+        pre += np.dot(v, w, out=prod)
+        v = np.maximum(pre, v if identity_skip else ZERO, out=outs[l][t])
+
+
+def _tcn_skip0(params: ParamStore, spec: ModelSpec) -> Array | None:
+    """Layer 0's skip as a (C_in, H) matrix: I, the projection, or None."""
+    proj = params.get("tcn.0.proj")
+    if proj is not None:
+        return proj[:, :, 0].T
+    return np.eye(spec.hidden) if spec.residual else None
+
+
+def _tcn_fold(params: ParamStore, spec: ModelSpec):
+    """Layer 0 and the head folded, as `_tcn_ar_forward` steps them; returns
+    (A, G).
+
+    A (kernel, C_in, 2H) holds layer 0's taps oldest first, each mapping an
+    input row to its share of [q | s]: [W_j | 0] for a past tap and
+    [W_now + S | S] for the current one, S being the skip (I, the
+    projection, or 0), so that layer 0's output relu(pre) + s is max(q, s)
+    with q = pre + s. G (kernel*H, 2H) stacks head.W @ A_j[input_dim:] over
+    the taps: a window of the last kernel top outputs, oldest first, times G
+    is the share of [q | s] that the fed-back outputs bring, less head.b's.
+    """
+    k = params["tcn.0.kernel"]
+    H, C, K = k.shape
+    A = np.zeros((K, C, 2 * H))
+    A[:, :, :H] = k.transpose(2, 1, 0)
+    skip = _tcn_skip0(params, spec)
+    if skip is not None:
+        A[-1, :, :H] += skip
+        A[-1, :, H:] = skip
+    G = (params["head.W"] @ A[:, spec.input_dim :]).reshape(K * H, 2 * H)
+    return A, G
+
+
+def _windows(tops: Array, kernel: int) -> Array:
+    """(T, B, kernel*H) view of batch-major tops (B, kernel + T, H): row t
+    is each sequence's kernel rows from t on, flattened, the window step t
+    reads."""
+    B, n, H = tops.shape
+    s0, s1, s2 = tops.strides
+    return as_strided(tops, (n - kernel, B, kernel * H), (s1, s0, s2))
 
 
 def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
@@ -823,53 +856,74 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, record):
 
     Sequential generation with input concat(u_t, own previous output); equals
     a naive full-history recompute. Each layer's inputs, preceded by its
-    context (zeros before the sequence start, then its tail), and its
-    accumulated pre-activations are kept in dense time-major arrays: each step
-    reads its past taps from them and the new tails are their last rows. With
-    record set, the cache keeps the input arrays and a bool mask per layer,
-    formed once after the time loop: P > v for an identity skip (the
-    accumulator holds q = pre + v, and q > v is pre > 0 with a zero
-    pre-activation sending the adjoint through the skip only), P > 0
-    otherwise.
+    context (zeros before the sequence start, then its tail), are kept in
+    dense time-major arrays: each step reads its past taps from them and the
+    new tails are their last rows.
+
+    Layer 0 and the head are folded (`_tcn_fold`). Before the loop the known
+    share of layer 0's [q | s] is convolved for the whole chunk: bias, every
+    tap over u, head.b's share of each in-chunk feedback tap, and the carried
+    last output and tail feedback. A step adds one product, the window of the
+    last kernel top outputs times G, and takes max(q, s); the top layer
+    writes straight into that batch-major window array, whose first kernel
+    rows are zeros (their feedback is in the known share). After the loop one
+    product gives y and X0's feedback column. With record set, the cache
+    keeps the input arrays, the top outputs and a bool mask per layer, formed
+    once after the loop: q > s for layer 0 and P > v above it for an
+    identity skip (the accumulator holds q = pre + v, and q > v is pre > 0
+    with a zero pre-activation sending the adjoint through the skip only),
+    P > 0 otherwise.
     """
     B, T, I = u.shape
-    H = spec.hidden
+    H, K, L = spec.hidden, spec.kernel, spec.depth
+    A, G = _tcn_fold(params, spec)
     layers = _tcn_step_layers(params, spec, B)
     w_y, b_y = params["head.W"], params["head.b"]
-    lens = [(spec.kernel - 1) * 2 ** l for l in range(spec.depth)]
+    lens = [(K - 1) * 2 ** l for l in range(L)]
     a_pad = []
     for n, tail in zip(lens, conv.tails):
         a = np.empty((n + T,) + tail.shape[1:])
         a[: n - len(tail)] = 0.0  # samples before the sequence start
         a[n - len(tail) : n] = tail
         a_pad.append(a)
-    a_pad.append(np.empty((T, B, H)))  # top-layer outputs, no context
-    P = [np.empty((T, B, H)) for _ in range(spec.depth)]  # pre-activations
-    if spec.kernel == 1:  # no past taps: the bias starts every step's sum
-        for p, (_, bias, *_) in zip(P, layers):
-            p[...] = bias
-    tmp = np.empty((B, H))
-    # layer-0 inputs [u_t | fb]; fb is written in as the loop reaches t
+    tops = np.empty((B, K + T, H))
+    tops[:, :K] = 0.0
+    wins = _windows(tops, K)
+    outs = [a[n:] for a, n in zip(a_pad[1:], lens[1:])] + [tops[:, K:].transpose(1, 0, 2)]
+    # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t is head.b until
+    # the loop is done
     X0 = a_pad[0][lens[0] :]
     X0[:, :, :I] = u.transpose(1, 0, 2)
-    Y = np.empty((T, B, spec.output_dim))
-    fb = last_output
+    X0[0, :, I:] = last_output
+    X0[1:, :, I:] = b_y
+    C = X0.shape[2]
+    QS = np.dot(a_pad[0][:T].reshape(T * B, C), A[0]).reshape(T, B, 2 * H)
+    for j in range(1, K):
+        QS += np.dot(a_pad[0][j : j + T].reshape(T * B, C), A[j]).reshape(T, B, 2 * H)
+    Q, S = QS[:, :, :H], QS[:, :, H:]
+    Q += params["tcn.0.bias"]
+    P = [np.empty((T, B, H)) for _ in layers]  # pre-activations above layer 0
+    if K == 1:  # no past taps: the bias starts every step's sum
+        for p, (_, bias, *_) in zip(P, layers):
+            p[...] = bias
+    prod, tmp = np.empty((B, 2 * H)), np.empty((B, H))
+    out0 = outs[0]
     for t in range(T):
-        x0 = X0[t]
-        x0[:, I:] = fb
-        v = _tcn_step(layers, a_pad, P, t, tmp)
-        fb = Y[t]
-        np.dot(v, w_y, out=fb)
-        fb += b_y
-    y = np.ascontiguousarray(Y.transpose(1, 0, 2))
+        qs = QS[t]
+        qs += np.dot(wins[t], G, out=prod)
+        v = np.maximum(Q[t], S[t], out=out0[t])
+        _tcn_step(layers, a_pad, outs, P, t, v, tmp)
+    y = np.matmul(tops[:, K:], w_y)
+    y += b_y
+    X0[1:, :, I:] = y[:, :-1].transpose(1, 0, 2)
     tails = [_tail_after(tail, a[n:], n) for tail, n, a in zip(conv.tails, lens, a_pad)]
     cache = None
     if record:
-        masks = [p > (a[n:] if identity_skip else 0.0)
-                 for p, a, n, (*_, identity_skip) in zip(P, a_pad, lens, layers)]
-        cache = {"a_pad": a_pad, "masks": masks, "lens": lens, "spec": spec,
+        masks = [Q > S] + [p > (a[n:] if identity_skip else 0.0) for p, a, n, (*_, identity_skip)
+                           in zip(P, a_pad[1:], lens[1:], layers)]
+        cache = {"a_pad": a_pad, "tops": tops, "masks": masks, "lens": lens, "spec": spec,
                  "params": params, "shape": u.shape}
-    return y, HiddenState(conv=ConvCache(spec, tails), last_output=fb.copy()), cache
+    return y, HiddenState(conv=ConvCache(spec, tails), last_output=y[:, -1].copy()), cache
 
 
 def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
@@ -877,87 +931,110 @@ def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
 
     Adjoints only ever flow from later to earlier time (conv taps and
     the output feedback both look backward), so one descending pass over t
-    with a top-down layer loop visits every node after its dependents. Each
-    step adds the current-tap and skip adjoints, g_in += g_pre @ w_now.T +
-    g_out for an identity skip: with the cached mask q > v this is the exact
-    adjoint of the forward's max(q, v), q = pre + v @ (w_now + I). A block's
-    past-tap adjoints are added with one matmul per tap at its first step,
-    which comes before any step those taps read (they lie at least 2**l
-    samples back); blocks start at the chunk start, as in the forward. The
-    transposed tap and projection matrices are made contiguous once per
-    chunk, and per-step products go through np.dot into one (B, C_in)
-    buffer per layer. Adjoints of the carried context are dropped, as the
-    context is data, not graph.
+    with a top-down layer loop visits every node after its dependents.
+    Above layer 0 each step adds the current-tap and skip adjoints, g_in +=
+    g_pre @ w_now.T + g_out for an identity skip: with the cached mask q > v
+    this is the exact adjoint of the forward's max(q, v), q = pre + v @
+    (w_now + I). A block's past-tap adjoints are added with one matmul per tap
+    at its first step, which comes before any step those taps read (they lie
+    at least 2**l samples back); blocks start at the chunk start, as in the
+    forward. The transposed tap matrices are made contiguous once per chunk,
+    and per-step products go through np.dot into one (B, H) buffer per
+    layer.
+
+    Layer 0 and the head mirror the forward's fold. The top outputs'
+    adjoints, time-major after kernel rows for the context, start as
+    g_y @ head.W.T, formed once per chunk. A step takes layer 0's g_pre =
+    g_out * (q > s) and adds the fed-back outputs' share of its adjoint into
+    the top-output adjoints it read: g_pre times the kernel's feedback rows
+    through the head into the whole window, and g_out times the skip's into
+    the latest row. Layer 0's input adjoint, and from it du, the fed-back
+    outputs' adjoints and so the head's gradients, come from per-chunk
+    products after the sweep, as do layer 0's kernel and projection
+    gradients. Adjoints of the carried context are dropped, as the context is
+    data, not graph.
     """
     spec = cache["spec"]
     params = cache["params"]
-    a_pad, masks, lens = cache["a_pad"], cache["masks"], cache["lens"]
+    a_pad, tops, masks, lens = cache["a_pad"], cache["tops"], cache["masks"], cache["lens"]
     B, T, _ = cache["shape"]
-    I, O, H = spec.input_dim, spec.output_dim, spec.hidden
-    depth = spec.depth
+    I, O, H, K, L = spec.input_dim, spec.output_dim, spec.hidden, spec.kernel, spec.depth
+    w_y = params["head.W"]
+    k0, skip = params["tcn.0.kernel"], _tcn_skip0(params, spec)
+    # (H, kernel*H): g_pre into the window; (H, H): g_out into its last row
+    gk_t = np.ascontiguousarray((w_y @ k0[:, I:].transpose(2, 1, 0)).reshape(K * H, H).T)
+    gs_t = None if skip is None else np.ascontiguousarray((w_y @ skip[I:]).T)
     layers = []
-    for k, _, proj, identity_skip in _tcn_layers(params, spec):
-        taps_t = np.ascontiguousarray(k.transpose(2, 0, 1))  # (kernel, H, C_in)
-        proj_t = None if proj is None else np.ascontiguousarray(proj[:, :, 0])
-        layers.append((taps_t[:-1], taps_t[-1], proj_t, identity_skip,
-                       np.empty((B, k.shape[1]))))
-    w_y_t = np.ascontiguousarray(params["head.W"].T)
-    g_head = np.empty((B, H))
-    # a copy, never a view of g_y: the feedback adjoint accumulates in place
-    GY = g_y.transpose(1, 0, 2).copy()
-    g_a = [np.zeros_like(a) for a in a_pad]
-    g_outs = [a[len(a) - T :] for a in g_a[1:]]  # adjoint of layer l's outputs
-    g_pres = [np.empty((T, B, H)) for _ in range(depth)]
-    g_fb = np.zeros((B, O))
-    gu = np.empty((T, B, I)) if need_input_grad else None
+    for k, _, _, identity_skip in _tcn_layers(params, spec)[1:]:
+        taps_t = np.ascontiguousarray(k.transpose(2, 0, 1))  # (kernel, H, H)
+        layers.append((taps_t[:-1], taps_t[-1], identity_skip, np.empty((B, H))))
+    g_top = np.empty((K + T, B, H))
+    g_top[:K] = 0.0  # adjoints of the context's feedback: dropped
+    gy_tm = g_y.transpose(1, 0, 2).reshape(T * B, O)
+    np.dot(gy_tm, w_y.T, out=g_top[K:].reshape(T * B, H))
+    g_a = [np.zeros_like(a) for a in a_pad[1:]]  # adjoints of layer l+1's inputs
+    g_outs = [g[n:] for g, n in zip(g_a, lens[1:])] + [g_top[K:]]
+    g_pres = [np.empty((T, B, H)) for _ in range(L)]
+    g_win, g_row = np.empty((B, K * H)), np.empty((B, H))
+    g_win_rows = g_win.reshape(B, K, H).transpose(1, 0, 2)  # as (kernel, B, H)
     for t in range(T - 1, -1, -1):
-        GY[t] += g_fb
-        g_outs[-1][t] += np.dot(GY[t], w_y_t, out=g_head)
-        for l in range(depth - 1, -1, -1):
-            past_t, now_t, proj_t, identity_skip, prod = layers[l]
+        for l in range(L - 1, 0, -1):
+            past_t, now_t, identity_skip, prod = layers[l - 1]
             d = 2 ** l
             g_out = g_outs[l][t]
             g_pre = np.multiply(g_out, masks[l][t], out=g_pres[l][t])
-            g_in = g_a[l][lens[l] + t]
+            g_in = g_a[l - 1][lens[l] + t]
             g_in += np.dot(g_pre, now_t, out=prod)
             if identity_skip:
                 g_in += g_out
-            elif proj_t is not None:
-                g_in += np.dot(g_out, proj_t, out=prod)
             if len(past_t) and t % d == 0:
                 m = min(d, T - t)
                 lo = lens[l] + t - len(past_t) * d
                 if m == 1:  # one row: no reshapes
                     for j, w in enumerate(past_t):
-                        g_a[l][lo + j * d] += np.dot(g_pre, w, out=prod)
+                        g_a[l - 1][lo + j * d] += np.dot(g_pre, w, out=prod)
                 else:
                     G = g_pres[l][t : t + m].reshape(m * B, H)
                     for j, w in enumerate(past_t):
-                        rows = g_a[l][lo + j * d : lo + j * d + m].reshape(m * B, -1)
+                        rows = g_a[l - 1][lo + j * d : lo + j * d + m].reshape(m * B, -1)
                         rows += np.dot(G, w)
-        gx0 = g_a[0][lens[0] + t]  # final: the rest of the sweep adds to earlier rows only
-        g_fb = gx0[:, I:]
-        if need_input_grad:
-            gu[t] = gx0[:, :I]
+        g_out = g_outs[0][t]
+        g_pre = np.multiply(g_out, masks[0][t], out=g_pres[0][t])
+        np.dot(g_pre, gk_t, out=g_win)
+        g_top[t : t + K] += g_win_rows
+        if gs_t is not None:
+            g_top[K - 1 + t] += np.dot(g_out, gs_t, out=g_row)
+    g_out0 = g_outs[0]
+    del g_a, g_outs, g_top  # free before the per-chunk products
+    # layer 0's input adjoint: its taps transposed over g_pre, its skip over g_out
+    X0 = a_pad[0][lens[0] :]
+    C = X0.shape[2]
+    g_x0 = np.zeros((T, B, C)) if skip is None else np.dot(
+        g_out0.reshape(T * B, H), skip.T).reshape(T, B, C)
+    for j in range(K):
+        n = T - (K - 1 - j)  # tap j of step t reads input t - (K-1-j)
+        g_x0[:n] += np.dot(g_pres[0][T - n :].reshape(n * B, H), k0[:, :, j]).reshape(n, B, C)
+    # fb_t is y_{t-1}: its adjoint joins g_y's (fb_0, last_output, is data)
+    g_out_y = g_y.copy()
+    g_out_y[:, :-1] += g_x0[1:, :, I:].transpose(1, 0, 2)
     grads: dict[str, Array] = {}
-    for l, (_, _, proj_t, _, _) in enumerate(layers):
+    for l in range(L):
         d = 2 ** l
         dk = np.empty_like(params[f"tcn.{l}.kernel"])
-        for j in range(spec.kernel):
-            lo = lens[l] - (spec.kernel - 1 - j) * d
+        for j in range(K):
+            lo = lens[l] - (K - 1 - j) * d
             dk[:, :, j] = np.tensordot(g_pres[l], a_pad[l][lo : lo + T],
                                        axes=([0, 1], [0, 1]))
         grads[f"tcn.{l}.kernel"] = dk
         grads[f"tcn.{l}.bias"] = g_pres[l].sum(axis=(0, 1))
-        if proj_t is not None:
-            dp = np.tensordot(g_outs[l], a_pad[l][lens[l] :], axes=([0, 1], [0, 1]))
-            grads[f"tcn.{l}.proj"] = dp[:, :, None]
-    gy_flat = GY.reshape(T * B, O)
-    top_flat = a_pad[depth].reshape(T * B, H)
-    grads["head.W"] = top_flat.T @ gy_flat
-    grads["head.b"] = gy_flat.sum(axis=0)
-    if gu is not None:
-        gu = np.ascontiguousarray(gu.transpose(1, 0, 2))
+    if "tcn.0.proj" in params:
+        dp = np.tensordot(g_out0, X0, axes=([0, 1], [0, 1]))
+        grads["tcn.0.proj"] = dp[:, :, None]
+    grads["head.W"] = np.matmul(tops[:, K:].transpose(0, 2, 1), g_out_y).sum(axis=0)
+    grads["head.b"] = g_out_y.sum(axis=(0, 1))
+    gu = None
+    if need_input_grad:
+        gu = np.ascontiguousarray(g_x0[:, :, :I].transpose(1, 0, 2))
     return grads, gu
 
 

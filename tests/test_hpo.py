@@ -251,7 +251,45 @@ def test_event_log_persisted_as_jsonl(tmp_path):
     assert len(lines) == len(events)
     first = json.loads(lines[0])
     assert set(first) == {"trial_id", "rung", "epochs", "valid_rmse", "decision",
-                          "timestamp"}
+                          "timestamp", "seconds", "config"}
+    # the overlay rides on rung-0 events only; every event has its seconds
+    for line in map(json.loads, lines):
+        assert ("config" in line) == (line["rung"] == 0)
+        assert isinstance(line["seconds"], float) and line["seconds"] >= 0.0
+
+
+def test_events_carry_trial_seconds_and_rung0_overlay():
+    # seconds is the worker's wall time around the trial, so a trial that
+    # sleeps reports at least its sleep; rung-0 events carry the overlay the
+    # trial ran, which is the record's config
+    import time
+
+    losses = [r / 10.0 for r in _rank_table_27()]
+    runner = _make_runner(losses, seed=8)
+
+    def slow(config, epochs, trial_seed):
+        time.sleep(0.01 * epochs / 2)
+        return runner(config, epochs, trial_seed)
+
+    records, events = run_search(SearchSpace(), 6, 2, None, eta=3, seed=8, trial_runner=slow)
+    configs = {r.trial_id: r.config for r in records}
+    assert configs[0] == SearchSpace().default_overlay()
+    for e in events:
+        assert e.seconds >= 0.01 * e.epochs / 2
+        assert e.config == (configs[e.trial_id] if e.rung == 0 else None)
+
+
+def test_events_equal_across_runs_apart_from_timing():
+    # timestamp and seconds are wall-clock readings; every other field,
+    # overlay included, reproduces for a fixed seed
+    from dataclasses import replace
+
+    losses = [r / 10.0 for r in _rank_table_27()]
+    runs = [run_search(SearchSpace(), 12, 1, None, eta=3, seed=4,
+                       trial_runner=_make_runner(losses, 4))[1] for _ in range(2)]
+    untimed = [[replace(e, timestamp=0.0, seconds=0.0) for e in events] for events in runs]
+    assert untimed[0] == untimed[1]
+    assert any(e.config is not None for e in untimed[0])
 
 
 def test_parallel_workers_complete_all_trials():

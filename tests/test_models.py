@@ -502,16 +502,26 @@ def test_tcn_ar_equals_naive_recompute():
     assert np.abs(y_cached - y_naive).max() < 1e-9
 
 
-@pytest.mark.parametrize("teacher_forced", [False, True], ids=["free", "teacher"])
-@pytest.mark.parametrize("skip", ["identity", "projection", "off"])
-@pytest.mark.parametrize("kernel", [1, 2, 3])
-def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teacher_forced):
+# kernel-skip-feedback ids; the free-running output_dim 2 cases start from a
+# nonzero last output, so both chunks feed two columns back from the start
+FD_CASES = [pytest.param(kernel, skip, teacher_forced, 1,
+                         id=f"{kernel}-{skip}-{'teacher' if teacher_forced else 'free'}")
+            for kernel in (1, 2, 3) for skip in ("identity", "projection", "off")
+            for teacher_forced in (False, True)]
+FD_CASES += [pytest.param(kernel, skip, False, 2, id=f"{kernel}-{skip}-free-output_dim2")
+             for kernel in (1, 2, 3) for skip in ("identity", "projection", "off")]
+
+
+@pytest.mark.parametrize("kernel,skip,teacher_forced,output_dim", FD_CASES)
+def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teacher_forced,
+                                                             output_dim):
     # depth 3 has top dilation 4: the 3-step chunk ends inside a block of
     # layer 2, and the 7-step chunk carried on from it starts mid-block in
-    # layers 1 and 2; feed width 3 makes hidden 3 an identity skip
-    hidden = 4 if skip == "projection" else 3
+    # layers 1 and 2; hidden equal to the feed width makes an identity skip
+    feed = 2 + output_dim
+    hidden = feed + 1 if skip == "projection" else feed
     spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
-                     kernel=kernel, residual=skip != "off")
+                     kernel=kernel, residual=skip != "off", output_dim=output_dim)
     model = Model.create(spec, 20 + kernel)
     assert ("tcn.0.proj" in model.params) == (skip == "projection")
     names = model.params.names()
@@ -522,8 +532,10 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
     for l in range(spec.depth):
         model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, hidden)
     u = rng.standard_normal((2, 10, 2))
-    teacher = rng.standard_normal((2, 10, 1)) if teacher_forced else None
+    teacher = rng.standard_normal((2, 10, output_dim)) if teacher_forced else None
     state = model.initial_state(2)
+    if output_dim > 1:
+        state.last_output = rng.standard_normal((2, output_dim))
     for lo, hi in ((0, 3), (3, 10)):
         kw = {} if teacher is None else {"teacher": teacher[:, lo:hi]}
 
@@ -540,6 +552,35 @@ def test_tcn_ar_backward_vs_finite_differences_across_blocks(kernel, skip, teach
         inputs = [u[:, lo:hi].copy()] + [model.params[n].copy() for n in names]
         assert grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
         state = model.forward(u[:, lo:hi], state, **kw)[1]
+
+
+@pytest.mark.parametrize("skip", ["identity", "projection", "off"])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_tcn_ar_two_outputs_equal_naive_recompute_across_chunks(kernel, skip):
+    # two fed-back columns, each through its own head column, from a nonzero
+    # carried last output; the second chunk's layer-0 tail carries fed-back
+    # outputs of the first (kernel 2 and 3), which the chunk's known share
+    # must read. The oracle is the NAR twin over the whole history.
+    hidden = 5 if skip == "projection" else 4
+    spec = ModelSpec(arch="tcn", mode="ar", input_dim=2, hidden=hidden, depth=3,
+                     kernel=kernel, residual=skip != "off", output_dim=2)
+    model = Model.create(spec, 40 + kernel)
+    rng = np.random.default_rng(40 + kernel)
+    for l in range(spec.depth):
+        model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, hidden)
+    B, T, T1 = 2, 30, 13
+    u = rng.standard_normal((B, T, 2))
+    last = rng.standard_normal((B, 2))
+    state = replace(model.initial_state(B), last_output=last)
+    y1, state = model.forward(u[:, :T1], state)
+    y2, _ = model.forward(u[:, T1:], state)
+    y = np.concatenate([y1, y2], axis=1)
+    twin = Model(spec=replace(spec, mode="nar", input_dim=spec.feed_dim), params=model.params)
+    y_naive = np.empty((B, T, 2))
+    for t in range(T):
+        fb = np.concatenate([last[:, None], y_naive[:, :t]], axis=1)
+        y_naive[:, t] = twin.forward(np.concatenate([u[:, : t + 1], fb], axis=2))[0][:, -1]
+    np.testing.assert_allclose(y, y_naive, rtol=1e-10, atol=1e-10)
 
 
 # the TCN cases keep their kernel-skip-zero ids; a GRU case reads neither

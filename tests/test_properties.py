@@ -20,7 +20,8 @@ VARIANTS = [("gru", "nar"), ("gru", "ar"), ("tcn", "nar"), ("tcn", "ar")]
 def specs(draw, arch, mode, dropout=True):
     kw = dict(arch=arch, mode=mode, input_dim=draw(st.integers(1, 3)),
               hidden=draw(st.integers(1, 5)),
-              depth=draw(st.integers(1, 6 if arch == "tcn" else 3)))
+              depth=draw(st.integers(1, 6 if arch == "tcn" else 3)),
+              output_dim=draw(st.integers(1, 2)))
     if arch == "tcn":
         # hidden vs feed width decides between the identity and the proj skip
         kw.update(kernel=draw(st.integers(1, 3)), residual=draw(st.booleans()))
@@ -115,8 +116,9 @@ def test_ar_tcn_matches_naive_full_history_recompute(spec, data):
     y, _ = model.forward(u, model.initial_state(B))
     twin = Model(spec=ModelSpec(arch="tcn", mode="nar", input_dim=spec.feed_dim,
                                 hidden=spec.hidden, depth=spec.depth, kernel=spec.kernel,
-                                residual=spec.residual), params=model.params)
-    fb = np.concatenate([np.zeros((B, 1, 1)), y[:, :-1]], axis=1)
+                                residual=spec.residual, output_dim=spec.output_dim),
+                 params=model.params)
+    fb = np.concatenate([np.zeros((B, 1, spec.output_dim)), y[:, :-1]], axis=1)
     y_naive, _ = twin.forward(np.concatenate([u, fb], axis=2))
     np.testing.assert_allclose(y, y_naive, rtol=1e-10, atol=1e-10)
 

@@ -2,7 +2,7 @@
 one process and in alternating blocks.
 
     python tools/kernel_pairs.py SCRATCH_DIR [--parent HEAD~1] [--hidden 32]
-        [--batch 16] [--time 64] [--depth 1]
+        [--batch 16] [--time 64] [--depth 1] [--output-dim 1]
 
 The parent revision is exported with `git archive` into SCRATCH_DIR/parent
 (replaced if it exists), as `bench_pairs.py` does, and its `src/sidnn` is
@@ -12,7 +12,8 @@ relative imports, so the two live side by side. BLAS runs on one thread
 (`OPENBLAS_NUM_THREADS=1`, set before numpy loads).
 
 For each of the four variants (GRU and TCN, NAR and AR, at --depth; the
-benchmark's TCNs run depth 10) both sides get the same parameters and inputs,
+benchmark's TCNs run depth 10; with --output-dim outputs, fed back in AR) both
+sides get the same parameters and inputs,
 and three kernels are timed: the training forward (`return_cache=True`) and
 the backward of one (batch, time) chunk, and a simulation, a cache-free
 forward of one sequence of SIM_LEN samples at batch 1 (what
@@ -48,7 +49,7 @@ REPS = 5
 def kernels(models, arch: str, mode: str, arrays: dict, args, u, g, u_sim):
     """The three timed calls of one side, each returning what it computes."""
     spec = models.ModelSpec(arch=arch, mode=mode, input_dim=u.shape[2], hidden=args.hidden,
-                            depth=args.depth)
+                            depth=args.depth, output_dim=args.output_dim)
     model = models.Model(spec=spec, params=models.ParamStore(arrays))
     _, _, cache = model.forward(u, None, training=True, return_cache=True)
 
@@ -79,14 +80,16 @@ def main() -> int:
     parser.add_argument("--batch", type=int, default=16)
     parser.add_argument("--time", type=int, default=64)
     parser.add_argument("--depth", type=int, default=1)
+    parser.add_argument("--output-dim", type=int, default=1)
     args = parser.parse_args()
-    if min(args.hidden, args.batch, args.time, args.depth) < 1:
+    if min(args.hidden, args.batch, args.time, args.depth, args.output_dim) < 1:
         parser.error("sizes must be >= 1")
     parent_dir = args.scratch.resolve() / "parent"
     export(args.parent, parent_dir)
     sides = {"parent": load_models("sidnn_parent", parent_dir / "src" / "sidnn"),
              "change": load_models("sidnn", ROOT / "src" / "sidnn")}
-    print(f"parent {args.parent} vs checkout; H{args.hidden} depth {args.depth} "
+    outputs = f" output_dim {args.output_dim}" if args.output_dim > 1 else ""
+    print(f"parent {args.parent} vs checkout; H{args.hidden} depth {args.depth}{outputs} "
           f"B{args.batch} T{args.time}, simulation B1 T{SIM_LEN}; "
           f"{BLOCKS} blocks of {REPS} calls")
     print(f"{'kernel':22s} {'parent s':>10s} {'change s':>10s} {'diff':>8s} {'won':>7s}")
@@ -96,10 +99,10 @@ def main() -> int:
             variant = f"{arch}_{mode}"
             models = sides["change"]
             spec = models.ModelSpec(arch=arch, mode=mode, input_dim=1, hidden=args.hidden,
-                                    depth=args.depth)
+                                    depth=args.depth, output_dim=args.output_dim)
             arrays = dict(models.init_params(spec, 0))
             u = rng.standard_normal((args.batch, args.time, 1))
-            g = rng.standard_normal((args.batch, args.time, 1))
+            g = rng.standard_normal((args.batch, args.time, args.output_dim))
             u_sim = rng.standard_normal((1, SIM_LEN, 1))
             calls = {side: kernels(m, arch, mode, arrays, args, u, g, u_sim)
                      for side, m in sides.items()}
