@@ -35,7 +35,12 @@ input known it forms the head adjoint once per chunk. A GRU step forms both
 gates with one tanh, as sig(a) = 1/2 + tanh(a/2)/2 on z/r weight columns
 halved once per chunk; a cached forward then forms the backward's per-step
 factors for the whole chunk at once, so a backward step is a few multiplies
-and two matmuls. Both TCN modes carry the same state, each layer's
+and two matmuls. Every product that NAR and AR share, forward and backward,
+goes through np.dot into a buffer allocated once per call, with a
+projection or bias added after it (x + y == y + x bitwise); a recorded
+candidate goes straight into the cache. The AR-only feedback products
+(h_top @ F, and the backward's output and layer-0 input adjoints) stay
+plain matmuls. Both TCN modes carry the same state, each layer's
 last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). A
 TCN whose input is known (NAR; AR given a teacher, over [u_t | y_{t-1}];
 `conv_cache_step` streaming a sample) convolves the chunk layer by layer into
@@ -368,31 +373,37 @@ def _halved_zr(mats, H: int):
     return w, b, u_zr * HALF, u_h
 
 
-def _gru_step(p_zr: Array, p_h: Array, h: Array, u_zr: Array, u_h: Array, H: int,
-              h_out: Array, c_out: Array | None = None):
-    """One gated update from precomputed input projections; returns (z, r).
+def _gru_step(p_zr: Array, p_h: Array, h: Array, u_zr: Array, u_h: Array, buf,
+              c: Array, h_out: Array) -> None:
+    """One gated update from precomputed input projections.
 
     The gates are logistic in tanh form, sig(a) = 1/2 + tanh(a/2)/2, with
     the halving folded into the weights: p_zr is x @ [Wz|Wr]/2 + [bz|br]/2
     (B, 2H), u_zr is [Uz|Ur]/2, and p_h is x @ Wh + bh (B, H), views the
     caller splits once per chunk (layer 0) or per step (above). z, r =
-    tanh(p_zr + h @ u_zr)/2 + 1/2, c = tanh(p_h + (r*h) @ Uh), h' =
-    h + z*(c - h). h' goes to h_out, which must not alias h, and c to c_out
-    when given. z and r lie in [0, 1] for any pre-activation, infinities
-    included, and a step makes two tanh calls and no Python-float operand:
-    each numpy call costs more in dispatch than in arithmetic at these sizes.
+    tanh(h @ u_zr + p_zr)/2 + 1/2, c = tanh((r*h) @ Uh + p_h), h' =
+    h + z*(c - h). buf is the caller's (zr, z, r, rh): a (B, 2H) buffer, its
+    z/r views and a (B, H) buffer for r*h, made once per chunk and written
+    here; both products go through np.dot into them, and each projection is
+    added after its product (x + y == y + x bitwise). c goes to c (B, H) and
+    h' to h_out, which must not alias h. z and r lie in [0, 1] for any
+    pre-activation, infinities included, and a step makes two tanh calls and
+    no Python-float operand: each numpy call costs more in dispatch than in
+    arithmetic at these sizes.
     """
-    zr = p_zr + h @ u_zr
+    zr, z, r, rh = buf
+    np.dot(h, u_zr, out=zr)
+    zr += p_zr
     np.tanh(zr, out=zr)
     zr *= HALF
     zr += HALF
-    z = zr[:, :H]
-    r = zr[:, H:]
-    c = np.tanh(p_h + (r * h) @ u_h, out=c_out)
+    np.multiply(r, h, out=rh)
+    np.dot(rh, u_h, out=c)
+    c += p_h
+    np.tanh(c, out=c)
     np.subtract(c, h, out=h_out)
     h_out *= z
     h_out += h
-    return z, r
 
 
 def _dropout_masks(spec: ModelSpec, batch: int, training: bool, rng):
@@ -496,6 +507,13 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
     for s, h in zip(S, state.gru_h):
         s[0] = h
     hs = [s[0] for s in S]  # read only: each step writes its h' into S
+    # per-step scratch, shared by the layers: gates, r*h, the candidate (or
+    # Cs[l][t] when recording) and, above layer 0, the input projection
+    zr = np.empty((B, 2 * H))
+    buf = (zr, zr[:, :H], zr[:, H:], np.empty((B, H)))
+    c = np.empty((B, H))
+    proj = np.empty((B, 3 * H))
+    p_zr_l, p_h_l = proj[:, : 2 * H], proj[:, 2 * H :]
     if record:
         Zs = [np.empty((T, B, H)) for _ in range(L)]
         Rs = [np.empty((T, B, H)) for _ in range(L)]
@@ -508,13 +526,15 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
         for l in range(L):
             w_cat, b_cat, u_zr, u_h = steps[l]
             if l > 0:
-                proj = x @ w_cat + b_cat
-                p_zr, p_h = proj[:, : 2 * H], proj[:, 2 * H :]
+                np.dot(x, w_cat, out=proj)
+                proj += b_cat
+                p_zr, p_h = p_zr_l, p_h_l
             h = S[l][t + 1]
             if record:
-                Zs[l][t], Rs[l][t] = _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h, Cs[l][t])
+                _gru_step(p_zr, p_h, hs[l], u_zr, u_h, buf, Cs[l][t], h)
+                Zs[l][t], Rs[l][t] = buf[1], buf[2]
             else:
-                _gru_step(p_zr, p_h, hs[l], u_zr, u_h, H, h)
+                _gru_step(p_zr, p_h, hs[l], u_zr, u_h, buf, c, h)
             hs[l] = h
             if l < L - 1:
                 x = h * masks[l] if masks else h
@@ -560,7 +580,11 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     through Uh for r. With the input known (NAR, teacher-forced AR) the top
     layer's adjoint from the head is one product per chunk; free-running,
     each output's adjoint also collects the adjoint of the next step's
-    fed-back input, so it is formed per step. The cache is only read.
+    fed-back input, so it is formed per step. Each layer's carried adjoint
+    is one (B, H) buffer that a step updates in place, and the products
+    through Uh, [Uz|Ur] and (above layer 0) the input weights go through
+    np.dot into buffers allocated once per call; the feedback's per-step
+    products stay matmuls. The cache is only read.
     """
     params = cache["params"]
     spec = cache["spec"]
@@ -577,7 +601,11 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
         g_top = (GY.reshape(T * B, O) @ w_y_t).reshape(T, B, H)
     mats_t = [(w_cat.T, u_zr.T, u_h.T) for w_cat, _, u_zr, u_h in mats]
     GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
+    # each layer's carried adjoint accumulates in place: g_h is read and
+    # written element by element, so `g += g_above` is gh_carry + g_above
     gh_carry = [np.zeros((B, H)) for _ in range(L)]
+    g_rh, g_zr = np.empty((B, H)), np.empty((B, H))
+    gx = np.empty((B, H))
     gu = np.empty((T, B, I)) if need_input_grad else None
     g_fb = np.zeros((B, O))
     for t in range(T - 1, -1, -1):
@@ -589,17 +617,17 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
         for l in range(L - 1, -1, -1):
             w_t, u_zr_t, u_h_t = mats_t[l]
             ga = GA[l][t]
-            g = gh_carry[l] + g_above
-            g_rh = np.multiply(g, FC[l][t], out=ga[:, 2 * H :]) @ u_h_t
+            g = gh_carry[l]
+            g += g_above
+            np.dot(np.multiply(g, FC[l][t], out=ga[:, 2 * H :]), u_h_t, out=g_rh)
             np.multiply(g, FZ[l][t], out=ga[:, :H])
             np.multiply(g_rh, FR[l][t], out=ga[:, H : 2 * H])
-            g *= OMZ[l][t]  # g is this step's own array, free once read
+            g *= OMZ[l][t]
             g_rh *= Rs[l][t]
             g += g_rh
-            g += ga[:, : 2 * H] @ u_zr_t
-            gh_carry[l] = g
+            g += np.dot(ga[:, : 2 * H], u_zr_t, out=g_zr)
             if l > 0:
-                gx = ga @ w_t
+                np.dot(ga, w_t, out=gx)
                 g_above = gx * masks[l - 1] if masks else gx
         if feedback or need_input_grad:
             gx0 = GA[0][t] @ mats_t[0][0]

@@ -191,8 +191,13 @@ def radam_lookahead_step(
     rho_inf = 2/(1-b2) - 1 and rho_t = rho_inf - 2 t b2^t / (1 - b2^t); the
     rectified adaptive step applies when rho_t > 4, otherwise the update is
     the un-adapted bias-corrected momentum. Weight decay is decoupled. Every
-    lookahead_k steps: slow += alpha * (fast - slow), fast = slow.
+    lookahead_k steps: slow += alpha * (fast - slow), fast = slow. Every
+    gradient is checked before anything is written, so a non-finite one
+    raises `OptimizerError` with params and state untouched.
     """
+    for name in params.names():
+        if not np.all(np.isfinite(grads[name])):
+            raise OptimizerError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     t = state.step
     b1, b2 = config.betas
@@ -209,8 +214,6 @@ def radam_lookahead_step(
         )
     for name in params.names():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for parameter '{name}'")
         m = state.m[name]
         v = state.v[name]
         m *= b1

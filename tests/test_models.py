@@ -709,20 +709,49 @@ def test_tcn_ar_corrupted_buffers_raise():
             model.forward(np.zeros((1, 4, 2)), state)
 
 
+def _state_arrays(state):
+    arrays = list(state.gru_h or []) + (list(state.conv.tails) if state.conv else [])
+    return arrays + ([] if state.last_output is None else [state.last_output])
+
+
+def _check_forward_writes_only_its_own_arrays(model, u, **kw):
+    # a forward may neither write the state it is given (it does not copy
+    # it) nor any y, new state or cache an earlier call returned: every
+    # array a call hands out survives the next forward and backward
+    B = u.shape[0]
+    _, state = model.forward(u[:, :11], model.initial_state(B))
+    given = _state_arrays(state)
+    before = [a.tobytes() for a in given]
+    handed_out = []
+    for record in (False, True, False):
+        out = model.forward(u[:, 11:], state, return_cache=record, **kw)
+        if record:
+            model.backward(out[2], np.ones_like(out[0]), need_input_grad=True)
+        assert all(a is b for a, b in zip(_state_arrays(state), given, strict=True))
+        assert [a.tobytes() for a in _state_arrays(state)] == before
+        for arrays, snapshot in handed_out:
+            assert [a.tobytes() for a in arrays] == snapshot
+        arrays = [out[0]] + _state_arrays(out[1])
+        handed_out.append((arrays, [a.tobytes() for a in arrays]))
+
+
 @pytest.mark.parametrize("mode", ["nar", "ar"])
 def test_tcn_forward_leaves_the_given_state_unchanged(mode):
-    # neither mode copies the state it is given, so neither may write it
     spec = ModelSpec(arch="tcn", mode=mode, input_dim=2, hidden=4, depth=4, kernel=3)
     model = Model.create(spec, 17)
-    u = np.random.default_rng(17).standard_normal((2, 30, 2))
-    _, state = model.forward(u[:, :11], model.initial_state(2))
-    tails = list(state.conv.tails)
-    before = [a.tobytes() for a in tails + [state.last_output] if a is not None]
-    for record in (False, True):
-        model.forward(u[:, 11:], state, return_cache=record)
-        assert all(a is b for a, b in zip(state.conv.tails, tails, strict=True))
-        after = [a.tobytes() for a in state.conv.tails + [state.last_output] if a is not None]
-        assert after == before
+    _check_forward_writes_only_its_own_arrays(
+        model, np.random.default_rng(17).standard_normal((2, 30, 2)))
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+def test_gru_forward_leaves_the_given_state_unchanged(mode):
+    # depth 2 with dropout runs every per-call buffer of the step, the
+    # projection of the layer above included
+    spec = ModelSpec(arch="gru", mode=mode, input_dim=2, hidden=4, depth=2, dropout=0.3)
+    model = Model.create(spec, 18)
+    _check_forward_writes_only_its_own_arrays(
+        model, np.random.default_rng(18).standard_normal((3, 30, 2)), training=True,
+        rng=np.random.default_rng(19))
 
 
 # ---------------------------------------------------------------------------

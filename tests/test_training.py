@@ -169,6 +169,32 @@ def test_nonfinite_gradient_names_parameter():
     assert "bad" in str(exc.value)
 
 
+def test_nonfinite_gradient_leaves_params_and_state_bitwise_unchanged():
+    # a NaN in the last parameter must stop the step before any write, on a
+    # step that would also sync the lookahead weights
+    cfg = _scalar_config(lookahead_k=3, weight_decay=0.01)
+    model = Model.create(ModelSpec(arch="gru", mode="nar", input_dim=1, hidden=4, depth=1), 0)
+    params = model.params
+    state = TrainState.init(params, lr=0.01)
+    rng = np.random.default_rng(2)
+    for _ in range(2):
+        radam_lookahead_step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()},
+                             state, cfg)
+    grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+    last = params.names()[-1]
+    grads[last].flat[-1] = np.nan
+
+    def snapshot():
+        return [state.step] + [[d[k].tobytes() for k in params.names()]
+                               for d in (params, state.m, state.v, state.slow)]
+
+    before = snapshot()
+    with pytest.raises(OptimizerError) as exc:
+        radam_lookahead_step(params, grads, state, cfg)
+    assert last in str(exc.value)
+    assert snapshot() == before
+
+
 # ---------------------------------------------------------------------------
 # cosine schedule
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ unchanged in their own lines. The grid is fixed:
     TCN: NAR/AR x depth 1-3 x kernel 1-3 x residual identity/off/projection
          x B 1/3 (x teacher forcing in AR)
     and per arch one AR spec with output_dim 2 x B 1/3 x teacher forcing,
-    where the head's products have more than one column.
+    where the head's products have more than one column;
+    and the benchmark's GRU shape: hidden 32, depth 1 x NAR/AR x B 1/16
+    (x teacher forcing in AR), the path of its train and evaluate phases.
 
 Parameters are drawn at random (biases non-zero), so ReLU patterns mix.
 
@@ -49,9 +51,11 @@ from sidnn import models as checkout_models  # noqa: E402
 
 T1, T2 = 7, 13  # the split chunk; T1 + T2 exceeds the receptive field of depth 3, kernel 3
 INPUT_DIM = 2
+BATCHES = (1, 3)
 
 
 def _specs(models):
+    """(spec, teacher forced, batch sizes) of every spec of the grid."""
     ModelSpec = models.ModelSpec
     for mode, depth, dropout, teacher in itertools.product(
             ("nar", "ar"), (1, 2, 3), (0.0, 0.3), (False, True)):
@@ -59,7 +63,7 @@ def _specs(models):
             continue
         spec = ModelSpec(arch="gru", mode=mode, input_dim=INPUT_DIM, hidden=4,
                          depth=depth, dropout=dropout)
-        yield spec, teacher
+        yield spec, teacher, BATCHES
     for mode, depth, kernel, skip, teacher in itertools.product(
             ("nar", "ar"), (1, 2, 3), (1, 2, 3), ("identity", "off", "proj"),
             (False, True)):
@@ -69,10 +73,13 @@ def _specs(models):
         spec = ModelSpec(arch="tcn", mode=mode, input_dim=INPUT_DIM,
                          hidden=feed if skip == "identity" else 4, depth=depth,
                          kernel=kernel, residual=skip != "off")
-        yield spec, teacher
+        yield spec, teacher, BATCHES
     for arch, teacher in itertools.product(("gru", "tcn"), (False, True)):
         yield ModelSpec(arch=arch, mode="ar", input_dim=INPUT_DIM, hidden=4, depth=2,
-                        output_dim=2), teacher
+                        output_dim=2), teacher, BATCHES
+    for mode, teacher in (("nar", False), ("ar", False), ("ar", True)):
+        yield ModelSpec(arch="gru", mode=mode, input_dim=INPUT_DIM, hidden=32,
+                        depth=1), teacher, (1, 16)
 
 
 def _state_arrays(state):
@@ -116,8 +123,8 @@ def _family(spec) -> str:
 def _grid(models):
     """(spec, teacher forced, case arrays) of every case of the grid, in order."""
     seed = 0
-    for spec, teacher_forced in _specs(models):
-        for batch in (1, 3):
+    for spec, teacher_forced, batches in _specs(models):
+        for batch in batches:
             yield (spec, teacher_forced,
                    [np.array(a, order="C")
                     for a in _case_arrays(models, spec, teacher_forced, batch, seed)])
