@@ -162,26 +162,48 @@ def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> Sequence
             for col in list(u_cols) + list(y_cols):
                 if col not in header:
                     raise SchemaError(f"{path}: column '{col}' not found in header {header}")
-            u_idx = [header.index(c) for c in u_cols]
-            y_idx = [header.index(c) for c in y_cols]
-            u_rows, y_rows = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    u_rows.append([float(row[i]) for i in u_idx])
-                    y_rows.append([float(row[i]) for i in y_idx])
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(f"{path}: row {lineno}: {exc}") from None
+            rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not u_rows:
-        raise DataError(f"{path}: no data rows")
-    u = nk.check_finite(f"{path}: input columns", nk.as_f64(u_rows))
-    y = nk.check_finite(f"{path}: output columns", nk.as_f64(y_rows))
+    u, y = _parse_columns(path, rows, [header.index(c) for c in u_cols],
+                          [header.index(c) for c in y_cols])
+    u = nk.check_finite(f"{path}: input columns", u)
+    y = nk.check_finite(f"{path}: output columns", y)
     return SequenceData(sequences=[(u, y)], y_names=list(y_cols))
+
+
+def _parse_columns(path: Path, rows: list[list[str]], u_idx: list[int],
+                   y_idx: list[int]) -> tuple[Array, Array]:
+    """The u and y columns of the non-empty rows as float64 (n, k) arrays.
+
+    Each column is converted at once (numpy's str -> float64 is float()'s).
+    A row too short for a column, or a value that does not parse, sends the
+    rows through the per-row loop, whose ParseError names the first bad row
+    (rows count from 2, the header being row 1, empty rows included)."""
+    data = [row for row in rows if row]
+    if not data:
+        raise DataError(f"{path}: no data rows")
+    # zip(*data) cuts every column to the shortest row, so it runs only when
+    # every row reaches the last column read
+    if min(map(len, data)) > max(u_idx + y_idx):
+        cols = list(zip(*data))
+        try:
+            return tuple(np.array([cols[i] for i in idx], dtype=np.float64).T.copy()
+                         for idx in (u_idx, y_idx))
+        except ValueError:
+            pass
+    u_rows, y_rows = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            u_rows.append([float(row[i]) for i in u_idx])
+            y_rows.append([float(row[i]) for i in y_idx])
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
+    return nk.as_f64(u_rows), nk.as_f64(y_rows)
 
 
 DESCRIPTOR_TYPES = {

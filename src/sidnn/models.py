@@ -26,20 +26,23 @@ feedback to the model's own output. Each cache records its input's shape,
 which the backward checks g_y against and dispatches on.
 
 The GRU runs one recurrence for both modes (NAR carries a zero-width
-feedback). Every GRU chunk computes its layer-0 input projection in one
-matmul; free-running AR adds its feedback per step as the top layer's
-previous state times F = head.W @ W0_fb (W0_fb: the feedback rows of the
-layer-0 input weights), and the head runs once per chunk. The backward reads
-the fed-back outputs from the cache and is unchanged by the fold; with the
-input known it forms the head adjoint once per chunk. A GRU step forms both
-gates with one tanh, as sig(a) = 1/2 + tanh(a/2)/2 on z/r weight columns
-halved once per chunk; a cached forward then forms the backward's per-step
-factors for the whole chunk at once, so a backward step is a few multiplies
-and two matmuls. Every product that NAR and AR share, forward and backward,
-goes through np.dot into a buffer allocated once per call, with a
-projection or bias added after it (x + y == y + x bitwise); a recorded
-candidate goes straight into the cache. The AR-only feedback products
-(h_top @ F, and the backward's output and layer-0 input adjoints) stay
+feedback). Its core is feature-major: a step's state and scratch are
+(features, B) and every per-chunk array is (T, features, B), so each gate
+block a step touches is contiguous; the carried state is (B, H), transposed
+once per chunk on entry and exit. Every GRU chunk computes its layer-0 input
+projection in one matmul; free-running AR adds its feedback per step as
+F @ h_top, F = (head.W @ W0_fb)^T (W0_fb: the feedback rows of the layer-0
+input weights), and the head runs once per chunk. The backward reads the
+fed-back outputs from the cache and is unchanged by the fold; with the input
+known it forms the head adjoint once per chunk. A GRU step forms both gates
+with one tanh, as sig(a) = 1/2 + tanh(a/2)/2 on z/r weight rows halved once
+per chunk; a cached forward then forms the backward's per-step factors for
+the whole chunk at once, so a backward step is a few multiplies and two
+matmuls. Every product that NAR and AR share, forward and backward, goes
+through np.dot into a buffer allocated once per call, with a projection or
+bias added after it (x + y == y + x bitwise); a recorded step writes its
+gates and candidate straight into the cache. The AR-only feedback products
+(F @ h_top, and the backward's output and layer-0 input adjoints) stay
 plain matmuls. Both TCN modes carry the same state, each layer's
 last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). A
 TCN whose input is known (NAR; AR given a teacher, over [u_t | y_{t-1}];
@@ -363,42 +366,63 @@ def _gru_layer_mats(params: ParamStore, l: int):
     return w_cat, b_cat, u_zr, Uh
 
 
-def _halved_zr(mats, H: int):
-    """Layer matrices with the z/r columns halved, as `_gru_step` reads
-    them; halving is exact, and the given matrices are not written."""
+def _step_mats(mats, H: int, B: int):
+    """Layer matrices as a feature-major `_gru_step` reads them: the
+    transposes of w_cat, u_zr and Uh, contiguous, and the bias repeated
+    over the batch as a contiguous (3H, B), each with its z/r rows halved.
+    Halving is exact, and the given matrices are not written: w is a copy
+    even where w_cat.T is already contiguous (one input column)."""
     w_cat, b_cat, u_zr, u_h = mats
-    w, b = w_cat.copy(), b_cat.copy()
-    w[:, : 2 * H] *= HALF
+    w = w_cat.T.copy()
+    b = np.repeat(b_cat[:, None], B, axis=1)
+    w[: 2 * H] *= HALF
     b[: 2 * H] *= HALF
-    return w, b, u_zr * HALF, u_h
+    return w, b, np.ascontiguousarray(u_zr.T) * HALF, np.ascontiguousarray(u_h.T)
+
+
+def _chunk_product(a: Array, X: Array) -> Array:
+    """a (M, K) times every (K, B) block of a chunk X (T, K, B): (T, M, B).
+    At B 1 the chunk is (T, K) in memory, and one product over it costs a
+    fifth of T matrix-vector products."""
+    T, K, B = X.shape
+    if B == 1:
+        return np.dot(X.reshape(T, K), a.T).reshape(T, -1, 1)
+    return np.matmul(a, X)
+
+
+def _sum_outer(a: Array, b: Array) -> Array:
+    """The sum over t of a[t] @ b[t].T for chunks a (T, M, B) and b (T, N, B):
+    a weight gradient summed over time and batch, (M, N)."""
+    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _gru_step(p_zr: Array, p_h: Array, h: Array, u_zr: Array, u_h: Array, buf,
               c: Array, h_out: Array) -> None:
-    """One gated update from precomputed input projections.
+    """One gated update from precomputed input projections, feature-major:
+    every operand is a contiguous (features, B) block.
 
     The gates are logistic in tanh form, sig(a) = 1/2 + tanh(a/2)/2, with
-    the halving folded into the weights: p_zr is x @ [Wz|Wr]/2 + [bz|br]/2
-    (B, 2H), u_zr is [Uz|Ur]/2, and p_h is x @ Wh + bh (B, H), views the
-    caller splits once per chunk (layer 0) or per step (above). z, r =
-    tanh(h @ u_zr + p_zr)/2 + 1/2, c = tanh((r*h) @ Uh + p_h), h' =
-    h + z*(c - h). buf is the caller's (zr, z, r, rh): a (B, 2H) buffer, its
-    z/r views and a (B, H) buffer for r*h, made once per chunk and written
-    here; both products go through np.dot into them, and each projection is
-    added after its product (x + y == y + x bitwise). c goes to c (B, H) and
-    h' to h_out, which must not alias h. z and r lie in [0, 1] for any
+    the halving folded into the weights: p_zr is [Wz|Wr]^T/2 @ x +
+    [bz|br]/2 (2H, B), u_zr is [Uz|Ur]^T/2, and p_h is Wh^T @ x + bh (H, B),
+    blocks the caller takes from a (3H, B) projection. z, r =
+    tanh(u_zr @ h + p_zr)/2 + 1/2, c = tanh(Uh^T @ (r*h) + p_h), h' =
+    h + z*(c - h). buf is the caller's (zr, z, r, rh): a (2H, B) block, its
+    z/r row blocks and an (H, B) buffer for r*h, written here; both
+    products go through np.dot into them, and each projection is added
+    after its product (x + y == y + x bitwise). c goes to c (H, B) and h'
+    to h_out, which must not alias h. z and r lie in [0, 1] for any
     pre-activation, infinities included, and a step makes two tanh calls and
     no Python-float operand: each numpy call costs more in dispatch than in
     arithmetic at these sizes.
     """
     zr, z, r, rh = buf
-    np.dot(h, u_zr, out=zr)
+    np.dot(u_zr, h, out=zr)
     zr += p_zr
     np.tanh(zr, out=zr)
     zr *= HALF
     zr += HALF
     np.multiply(r, h, out=rh)
-    np.dot(rh, u_h, out=c)
+    np.dot(u_h, rh, out=c)
     c += p_h
     np.tanh(c, out=c)
     np.subtract(c, h, out=h_out)
@@ -407,43 +431,40 @@ def _gru_step(p_zr: Array, p_h: Array, h: Array, u_zr: Array, u_h: Array, buf,
 
 
 def _dropout_masks(spec: ModelSpec, batch: int, training: bool, rng):
+    """Per layer below the top, its output's dropout mask, feature-major
+    (H, B): drawn as (B, H) from rng, keep probability 1 - dropout, scaled
+    by 1/keep. None outside training, without dropout or at depth 1."""
     if not training or spec.dropout == 0.0 or spec.depth < 2:
         return None
     if rng is None:
         raise UsageError("dropout requires an rng during training")
     keep = 1.0 - spec.dropout
     return [
-        (rng.random((batch, spec.hidden)) < keep).astype(np.float64) / keep
+        np.ascontiguousarray((rng.random((batch, spec.hidden)) < keep).T, dtype=np.float64)
+        / keep
         for _ in range(spec.depth - 1)
     ]
 
 
-def _gru_weight_grads(cache, GA, HP):
-    """Stacked-matmul weight/bias gradients from per-step gate adjoints.
-
-    HP[l] holds layer l's previous states (T, B, H).
-    """
+def _gru_weight_grads(cache, GA):
+    """Weight and bias gradients from the gate adjoints GA[l] (T, 3H, B),
+    each a sum over the chunk of per-step outer products (`_sum_outer`)."""
     spec = cache["spec"]
-    Hs, Rs = cache["H"], cache["R"]
+    Hs, HP, Rs = cache["H"], cache["HP"], cache["R"]
     masks = cache["masks"]
-    B, T, _ = cache["shape"]
     H = spec.hidden
     grads: dict[str, Array] = {}
     for l in range(spec.depth):
         if l == 0:
             # the layer-0 input is u plus the fed-back outputs (none in NAR)
-            x_stack = cache["X0"].reshape(T * B, -1)
+            x = cache["X0"]
         else:
-            below = Hs[l - 1]
-            x = below * masks[l - 1] if masks else below
-            x_stack = x.reshape(T * B, H)
-        ga = GA[l].reshape(T * B, 3 * H)
-        gw = x_stack.T @ ga
-        h_prev_flat = HP[l].reshape(T * B, H)
-        gu_zr = h_prev_flat.T @ ga[:, : 2 * H]
-        rh_flat = (Rs[l] * HP[l]).reshape(T * B, H)
-        gu_h = rh_flat.T @ ga[:, 2 * H :]
-        gb = ga.sum(axis=0)
+            x = Hs[l - 1] * masks[l - 1] if masks else Hs[l - 1]
+        ga = GA[l]
+        gw = _sum_outer(x, ga)
+        gu_zr = _sum_outer(HP[l], ga[:, : 2 * H])
+        gu_h = _sum_outer(Rs[l] * HP[l], ga[:, 2 * H :])
+        gb = ga.sum(axis=(0, 2))
         grads[f"gru.{l}.Wz"] = gw[:, :H]
         grads[f"gru.{l}.Wr"] = gw[:, H : 2 * H]
         grads[f"gru.{l}.Wh"] = gw[:, 2 * H :]
@@ -466,87 +487,100 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
     its own previous standardized output. A known input's layer-0
     projection is computed for the whole chunk in one matmul before the time
     loop. Free-running AR hoists the u part, and folds the feedback
-    fb = h @ head.W + head.b through F = head.W @ W0_fb, so a step adds one
-    h_top @ F; its first step uses state.last_output instead. The head runs
-    once after the loop. The z/r columns of every weight, bias and F are
-    halved once per chunk for `_gru_step`, in copies; params is not written.
-    The cache keeps the unhalved matrices and, formed after the loop over
-    the whole chunk, the factors the backward multiplies by.
+    fb = head.W^T @ h + head.b through F = (head.W @ W0_fb)^T, so a step
+    adds one F @ h_top; its first step uses state.last_output instead. The
+    head runs once after the loop. The z/r rows of every transposed weight,
+    bias and F are halved once per chunk for `_gru_step`, in copies; params
+    is not written.
+
+    The core is feature-major: a step's state and scratch are (features, B)
+    and every per-chunk array is time-major (T, features, B), so each block a
+    step reads or writes is contiguous. The carried state is (B, H) and is
+    transposed once on entry and once on exit. A recording step writes its
+    gates straight into the cache's (T, 2H, B) gate array, whose z and r
+    halves are the Z and R caches, and its candidate into C. The cache keeps
+    the unhalved matrices and, formed after the loop over the whole chunk,
+    the factors the backward multiplies by.
     """
     B, T, W = u.shape
     H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
     free = W < spec.feed_dim  # AR feeding back its own output
     mats = [_gru_layer_mats(params, l) for l in range(L)]
-    steps = [_halved_zr(m, H) for m in mats]
+    steps = [_step_mats(m, H, B) for m in mats]
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
     w0, b0, _, _ = steps[0]
-    # scratch arrays are time-major (T, B, .) so each step touches one
-    # contiguous block; (B, T, .) slicing thrashes caches for long chunks
-    X0 = U = np.ascontiguousarray(u.transpose(1, 0, 2))
+    X0 = U = u.transpose(1, 2, 0).copy()  # (T, W, B)
     if free:
-        # fb_t = h_top(t-1) @ w_y + b_y enters layer 0 as h_top(t-1) @ F plus
-        # b_y @ w0_fb, so only the matmul by F stays in the loop
-        w0_fb = w0[I:]
-        F = w_y @ w0_fb  # (H, 3H)
-        proj0 = (U.reshape(T * B, I) @ w0[:I] + b0).reshape(T, B, 3 * H)
-        proj0[0] += state.last_output @ w0_fb
-        proj0[1:] += b_y @ w0_fb
+        # fb_t = head.W^T @ h_top(t-1) + b_y enters layer 0 as F @ h_top(t-1)
+        # plus W0_fb^T @ b_y, so only the product by F stays in the loop
+        w0_fb = w0[:, I:]  # (3H, O)
+        F = w0_fb @ w_y.T  # (3H, H)
+        proj0 = _chunk_product(w0[:, :I], U)
+        proj0 += b0
+        proj0[0] += w0_fb @ state.last_output.T
+        proj0[1:] += (w0_fb @ b_y)[:, None]
         if record:
             # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t is
             # Y[t-1], filled in after the loop
-            X0 = np.empty((T, B, I + O))
-            X0[:, :, :I] = U
-            X0[0, :, I:] = state.last_output
+            X0 = np.empty((T, I + O, B))
+            X0[:, :I] = U
+            X0[0, I:] = state.last_output.T
     else:
-        proj0 = (X0.reshape(T * B, -1) @ w0 + b0).reshape(T, B, 3 * H)
-    P_zr, P_h = proj0[:, :, : 2 * H], proj0[:, :, 2 * H :]
+        proj0 = _chunk_product(w0, X0)
+        proj0 += b0
+    P_zr, P_h = proj0[:, : 2 * H], proj0[:, 2 * H :]
     # S[l][0] is the carried state and S[l][t+1] the state after step t, so
     # the previous states are the view S[l][:-1]
-    S = [np.empty((T + 1, B, H)) for _ in range(L)]
+    S = [np.empty((T + 1, H, B)) for _ in range(L)]
     for s, h in zip(S, state.gru_h):
-        s[0] = h
+        s[0] = h.T
     hs = [s[0] for s in S]  # read only: each step writes its h' into S
-    # per-step scratch, shared by the layers: gates, r*h, the candidate (or
-    # Cs[l][t] when recording) and, above layer 0, the input projection
-    zr = np.empty((B, 2 * H))
-    buf = (zr, zr[:, :H], zr[:, H:], np.empty((B, H)))
-    c = np.empty((B, H))
-    proj = np.empty((B, 3 * H))
-    p_zr_l, p_h_l = proj[:, : 2 * H], proj[:, 2 * H :]
+    # per-step scratch, shared by the layers: gates, r*h, the candidate,
+    # above layer 0 the input projection, and with dropout the masked input
+    # of the layer above; a recording step writes gates and candidate into
+    # the cache instead
+    zr = np.empty((2 * H, B))
+    rh = np.empty((H, B))
+    buf = (zr, zr[:H], zr[H:], rh)
+    c = np.empty((H, B))
+    proj = np.empty((3 * H, B))
+    p_zr_l, p_h_l = proj[: 2 * H], proj[2 * H :]
+    dropped = np.empty((H, B))
     if record:
-        Zs = [np.empty((T, B, H)) for _ in range(L)]
-        Rs = [np.empty((T, B, H)) for _ in range(L)]
-        Cs = [np.empty((T, B, H)) for _ in range(L)]
+        ZR = [np.empty((T, 2 * H, B)) for _ in range(L)]
+        Zs, Rs = [a[:, :H] for a in ZR], [a[:, H:] for a in ZR]
+        Cs = [np.empty((T, H, B)) for _ in range(L)]
     for t in range(T):
         if free and t:
             proj_t = proj0[t]  # `proj0[t] += ...` would also write the view back
-            proj_t += hs[L - 1] @ F
+            proj_t += F @ hs[L - 1]
         p_zr, p_h = P_zr[t], P_h[t]
         for l in range(L):
-            w_cat, b_cat, u_zr, u_h = steps[l]
+            w, b, u_zr, u_h = steps[l]
             if l > 0:
-                np.dot(x, w_cat, out=proj)
-                proj += b_cat
+                np.dot(w, x, out=proj)
+                proj += b
                 p_zr, p_h = p_zr_l, p_h_l
             h = S[l][t + 1]
             if record:
-                _gru_step(p_zr, p_h, hs[l], u_zr, u_h, buf, Cs[l][t], h)
-                Zs[l][t], Rs[l][t] = buf[1], buf[2]
+                _gru_step(p_zr, p_h, hs[l], u_zr, u_h, (ZR[l][t], Zs[l][t], Rs[l][t], rh),
+                          Cs[l][t], h)
             else:
                 _gru_step(p_zr, p_h, hs[l], u_zr, u_h, buf, c, h)
             hs[l] = h
             if l < L - 1:
-                x = h * masks[l] if masks else h
+                x = np.multiply(h, masks[l], out=dropped) if masks else h
     Hs = [s[1:] for s in S]
-    Y = (Hs[L - 1].reshape(T * B, H) @ w_y + b_y).reshape(T, B, O)
-    y = np.ascontiguousarray(Y.transpose(1, 0, 2))
+    Y = _chunk_product(w_y.T, Hs[L - 1])  # (T, O, B)
+    Y += b_y[:, None]
+    y = Y.transpose(2, 0, 1).copy()
     last_output = None
     if free:
-        last_output = Y[T - 1].copy()
+        last_output = Y[T - 1].T.copy()
         if record:
-            X0[1:, :, I:] = Y[:-1]
-    new_state = HiddenState(gru_h=[h.copy() for h in hs], last_output=last_output)
+            X0[1:, I:] = Y[:-1]
+    new_state = HiddenState(gru_h=[h.T.copy() for h in hs], last_output=last_output)
     cache = None
     if record:
         HP = [s[:-1] for s in S]
@@ -574,17 +608,21 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
 def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     """Reverse sweep through a cached GRU chunk; returns (grads, du).
 
-    A step's gate adjoints are g times the factors the forward cached:
-    1-z for the carried state, (c - h_prev)*z*(1-z) for z, z*(1-c**2) for
-    the candidate, and h_prev*r*(1-r) times the candidate's adjoint pulled
-    through Uh for r. With the input known (NAR, teacher-forced AR) the top
-    layer's adjoint from the head is one product per chunk; free-running,
-    each output's adjoint also collects the adjoint of the next step's
-    fed-back input, so it is formed per step. Each layer's carried adjoint
-    is one (B, H) buffer that a step updates in place, and the products
-    through Uh, [Uz|Ur] and (above layer 0) the input weights go through
-    np.dot into buffers allocated once per call; the feedback's per-step
-    products stay matmuls. The cache is only read.
+    Feature-major like the forward: a step's adjoints are (features, B)
+    blocks and the gate adjoints GA[l] are (T, 3H, B), so every block a step
+    touches is contiguous, and the unhalved layer matrices multiply from the
+    left untransposed (Uh @ g, [Uz|Ur] @ g, w_cat @ g). A step's gate
+    adjoints are g times the factors the forward cached: 1-z for the carried
+    state, (c - h_prev)*z*(1-z) for z, z*(1-c**2) for the candidate, and
+    h_prev*r*(1-r) times the candidate's adjoint pulled through Uh for r.
+    With the input known (NAR, teacher-forced AR) the top layer's adjoint
+    from the head is one product per chunk; free-running, each output's
+    adjoint also collects the adjoint of the next step's fed-back input, so
+    it is formed per step. Each layer's carried adjoint is one (H, B) buffer
+    that a step updates in place, and the products through Uh, [Uz|Ur] and
+    (above layer 0) the input weights go through np.dot into buffers
+    allocated once per call, where the dropout mask is applied in place; the
+    feedback's per-step products stay matmuls. The cache is only read.
     """
     params = cache["params"]
     spec = cache["spec"]
@@ -594,53 +632,52 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     B, T, W = cache["shape"]
     H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
     feedback = W < spec.feed_dim
-    w_y_t = params["head.W"].T
+    w_y = params["head.W"]
     # a copy, never a view of g_y: the feedback adjoint accumulates in place
-    GY = g_y.transpose(1, 0, 2).copy()
+    GY = g_y.transpose(1, 2, 0).copy()  # (T, O, B)
     if not feedback:
-        g_top = (GY.reshape(T * B, O) @ w_y_t).reshape(T, B, H)
-    mats_t = [(w_cat.T, u_zr.T, u_h.T) for w_cat, _, u_zr, u_h in mats]
-    GA = [np.empty((T, B, 3 * H)) for _ in range(L)]
+        g_top = _chunk_product(w_y, GY)
+    GA = [np.empty((T, 3 * H, B)) for _ in range(L)]
     # each layer's carried adjoint accumulates in place: g_h is read and
     # written element by element, so `g += g_above` is gh_carry + g_above
-    gh_carry = [np.zeros((B, H)) for _ in range(L)]
-    g_rh, g_zr = np.empty((B, H)), np.empty((B, H))
-    gx = np.empty((B, H))
-    gu = np.empty((T, B, I)) if need_input_grad else None
-    g_fb = np.zeros((B, O))
+    gh_carry = [np.zeros((H, B)) for _ in range(L)]
+    g_rh, g_zr = np.empty((H, B)), np.empty((H, B))
+    gx = np.empty((H, B))
+    gu = np.empty((T, I, B)) if need_input_grad else None
+    g_fb = np.zeros((O, B))
     for t in range(T - 1, -1, -1):
         if feedback:
             GY[t] += g_fb
-            g_above = GY[t] @ w_y_t
+            g_above = w_y @ GY[t]
         else:
             g_above = g_top[t]
         for l in range(L - 1, -1, -1):
-            w_t, u_zr_t, u_h_t = mats_t[l]
+            w, _, u_zr, u_h = mats[l]
             ga = GA[l][t]
             g = gh_carry[l]
             g += g_above
-            np.dot(np.multiply(g, FC[l][t], out=ga[:, 2 * H :]), u_h_t, out=g_rh)
-            np.multiply(g, FZ[l][t], out=ga[:, :H])
-            np.multiply(g_rh, FR[l][t], out=ga[:, H : 2 * H])
+            np.dot(u_h, np.multiply(g, FC[l][t], out=ga[2 * H :]), out=g_rh)
+            np.multiply(g, FZ[l][t], out=ga[:H])
+            np.multiply(g_rh, FR[l][t], out=ga[H : 2 * H])
             g *= OMZ[l][t]
             g_rh *= Rs[l][t]
             g += g_rh
-            g += np.dot(ga[:, : 2 * H], u_zr_t, out=g_zr)
+            g += np.dot(u_zr, ga[: 2 * H], out=g_zr)
             if l > 0:
-                np.dot(ga, w_t, out=gx)
-                g_above = gx * masks[l - 1] if masks else gx
+                g_above = np.dot(w, ga, out=gx)
+                if masks:
+                    g_above *= masks[l - 1]
         if feedback or need_input_grad:
-            gx0 = GA[0][t] @ mats_t[0][0]
+            gx0 = mats[0][0] @ GA[0][t]  # (W, B)
             if feedback:
-                g_fb = gx0[:, I:]
+                g_fb = gx0[I:]
             if need_input_grad:
-                gu[t] = gx0[:, :I]
-    grads = _gru_weight_grads(cache, GA, HP)
-    gy_flat = GY.reshape(T * B, O)
-    grads["head.W"] = Hs[L - 1].reshape(T * B, H).T @ gy_flat
-    grads["head.b"] = gy_flat.sum(axis=0)
+                gu[t] = gx0[:I]
+    grads = _gru_weight_grads(cache, GA)
+    grads["head.W"] = _sum_outer(Hs[L - 1], GY)
+    grads["head.b"] = GY.sum(axis=(0, 2))
     if gu is not None:
-        gu = np.ascontiguousarray(gu.transpose(1, 0, 2))
+        gu = gu.transpose(2, 0, 1).copy()
     return grads, gu
 
 

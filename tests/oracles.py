@@ -19,7 +19,7 @@ from sidnn import data
 from sidnn import numkit as nk
 from sidnn.errors import DimensionError, ParameterError
 from sidnn.inference import BenchTable
-from sidnn.models import HiddenState, ModelSpec, ParamStore, _dropout_masks
+from sidnn.models import HiddenState, ModelSpec, ParamStore
 from sidnn.training import masked_mse_grad
 
 Array = np.ndarray
@@ -145,10 +145,15 @@ def gru_ar_explicit(u: Array, state: HiddenState, params: ParamStore, spec: Mode
     """AR-GRU over one chunk with the feedback explicit at every step: the
     layer-0 input [u_t | fb], every layer's gru_cell, then the head, whose
     output is the next step's fb (or the teacher sample). Returns (y, final
-    state); dropout masks are drawn as the model's forward draws them."""
+    state). With dropout in training it draws one (B, H) keep mask per layer
+    below the top from rng, as the model's forward does, so both see the
+    same masks from equally seeded rngs."""
     T = u.shape[1]
     L = spec.depth
-    masks = _dropout_masks(spec, u.shape[0], training, rng)
+    masks = None
+    if training and spec.dropout > 0.0 and L > 1:
+        keep = 1.0 - spec.dropout
+        masks = [(rng.random((u.shape[0], spec.hidden)) < keep) / keep for _ in range(L - 1)]
     w_y, b_y = params["head.W"], params["head.b"]
     hs = list(state.gru_h)
     fb = state.last_output

@@ -65,6 +65,46 @@ def test_load_csv_rejects_nan_cell(tmp_path):
     assert "non-finite" in str(exc.value)
 
 
+@pytest.mark.parametrize("body,row,message", [
+    ("1,2\n3\n5,6\n", 3, "list index out of range"),
+    ("1,2\n3,\n5,6\n", 3, "could not convert string to float: ''"),
+    ("1,2\n3,4\n5,x\n", 4, "could not convert string to float: 'x'"),
+    ("1,2\n\n3,4\n5,x\n7\n", 5, "could not convert string to float: 'x'"),
+], ids=["short_row", "empty_field", "bad_value", "after_an_empty_row"])
+def test_load_csv_parse_error_names_the_first_bad_row(tmp_path, body, row, message):
+    # the columns are parsed at once; a short row or a bad value falls back
+    # to the row loop, whose error names the row (empty rows counted)
+    path = tmp_path / "d.csv"
+    path.write_text("u,y\n" + body)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, ["u"], ["y"])
+    assert str(exc.value) == f"{path}: row {row}: {message}"
+
+
+def test_load_csv_parses_each_value_as_float_does(tmp_path):
+    # whitespace, underscores, signs and exponents, and a row wider than
+    # the header; the column-wise parse must give float()'s values bitwise
+    cells = [" 1.5 ", "1_000", "-2e-3", "+7", "0.1", "3.0000000000000004"]
+    path = tmp_path / "d.csv"
+    path.write_text("u,y\n" + "".join(f"{c},{c}{',9' * (i == 2)}\n"
+                                      for i, c in enumerate(cells)))
+    u, y = load_csv(path, ["u"], ["y"]).sequences[0]
+    expected = [float(c) for c in cells]
+    assert u.ravel().tolist() == expected and y.ravel().tolist() == expected
+    assert u.shape == y.shape == (len(cells), 1)
+    assert u.flags["C_CONTIGUOUS"] and y.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "NaN"])
+def test_load_csv_rejects_non_finite_spellings(tmp_path, cell):
+    # each parses as float() parses it, so the finiteness gate catches it
+    path = tmp_path / "d.csv"
+    path.write_text(f"u,y\n1,2\n3,{cell}\n")
+    with pytest.raises(DataError) as exc:
+        load_csv(path, ["u"], ["y"])
+    assert "non-finite" in str(exc.value)
+
+
 def test_load_descriptor_round_trip(tmp_path):
     (tmp_path / "s.csv").write_text("u,y\n1,2\n3,4\n5,6\n")
     desc = tmp_path / "d.json"

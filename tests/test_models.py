@@ -146,13 +146,15 @@ def test_gru_ar_one_step_is_cell_on_concat():
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["p0", "p03"])
-@pytest.mark.parametrize("batch", [1, 3], ids=["B1", "B3"])
+@pytest.mark.parametrize("batch", [1, 3, 5], ids=["B1", "B3", "B5"])
 @pytest.mark.parametrize("depth", [1, 2, 3], ids=["d1", "d2", "d3"])
 @pytest.mark.parametrize("teacher_forced", [False, True], ids=["free", "teacher"])
 def test_gru_ar_fold_matches_explicit_feedback_oracle(teacher_forced, depth, batch, dropout):
     # the folded feedback (hoisted layer-0 projection, h_top @ F per step,
     # head after the loop) against the per-step concat [u_t | fb]; the
-    # random carried state makes a fold at a call's first step show
+    # random carried state makes a fold at a call's first step show. At
+    # batch 5, equal to hidden, a swapped (B, H) / (H, B) axis in the
+    # feature-major core raises no shape error, so only the values show it
     spec = ModelSpec(arch="gru", mode="ar", input_dim=2, hidden=5, depth=depth,
                      dropout=dropout)
     rng = np.random.default_rng(depth * 10 + batch)
@@ -182,6 +184,58 @@ def test_gru_ar_fold_matches_explicit_feedback_oracle(teacher_forced, depth, bat
                 close(state.last_output, expected.last_output)
                 for h, h_ref in zip(state.gru_h, expected.gru_h):
                     close(h, h_ref)
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+def test_gru_batch_rows_are_independent(mode):
+    # each row of a batch-4 forward is the batch-1 forward of that row:
+    # hidden 4 equals the batch, so a step that mixed the batch and feature
+    # axes would still run; training with a cache, depth 2
+    spec = ModelSpec(arch="gru", mode=mode, input_dim=2, hidden=4, depth=2)
+    model = Model.create(spec, 12)
+    rng = np.random.default_rng(12)
+    B = 4
+    u = rng.standard_normal((B, 9, 2))
+    start = replace(model.initial_state(B),
+                    gru_h=[rng.standard_normal((B, 4)) for _ in range(spec.depth)])
+    if mode == "ar":
+        start.last_output = rng.standard_normal((B, 1))
+    y, state, _ = model.forward(u, start, return_cache=True)
+    for b in range(B):
+        row = HiddenState(gru_h=[h[b : b + 1] for h in start.gru_h],
+                          last_output=None if mode == "nar" else start.last_output[b : b + 1])
+        y_b, state_b, _ = model.forward(u[b : b + 1], row, return_cache=True)
+        for got, want in [(y[b], y_b[0])] + [(h[b], h_b[0]) for h, h_b in
+                                              zip(state.gru_h, state_b.gru_h, strict=True)]:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
+@pytest.mark.parametrize("input_dim", [1, 2])
+def test_gru_backward_vs_finite_differences_with_input_gradient(input_dim, mode):
+    # the input gradient too, at one input column, where the layer-0
+    # weights' transpose is already contiguous and halving its z/r rows in a
+    # view would write the backward's unhalved copy; the second chunk
+    # carries the first's state
+    spec = ModelSpec(arch="gru", mode=mode, input_dim=input_dim, hidden=3, depth=2)
+    model = Model.create(spec, 13)
+    names = model.params.names()
+    rng = np.random.default_rng(13)
+    u = rng.standard_normal((2, 8, input_dim))
+    _, state = model.forward(u[:, :3])
+
+    def f(u_chunk, *arrays):
+        chunk_model = Model(spec=spec, params=ParamStore(dict(zip(names, arrays))))
+        y, _, cache = chunk_model.forward(u_chunk, state, return_cache=True)
+
+        def vjp(g):
+            grads, gu = chunk_model.backward(cache, g, need_input_grad=True)
+            return [gu] + [grads[n] for n in names]
+
+        return y, vjp
+
+    inputs = [u[:, 3:].copy()] + [model.params[n].copy() for n in names]
+    assert grad_check(f, inputs, eps=1e-6, rng=rng) < 1e-6
 
 
 def test_gru_ar_missing_last_output_raises():
@@ -834,6 +888,13 @@ def _fd_model_check(spec, seed, T=6, B=2, eps=1e-6):
 ])
 def test_full_model_gradients_vs_finite_differences(spec, seed):
     assert _fd_model_check(spec, seed) < 1e-4
+
+
+@pytest.mark.parametrize("spec,seed", [(GRU_NAR, 25), (GRU_AR, 26)], ids=["nar", "ar"])
+def test_gru_gradients_vs_finite_differences_at_batch_equal_hidden(spec, seed):
+    # batch 3 equals hidden 3: a swapped (B, H) / (H, B) axis in the
+    # feature-major core raises no shape error, so only the values show it
+    assert _fd_model_check(spec, seed, B=3) < 1e-4
 
 
 @pytest.mark.parametrize("spec", [GRU_NAR, GRU_AR, TCN_NAR, TCN_AR])

@@ -16,7 +16,11 @@ the median of each side, the parent's interquartile range (IQR), the pairs
 the change won, the relative difference of the medians, and whether that
 difference exceeds the parent's IQR. A metric whose parent IQR over median
 exceeds its bound is marked unresolved: the runs spread too widely to judge
-it. Every run's metrics are also written to SCRATCH_DIR/pairs.json.
+it. Below that table it prints each side's median of the AR/NAR time ratios
+from each run's report line (`ar_over_nar`: `train.gru`, `train.tcn`,
+`sim.gru`, `sim.tcn`), the quantities criterion 6 of the acceptance suite
+orders; they are informational and have no bound. Every run's metrics and
+ratios are also written to SCRATCH_DIR/pairs.json.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ def rel_diff(parent, change) -> float:
     return diff / scale if scale else diff
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run; returns {metric: value}, empty when the run failed."""
+def run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+    """One benchmark run; returns ({metric: value}, {ratio: value}) from its
+    result and report lines, both empty when the run failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -78,8 +83,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if not result.get("correct") or result.get("failed"):
         print(f"  FAILED in {checkout}: {' '.join(cmd[1:])} (exit {done.returncode})",
               file=sys.stderr)
-        return {}
-    return {name: m["value"] for name, m in result["metrics"].items()}
+        return {}, {}
+    report = json.loads(lines[-2])["report"]
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            dict(report["ar_over_nar"]))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,9 +100,11 @@ def report(runs: list[dict], metrics: list[dict]) -> None:
     keys = sorted({(r["seed"], r["workload"]) for r in runs})
     for seed, workload in keys:
         pairs: dict[int, dict] = {}
+        ratios: dict[int, dict] = {}
         for r in runs:
             if (r["seed"], r["workload"]) == (seed, workload) and r["metrics"]:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+                ratios.setdefault(r["pair"], {})[r["side"]] = r["ratios"]
         pairs = {i: p for i, p in pairs.items() if len(p) == 2}
         print(f"\nseed {seed}, {workload}: {len(pairs)} complete pairs")
         print(f"{'metric':20s} {'parent':>11s} {'change':>11s} {'diff':>8s} {'IQR':>9s} "
@@ -122,6 +131,15 @@ def report(runs: list[dict], metrics: list[dict]) -> None:
                 verdict = "within the parent's IQR"
             print(f"{name:20s} {med_p:11.5g} {med_c:11.5g} {diff:+8.1%} {iqr:9.3g} "
                   f"{won:>3d}/{len(both):<2d}  {verdict}")
+        print(f"{'AR/NAR time ratio':20s} {'parent':>11s} {'change':>11s}  "
+              f"(informational: median of each side's runs)")
+        names = sorted({n for i in pairs for side in ratios[i].values() for n in side})
+        for name in names:
+            sides = [[ratios[i][side][name] for i in pairs if name in ratios[i][side]]
+                     for side in ("parent", "change")]
+            if all(sides):
+                print(f"{name:20s} {statistics.median(sides[0]):11.4g} "
+                      f"{statistics.median(sides[1]):11.4g}")
 
 
 def main() -> int:
@@ -145,9 +163,9 @@ def main() -> int:
                 for side in order:
                     print(f"seed {seed} pair {pair + 1}/{args.pairs} {workload} {side}",
                           file=sys.stderr, flush=True)
+                    metrics, ratios = run(sides[side], workload, seed, bench["run_seconds"])
                     runs.append({"seed": seed, "pair": pair, "workload": workload, "side": side,
-                                 "metrics": run(sides[side], workload, seed,
-                                                bench["run_seconds"])})
+                                 "metrics": metrics, "ratios": ratios})
                     (scratch / "pairs.json").write_text(json.dumps(
                         {"parent": args.parent, "runs": runs}, indent=1) + "\n")
     report(runs, bench["end_to_end"])
