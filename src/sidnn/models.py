@@ -50,24 +50,26 @@ TCN whose input is known (NAR; AR given a teacher, over [u_t | y_{t-1}];
 reused buffers, each layer after its tail, so a chunk costs O(depth*T) however
 long the history; its cache keeps each layer's tail and input and a bool
 pre-activation sign mask, and a forward without a cache keeps nothing. Only
-the free-running AR-TCN steps: it writes each layer's outputs, one step at a
-time, into a dense array that begins with the layer above's tail. Layer l's
-past taps are at least 2**l samples old, so they are summed once per
-2**l-sample block with one matmul per tap; a step costs one current-tap
-matmul per layer, and the backward mirrors this. Above layer 0 an identity
-skip is folded into the current tap as w_now + I, once per chunk, so a step
-accumulates q = pre + v and outputs max(q, v): three numpy calls per layer,
-every product through np.dot into a buffer allocated once per chunk. Its
-cached mask is q > v, which keeps pre > 0's rule that a zero pre-activation
-sends the adjoint through the skip only. Layer 0 and the head are folded
-together (`_tcn_fold`): layer 0's output is max(q, s) with s its skip (I, the
-projection or 0) and q = pre + s; the known share of [q | s] (bias, the u
-taps, head.b's share of the feedback, the carried context) is convolved once
-per chunk, and a step adds one product, a window of the last kernel top
-outputs times G = head.W @ (the feedback rows of layer 0's taps), then takes
-max(q, s). The head runs once after the loop. So layer 0 and the head cost
-three numpy calls per step, down from nine; the backward's layer 0 costs
-five, down from about ten, with the head's gradients formed per chunk.
+the free-running AR-TCN steps, feature-major like the GRU: every per-step
+operand is one contiguous (features, B) block. Each layer above layer 0 keeps
+one array of [pre; v] rows, its inputs v after its tail, which the layer
+below writes one step at a time. Layer l's past taps are at least 2**l
+samples old, so they are summed with the bias into pre once per
+2**l-sample block with one matmul per tap; a step is then two numpy calls
+per layer, q = [I | W_now] @ row (an identity skip folded in as W_now + I)
+and max(q, v) or max(q, 0).
+Layer 0 and the head are folded together (`_tcn_fold`): layer 0's output is
+max(q, s) with s its skip (I, the projection or 0) and q = pre + s; the known
+share of [q; s] (bias, the u taps, head.b's share of the feedback, the
+carried context) is convolved once per chunk, and a step adds one product,
+G = (the feedback rows of layer 0's taps) @ head.W.T times a contiguous
+window of the last kernel top outputs, then takes max(q, s): three calls.
+The head runs once after the loop. The backward mirrors this on
+[g_pre; g_out] rows: three calls per layer and step (mask, one product,
+one add into the layer below), a float mask formed once per chunk from
+the cached inputs and outputs (q > v is max(q, v) > v, so a zero
+pre-activation sends the adjoint through the skip only), and every weight
+and head gradient one product over the chunk.
 """
 
 from __future__ import annotations
@@ -616,10 +618,11 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     state, (c - h_prev)*z*(1-z) for z, z*(1-c**2) for the candidate, and
     h_prev*r*(1-r) times the candidate's adjoint pulled through Uh for r.
     With the input known (NAR, teacher-forced AR) the top layer's adjoint
-    from the head is one product per chunk; free-running, each output's
-    adjoint also collects the adjoint of the next step's fed-back input, so
-    it is formed per step. Each layer's carried adjoint is one (H, B) buffer
-    that a step updates in place, and the products through Uh, [Uz|Ur] and
+    from the head and the input's adjoint (du) are one product per chunk
+    each; free-running, each output's adjoint also collects the adjoint of
+    the next step's fed-back input, so both are formed per step. Each
+    layer's carried adjoint is one (H, B) buffer that a step updates in
+    place, and the products through Uh, [Uz|Ur] and
     (above layer 0) the input weights go through np.dot into buffers
     allocated once per call, where the dropout mask is applied in place; the
     feedback's per-step products stay matmuls. The cache is only read.
@@ -643,7 +646,7 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     gh_carry = [np.zeros((H, B)) for _ in range(L)]
     g_rh, g_zr = np.empty((H, B)), np.empty((H, B))
     gx = np.empty((H, B))
-    gu = np.empty((T, I, B)) if need_input_grad else None
+    gu = np.empty((T, I, B)) if need_input_grad and feedback else None
     g_fb = np.zeros((O, B))
     for t in range(T - 1, -1, -1):
         if feedback:
@@ -667,12 +670,13 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
                 g_above = np.dot(w, ga, out=gx)
                 if masks:
                     g_above *= masks[l - 1]
-        if feedback or need_input_grad:
+        if feedback:
             gx0 = mats[0][0] @ GA[0][t]  # (W, B)
-            if feedback:
-                g_fb = gx0[I:]
+            g_fb = gx0[I:]
             if need_input_grad:
                 gu[t] = gx0[:I]
+    if need_input_grad and not feedback:  # a known input's adjoint, once per chunk
+        gu = np.matmul(mats[0][0], GA[0])[:, :I]
     grads = _gru_weight_grads(cache, GA)
     grads["head.W"] = _sum_outer(Hs[L - 1], GY)
     grads["head.b"] = GY.sum(axis=(0, 2))
@@ -795,66 +799,6 @@ def _tcn_nar_backward(cache, g_y: Array, need_input_grad: bool):
     return grads, gu
 
 
-def _tcn_step_layers(params: ParamStore, spec: ModelSpec, batch: int) -> list:
-    """Per layer above layer 0, what a step of `_tcn_step` reads: the past
-    taps as contiguous (H, H) matrices stacked oldest first, the bias, the
-    current-tap matrix w, a (batch, H) product buffer allocated here, once per
-    chunk, and whether the skip is the identity.
-
-    Layers above layer 0 take H channels, so their skip is the identity or
-    none. An identity skip is folded into the current tap as w_now + I, so a
-    step accumulates q = pre + v and its output relu(pre) + v is max(q, v).
-    """
-    layers = []
-    for k, bias, _, identity_skip in _tcn_layers(params, spec)[1:]:
-        w = np.ascontiguousarray(k.T)  # (kernel, H, H)
-        w_now = w[-1] + np.eye(len(bias)) if identity_skip else w[-1]
-        layers.append((w[:-1], bias, w_now, np.empty((batch, len(bias))), identity_skip))
-    return layers
-
-
-def _tcn_step(layers: list, a_pad: list, outs: list, P: list, t: int, v: Array,
-              tmp: Array) -> None:
-    """Run the layers above layer 0 at step t of a chunk, v being layer 0's
-    output at t.
-
-    a_pad[l] holds layer l's inputs, its context and then the chunk's T
-    rows; layer l (from 1) accumulates its pre-activation in P[l-1][t] and
-    writes its output to outs[l][t]. Layer l reads tap j from
-    (kernel-1-j)*2**l samples ago, so its past taps are at least 2**l samples
-    old: at the first step of each 2**l-sample block from the chunk start, one
-    matmul per past tap writes the past taps for the whole block into P[l-1]
-    (the first through out=, the bias added after), and every row that reads
-    is already written. Each step then adds its current tap through the
-    layer's product buffer and takes the output as max(P, v) for an identity
-    skip (w_now + I folded, see `_tcn_step_layers`) or max(P, 0) otherwise:
-    three numpy calls. tmp is a (B, H) scratch for the second and later past
-    taps of a one-row block. A kernel-1 layer has no past taps, and the
-    caller fills its P with the bias.
-    """
-    T, B = len(outs[0]), len(v)
-    for l, (w_past, bias, w, prod, identity_skip) in enumerate(layers, 1):
-        d = 2 ** l
-        pre = P[l - 1][t]
-        if len(w_past) and t % d == 0:
-            a = a_pad[l]
-            lo = len(a) - T + t - len(w_past) * d
-            m = min(d, T - t)
-            if m == 1:  # one row: no reshapes
-                np.dot(a[lo], w_past[0], out=pre)
-                for j in range(1, len(w_past)):
-                    pre += np.dot(a[lo + j * d], w_past[j], out=tmp)
-                pre += bias
-            else:
-                blk = P[l - 1][t : t + m].reshape(m * B, -1)
-                np.dot(a[lo : lo + m].reshape(m * B, -1), w_past[0], out=blk)
-                for j in range(1, len(w_past)):
-                    blk += np.dot(a[lo + j * d : lo + j * d + m].reshape(m * B, -1), w_past[j])
-                blk += bias
-        pre += np.dot(v, w, out=prod)
-        v = np.maximum(pre, v if identity_skip else ZERO, out=outs[l][t])
-
-
 def _tcn_skip0(params: ParamStore, spec: ModelSpec) -> Array | None:
     """Layer 0's skip as a (C_in, H) matrix: I, the projection, or None."""
     proj = params.get("tcn.0.proj")
@@ -864,36 +808,28 @@ def _tcn_skip0(params: ParamStore, spec: ModelSpec) -> Array | None:
 
 
 def _tcn_fold(params: ParamStore, spec: ModelSpec):
-    """Layer 0 and the head folded, as `_tcn_ar_forward` steps them; returns
-    (A, G).
+    """Layer 0 and the head folded, feature-major, as `_tcn_ar_forward`
+    steps them; returns (A, G).
 
-    A (kernel, C_in, 2H) holds layer 0's taps oldest first, each mapping an
-    input row to its share of [q | s]: [W_j | 0] for a past tap and
-    [W_now + S | S] for the current one, S being the skip (I, the
+    A (kernel, 2H, C_in) holds layer 0's taps oldest first, each mapping an
+    input column to its share of [q; s]: [W_j; 0] for a past tap and
+    [W_now + S; S] for the current one, S being the skip (I, the
     projection, or 0), so that layer 0's output relu(pre) + s is max(q, s)
-    with q = pre + s. G (kernel*H, 2H) stacks head.W @ A_j[input_dim:] over
-    the taps: a window of the last kernel top outputs, oldest first, times G
-    is the share of [q | s] that the fed-back outputs bring, less head.b's.
+    with q = pre + s. G (2H, kernel*H) holds A_j[:, input_dim:] @ head.W.T
+    side by side over the taps: G times a window of the last kernel top
+    outputs, oldest first, stacked as one (kernel*H, B) block, is the share
+    of [q; s] that the fed-back outputs bring, less head.b's.
     """
     k = params["tcn.0.kernel"]
-    H, C, K = k.shape
-    A = np.zeros((K, C, 2 * H))
-    A[:, :, :H] = k.transpose(2, 1, 0)
+    H = k.shape[0]
+    A = np.zeros((k.shape[2], 2 * H, k.shape[1]))
+    A[:, :H] = k.transpose(2, 0, 1)
     skip = _tcn_skip0(params, spec)
     if skip is not None:
-        A[-1, :, :H] += skip
-        A[-1, :, H:] = skip
-    G = (params["head.W"] @ A[:, spec.input_dim :]).reshape(K * H, 2 * H)
+        A[-1, :H] += skip.T
+        A[-1, H:] = skip.T
+    G = np.concatenate(A[:, :, spec.input_dim :] @ params["head.W"].T, axis=1)
     return A, G
-
-
-def _windows(tops: Array, kernel: int) -> Array:
-    """(T, B, kernel*H) view of batch-major tops (B, kernel + T, H): row t
-    is each sequence's kernel rows from t on, flattened, the window step t
-    reads."""
-    B, n, H = tops.shape
-    s0, s1, s2 = tops.strides
-    return as_strided(tops, (n - kernel, B, kernel * H), (s1, s0, s2))
 
 
 def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
@@ -916,190 +852,254 @@ def conv_cache_step(cache: ConvCache, params: ParamStore, x_t: Array) -> Array:
     return y[:, 0]
 
 
+def _tcn_ar_steps(u, conv, last_output, pads, ins, tops, params, spec, record):
+    """Fill `_tcn_ar_forward`'s arrays and run its time loop; returns layer
+    0's q > s mask when recording, else None.
+
+    Layer l's past taps are at least 2**l samples old, so at the first step
+    of each 2**l-sample block from the chunk start they are summed with the
+    bias into the block's pre rows (capped at the chunk's end), before the
+    layers step: per tap a matmul into scratch, then np.add of the bias (the
+    first tap) or of pre into pre. They read only inputs older than the step.
+    Without past taps (kernel 1) pre is the bias throughout. A step is then
+    two numpy calls per layer above layer 0, q = [I | W_now] @ [pre; v] (an
+    identity skip folded in as W_now + I) and max(q, v), or max(q, 0)
+    without a skip, into the next layer's v rows; layer 0 adds G @ window
+    to its [q; s] and takes max(q, s). The known share of [q; s] is one
+    product over the windows of kernel layer-0 input rows, each a
+    contiguous (kernel*C_in, B) block.
+    """
+    B, T, I = u.shape
+    H, K = spec.hidden, spec.kernel
+    for x, tail in zip(ins, conv.tails):
+        n = len(x) - T
+        x[: n - len(tail)] = 0.0  # samples before the sequence start
+        x[n - len(tail) : n] = tail.transpose(0, 2, 1)
+    # layer-0 inputs [u_t; fb_t]: fb_0 is last_output, fb_t is head.b until
+    # the caller fills in y
+    X0 = ins[0][-T:]
+    X0[:, :I] = u.transpose(1, 2, 0)
+    X0[0, I:] = last_output.T
+    X0[1:, I:] = params["head.b"][:, None]
+    A, G = _tcn_fold(params, spec)
+    rows0 = as_strided(ins[0], (T, K * spec.feed_dim, B), ins[0].strides)  # ins[0][t : t + K]
+    QS = _chunk_product(np.concatenate(A, axis=1), rows0)
+    Q, S = QS[:, :H], QS[:, H:]
+    Q += params["tcn.0.bias"][:, None]
+    tops[:K] = 0.0
+    wins = as_strided(tops, (T, K * H, B), tops.strides)  # wins[t] is tops[t : t + K]
+    outs = [x[-T:] for x in ins[1:]] + [tops[K:]]  # each layer's outputs
+    steps, blocks = [], []
+    for l, (k, bias, _, identity_skip) in enumerate(_tcn_layers(params, spec)[1:], 1):
+        w_now = k[:, :, -1] + np.eye(H) if identity_skip else k[:, :, -1]
+        steps.append((np.concatenate([np.eye(H), w_now], axis=1), pads[l][-T:], outs[l],
+                      identity_skip))
+        if K == 1:  # no past taps
+            pads[l][:, :H] = bias[:, None]
+        else:
+            blocks.append((pads[l], [np.ascontiguousarray(k[:, :, j]) for j in range(K - 1)],
+                           bias[:, None], 2 ** l))
+    prod, q = np.empty((2 * H, B)), np.empty((H, B))
+    scratch = np.empty((min(T, 2 ** (spec.depth - 1)), H, B))
+    for t in range(T):
+        # the blocks starting at t: the dilations double, so the first layer
+        # whose block does not start here ends the search
+        for pad, past, bias, d in blocks:
+            if t % d:
+                break
+            m = min(d, T - t)
+            r = len(pad) - T + t  # step t's row
+            pre = pad[r : r + m, :H]
+            for j, w in enumerate(past):
+                lo = r - (len(past) - j) * d  # the rows tap j reads
+                np.matmul(w, pad[lo : lo + m, H:], out=scratch[:m])
+                np.add(scratch[:m], pre if j else bias, out=pre)
+        qs = QS[t]
+        qs += np.dot(G, wins[t], out=prod)
+        v = np.maximum(Q[t], S[t], out=outs[0][t])
+        for M, rows, out, identity_skip in steps:
+            v = np.maximum(np.dot(M, rows[t], out=q), v if identity_skip else ZERO, out=out[t])
+    return Q > S if record else None
+
+
 def _tcn_ar_forward(u, conv, last_output, params, spec, record):
-    """Free-running AR TCN, one step at a time.
+    """Free-running AR TCN, one step at a time, feature-major: every
+    per-step operand is one contiguous (features, B) block. Equals a naive
+    full-history recompute.
 
-    Sequential generation with input concat(u_t, own previous output); equals
-    a naive full-history recompute. Each layer's inputs, preceded by its
-    context (zeros before the sequence start, then its tail), are kept in
-    dense time-major arrays: each step reads its past taps from them and the
-    new tails are their last rows.
+    Layer 0's inputs [u_t; fb_t] follow its context in one (n_0 + T, C_in, B)
+    array; each layer l above it keeps one (n_l + T, 2H, B) array of
+    [pre; v] rows, v its context and then its chunk inputs, which the
+    layer below writes as it goes (`_tcn_ar_steps`). Layer 0 and the head
+    are folded (`_tcn_fold`): the known share of layer 0's [q; s] (bias,
+    every tap over u, head.b's share of each in-chunk feedback tap, the
+    carried last output and tail feedback) is convolved once per chunk, and
+    a step adds G times the window of the last kernel top outputs, a
+    contiguous (kernel*H, B) view of the (kernel + T, H, B) top-output array
+    whose first kernel rows are zeros (their feedback is in the known share).
+    After the loop one product gives y and layer 0's fed-back column; the new
+    tails are the inputs' last rows, transposed back to (n, B, C_in).
 
-    Layer 0 and the head are folded (`_tcn_fold`). Before the loop the known
-    share of layer 0's [q | s] is convolved for the whole chunk: bias, every
-    tap over u, head.b's share of each in-chunk feedback tap, and the carried
-    last output and tail feedback. A step adds one product, the window of the
-    last kernel top outputs times G, and takes max(q, s); the top layer
-    writes straight into that batch-major window array, whose first kernel
-    rows are zeros (their feedback is in the known share). After the loop one
-    product gives y and X0's feedback column. With record set, the cache
-    keeps the input arrays, the top outputs and a bool mask per layer, formed
-    once after the loop: q > s for layer 0 and P > v above it for an
-    identity skip (the accumulator holds q = pre + v, and q > v is pre > 0
-    with a zero pre-activation sending the adjoint through the skip only),
-    P > 0 otherwise.
+    Recording runs the same loop, so the training forward gives the
+    cache-free forward's bits. The cache keeps each layer's inputs as a
+    channel-major (C_in, n_l + T, B) copy (each layer's rows are released
+    once copied), the top outputs and layer 0's q > s mask; the backward
+    forms the other masks from the kept outputs.
     """
     B, T, I = u.shape
     H, K, L = spec.hidden, spec.kernel, spec.depth
-    A, G = _tcn_fold(params, spec)
-    layers = _tcn_step_layers(params, spec, B)
-    w_y, b_y = params["head.W"], params["head.b"]
     lens = [(K - 1) * 2 ** l for l in range(L)]
-    a_pad = []
-    for n, tail in zip(lens, conv.tails):
-        a = np.empty((n + T,) + tail.shape[1:])
-        a[: n - len(tail)] = 0.0  # samples before the sequence start
-        a[n - len(tail) : n] = tail
-        a_pad.append(a)
-    tops = np.empty((B, K + T, H))
-    tops[:, :K] = 0.0
-    wins = _windows(tops, K)
-    outs = [a[n:] for a, n in zip(a_pad[1:], lens[1:])] + [tops[:, K:].transpose(1, 0, 2)]
-    # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t is head.b until
-    # the loop is done
-    X0 = a_pad[0][lens[0] :]
-    X0[:, :, :I] = u.transpose(1, 0, 2)
-    X0[0, :, I:] = last_output
-    X0[1:, :, I:] = b_y
-    C = X0.shape[2]
-    QS = np.dot(a_pad[0][:T].reshape(T * B, C), A[0]).reshape(T, B, 2 * H)
-    for j in range(1, K):
-        QS += np.dot(a_pad[0][j : j + T].reshape(T * B, C), A[j]).reshape(T, B, 2 * H)
-    Q, S = QS[:, :, :H], QS[:, :, H:]
-    Q += params["tcn.0.bias"]
-    P = [np.empty((T, B, H)) for _ in layers]  # pre-activations above layer 0
-    if K == 1:  # no past taps: the bias starts every step's sum
-        for p, (_, bias, *_) in zip(P, layers):
-            p[...] = bias
-    prod, tmp = np.empty((B, 2 * H)), np.empty((B, H))
-    out0 = outs[0]
-    for t in range(T):
-        qs = QS[t]
-        qs += np.dot(wins[t], G, out=prod)
-        v = np.maximum(Q[t], S[t], out=out0[t])
-        _tcn_step(layers, a_pad, outs, P, t, v, tmp)
-    y = np.matmul(tops[:, K:], w_y)
-    y += b_y
-    X0[1:, :, I:] = y[:, :-1].transpose(1, 0, 2)
-    tails = [_tail_after(tail, a[n:], n) for tail, n, a in zip(conv.tails, lens, a_pad)]
+    pads = [np.empty((lens[0] + T, spec.feed_dim, B))]
+    pads += [np.empty((n + T, 2 * H, B)) for n in lens[1:]]
+    ins = pads[:1] + [pad[:, H:] for pad in pads[1:]]  # each layer's inputs
+    tops = np.empty((K + T, H, B))
+    mask0 = _tcn_ar_steps(u, conv, last_output, pads, ins, tops, params, spec, record)
+    w_y, b_y = params["head.W"], params["head.b"]
+    Y = _chunk_product(w_y.T, tops[K:])  # (T, O, B)
+    Y += b_y[:, None]
+    pads[0][lens[0] + 1 :, I:] = Y[:-1]
+    tails = [x[max(n - len(tail), T) :].transpose(0, 2, 1).copy()
+             for x, n, tail in zip(ins, lens, conv.tails)]
     cache = None
     if record:
-        masks = [Q > S] + [p > (a[n:] if identity_skip else 0.0) for p, a, n, (*_, identity_skip)
-                           in zip(P, a_pad[1:], lens[1:], layers)]
-        cache = {"a_pad": a_pad, "tops": tops, "masks": masks, "lens": lens, "spec": spec,
-                 "params": params, "shape": u.shape}
-    return y, HiddenState(conv=ConvCache(spec, tails), last_output=y[:, -1].copy()), cache
+        xs = []
+        for l in range(L):
+            xs.append(np.ascontiguousarray(ins[l].transpose(1, 0, 2)))
+            pads[l] = ins[l] = None
+        cache = {"xs": xs, "tops": tops, "mask0": mask0, "spec": spec, "params": params,
+                 "shape": u.shape}
+    state = HiddenState(conv=ConvCache(spec, tails), last_output=Y[T - 1].T.copy())
+    return Y.transpose(2, 0, 1).copy(), state, cache
+
+
+def _tcn_ar_sweep(GR: list, steps: list, M0: Array, T: int) -> None:
+    """The descending time loop of `_tcn_ar_backward` over its [g_pre; g_out]
+    row arrays GR, each g_pre half holding its layer's mask; steps[l - 1] is
+    layer l's [W_now^T | I or 0], its past taps transposed and its dilation.
+    After the layers' steps at t, each block that starts at t, its g_pre
+    rows now complete, adds its past taps' adjoints into the g_out rows the
+    taps read.
+    """
+    L, H, B = len(GR), GR[0].shape[1] // 2, GR[0].shape[2]
+    K = len(M0) // H
+    rows = [g[len(g) - T :] for g in GR]
+    layers = [(steps[l - 1][0], rows[l], rows[l - 1]) for l in range(L - 1, 0, -1)]
+    blocks = [(rows[l], GR[l - 1], past, d) for l, (_, past, d) in enumerate(steps, 1) if past]
+    g_tops = GR[L - 1]
+    buf, gwin = np.empty((H, B)), np.empty((K * H, B))
+    gwin_rows = gwin.reshape(K, H, B)
+    scratch = np.empty((min(T, 2 ** (L - 1)), H, B))
+    for t in range(T - 1, -1, -1):
+        for Mb, R, R_below in layers:
+            row = R[t]
+            g_pre = row[:H]
+            np.multiply(row[H:], g_pre, out=g_pre)
+            below = R_below[t, H:]
+            below += np.dot(Mb, row, out=buf)
+        row = rows[0][t]
+        g_pre = row[:H]
+        np.multiply(row[H:], g_pre, out=g_pre)
+        win = g_tops[t : t + K, H:]
+        np.dot(M0, row, out=gwin)
+        win += gwin_rows
+        for R, G_below, past, d in blocks:
+            if t % d:
+                break
+            m = min(d, T - t)
+            g_pres = R[t : t + m, :H]
+            r = len(G_below) - T + t  # step t's row in the layer below's g_out
+            for j, w in enumerate(past):
+                lo = r - (len(past) - j) * d  # the rows tap j read
+                g_in = G_below[lo : lo + m, H:]
+                g_in += np.matmul(w, g_pres, out=scratch[:m])
 
 
 def _tcn_ar_backward(cache, g_y: Array, need_input_grad: bool):
-    """Reverse-time adjoint sweep through the cached AR-TCN chunk.
+    """Reverse-time adjoint sweep through the cached AR-TCN chunk,
+    feature-major like the forward.
 
-    Adjoints only ever flow from later to earlier time (conv taps and
-    the output feedback both look backward), so one descending pass over t
-    with a top-down layer loop visits every node after its dependents.
-    Above layer 0 each step adds the current-tap and skip adjoints, g_in +=
-    g_pre @ w_now.T + g_out for an identity skip: with the cached mask q > v
-    this is the exact adjoint of the forward's max(q, v), q = pre + v @
-    (w_now + I). A block's past-tap adjoints are added with one matmul per tap
-    at its first step, which comes before any step those taps read (they lie
-    at least 2**l samples back); blocks start at the chunk start, as in the
-    forward. The transposed tap matrices are made contiguous once per chunk,
-    and per-step products go through np.dot into one (B, H) buffer per
-    layer.
+    Adjoints only flow from later to earlier time (conv taps and the output
+    feedback both look backward), so one descending pass over t with a
+    top-down layer loop visits every node after its dependents
+    (`_tcn_ar_sweep`). Each layer keeps one array of [g_pre; g_out] rows:
+    g_out, its outputs' adjoint, after rows for the context those outputs
+    feed (the layer above's, or the top layer's kernel window), whose
+    adjoints are dropped as the context is data, not graph; g_pre starts as
+    the layer's float mask, formed once per chunk from the cache: out > v
+    for an identity skip (max(q, v) > v is the forward's q > v, so a zero
+    pre-activation sends the adjoint through the skip only), out > 0
+    without one, and layer 0's cached q > s. A step above layer 0 is three
+    numpy calls: the mask times g_out into g_pre, one product by
+    [W_now^T | I] ([W_now^T | 0] without a skip), one add into the layer
+    below's g_out; a block's past-tap adjoints take one matmul per tap once
+    the block's g_pre rows are complete, before any step those taps read
+    (they lie at least 2**l samples back).
 
     Layer 0 and the head mirror the forward's fold. The top outputs'
-    adjoints, time-major after kernel rows for the context, start as
-    g_y @ head.W.T, formed once per chunk. A step takes layer 0's g_pre =
-    g_out * (q > s) and adds the fed-back outputs' share of its adjoint into
-    the top-output adjoints it read: g_pre times the kernel's feedback rows
-    through the head into the whole window, and g_out times the skip's into
-    the latest row. Layer 0's input adjoint, and from it du, the fed-back
-    outputs' adjoints and so the head's gradients, come from per-chunk
-    products after the sweep, as do layer 0's kernel and projection
-    gradients. Adjoints of the carried context are dropped, as the context is
-    data, not graph.
+    adjoints start as head.W @ g_y. A layer-0 step masks its row and adds
+    M0 @ row into the window of top-output adjoints it read: g_pre through
+    the kernel's feedback rows and the head, g_out through the skip's.
+    After the sweep every kernel, bias and projection gradient, layer 0's
+    input adjoint, and from it du and the fed-back outputs' adjoints (so the
+    head's gradients), is one product over the chunk on channel-major
+    operands; each layer's rows are dropped once its gradients are formed.
     """
-    spec = cache["spec"]
-    params = cache["params"]
-    a_pad, tops, masks, lens = cache["a_pad"], cache["tops"], cache["masks"], cache["lens"]
+    spec, params = cache["spec"], cache["params"]
+    xs, tops = cache["xs"], cache["tops"]
     B, T, _ = cache["shape"]
     I, O, H, K, L = spec.input_dim, spec.output_dim, spec.hidden, spec.kernel, spec.depth
     w_y = params["head.W"]
     k0, skip = params["tcn.0.kernel"], _tcn_skip0(params, spec)
-    # (H, kernel*H): g_pre into the window; (H, H): g_out into its last row
-    gk_t = np.ascontiguousarray((w_y @ k0[:, I:].transpose(2, 1, 0)).reshape(K * H, H).T)
-    gs_t = None if skip is None else np.ascontiguousarray((w_y @ skip[I:]).T)
-    layers = []
-    for k, _, _, identity_skip in _tcn_layers(params, spec)[1:]:
-        taps_t = np.ascontiguousarray(k.transpose(2, 0, 1))  # (kernel, H, H)
-        layers.append((taps_t[:-1], taps_t[-1], identity_skip, np.empty((B, H))))
-    g_top = np.empty((K + T, B, H))
-    g_top[:K] = 0.0  # adjoints of the context's feedback: dropped
-    gy_tm = g_y.transpose(1, 0, 2).reshape(T * B, O)
-    np.dot(gy_tm, w_y.T, out=g_top[K:].reshape(T * B, H))
-    g_a = [np.zeros_like(a) for a in a_pad[1:]]  # adjoints of layer l+1's inputs
-    g_outs = [g[n:] for g, n in zip(g_a, lens[1:])] + [g_top[K:]]
-    g_pres = [np.empty((T, B, H)) for _ in range(L)]
-    g_win, g_row = np.empty((B, K * H)), np.empty((B, H))
-    g_win_rows = g_win.reshape(B, K, H).transpose(1, 0, 2)  # as (kernel, B, H)
-    for t in range(T - 1, -1, -1):
-        for l in range(L - 1, 0, -1):
-            past_t, now_t, identity_skip, prod = layers[l - 1]
-            d = 2 ** l
-            g_out = g_outs[l][t]
-            g_pre = np.multiply(g_out, masks[l][t], out=g_pres[l][t])
-            g_in = g_a[l - 1][lens[l] + t]
-            g_in += np.dot(g_pre, now_t, out=prod)
-            if identity_skip:
-                g_in += g_out
-            if len(past_t) and t % d == 0:
-                m = min(d, T - t)
-                lo = lens[l] + t - len(past_t) * d
-                if m == 1:  # one row: no reshapes
-                    for j, w in enumerate(past_t):
-                        g_a[l - 1][lo + j * d] += np.dot(g_pre, w, out=prod)
-                else:
-                    G = g_pres[l][t : t + m].reshape(m * B, H)
-                    for j, w in enumerate(past_t):
-                        rows = g_a[l - 1][lo + j * d : lo + j * d + m].reshape(m * B, -1)
-                        rows += np.dot(G, w)
-        g_out = g_outs[0][t]
-        g_pre = np.multiply(g_out, masks[0][t], out=g_pres[0][t])
-        np.dot(g_pre, gk_t, out=g_win)
-        g_top[t : t + K] += g_win_rows
-        if gs_t is not None:
-            g_top[K - 1 + t] += np.dot(g_out, gs_t, out=g_row)
-    g_out0 = g_outs[0]
-    del g_a, g_outs, g_top  # free before the per-chunk products
-    # layer 0's input adjoint: its taps transposed over g_pre, its skip over g_out
-    X0 = a_pad[0][lens[0] :]
-    C = X0.shape[2]
-    g_x0 = np.zeros((T, B, C)) if skip is None else np.dot(
-        g_out0.reshape(T * B, H), skip.T).reshape(T, B, C)
-    for j in range(K):
-        n = T - (K - 1 - j)  # tap j of step t reads input t - (K-1-j)
-        g_x0[:n] += np.dot(g_pres[0][T - n :].reshape(n * B, H), k0[:, :, j]).reshape(n, B, C)
-    # fb_t is y_{t-1}: its adjoint joins g_y's (fb_0, last_output, is data)
-    g_out_y = g_y.copy()
-    g_out_y[:, :-1] += g_x0[1:, :, I:].transpose(1, 0, 2)
+    layers = _tcn_layers(params, spec)
+    lens = [(K - 1) * 2 ** l for l in range(L)]
+    GR = [np.zeros((c + T, 2 * H, B)) for c in lens[1:] + [K]]
+    GR[0][-T:, :H] = cache["mask0"]
+    for l in range(1, L):
+        out = xs[l + 1][:, lens[l + 1] :].transpose(1, 0, 2) if l < L - 1 else tops[K:]
+        v = xs[l][:, lens[l] :].transpose(1, 0, 2) if layers[l][3] else ZERO
+        np.greater(out, v, out=GR[l][-T:, :H])
+    # channel-major (O, T, B); the fed-back outputs' adjoints join it
+    GY = g_y.transpose(2, 1, 0).copy()
+    GR[L - 1][K:, H:] = np.dot(w_y, GY.reshape(O, T * B)).reshape(H, T, B).transpose(1, 0, 2)
+    steps = []
+    for l, (k, _, _, identity_skip) in enumerate(layers[1:], 1):
+        Mb = np.concatenate([k[:, :, -1].T, np.eye(H) if identity_skip else np.zeros((H, H))],
+                            axis=1)
+        steps.append((Mb, [np.ascontiguousarray(k[:, :, j].T) for j in range(K - 1)], 2 ** l))
+    M0 = np.zeros((K * H, 2 * H))
+    M0[:, :H] = (w_y @ k0[:, I:].transpose(2, 1, 0)).reshape(K * H, H)
+    if skip is not None:
+        M0[(K - 1) * H :, H:] = w_y @ skip[I:]
+    _tcn_ar_sweep(GR, steps, M0, T)
     grads: dict[str, Array] = {}
-    for l in range(L):
-        d = 2 ** l
-        dk = np.empty_like(params[f"tcn.{l}.kernel"])
+    for l in range(L - 1, -1, -1):
+        g = GR.pop()
+        gp = np.ascontiguousarray(g[-T:, :H].transpose(1, 0, 2)).reshape(H, T * B)
+        if l == 0:
+            g_out0 = np.ascontiguousarray(g[-T:, H:].transpose(1, 0, 2)).reshape(H, T * B)
+        del g
+        x, d = xs[l], 2 ** l
+        dk = np.empty((H, len(x), K))
         for j in range(K):
             lo = lens[l] - (K - 1 - j) * d
-            dk[:, :, j] = np.tensordot(g_pres[l], a_pad[l][lo : lo + T],
-                                       axes=([0, 1], [0, 1]))
+            dk[:, :, j] = gp @ x[:, lo : lo + T].reshape(len(x), T * B).T
         grads[f"tcn.{l}.kernel"] = dk
-        grads[f"tcn.{l}.bias"] = g_pres[l].sum(axis=(0, 1))
+        grads[f"tcn.{l}.bias"] = gp.sum(axis=1)
+    # layer 0's input adjoint (C_in, T, B): its skip over g_out, its taps
+    # transposed over g_pre, tap j of step t reading input t - (K-1-j)
+    X0 = xs[0][:, lens[0] :].reshape(len(xs[0]), T * B)
+    g_x0 = (np.zeros(X0.shape) if skip is None else np.dot(skip, g_out0)).reshape(-1, T, B)
+    gp0 = gp.reshape(H, T, B)
+    for j in range(K):
+        n = T - (K - 1 - j)
+        g_x0[:, :n] += np.dot(k0[:, :, j].T, gp0[:, T - n :].reshape(H, n * B)).reshape(-1, n, B)
     if "tcn.0.proj" in params:
-        dp = np.tensordot(g_out0, X0, axes=([0, 1], [0, 1]))
-        grads["tcn.0.proj"] = dp[:, :, None]
-    grads["head.W"] = np.matmul(tops[:, K:].transpose(0, 2, 1), g_out_y).sum(axis=0)
-    grads["head.b"] = g_out_y.sum(axis=(0, 1))
-    gu = None
-    if need_input_grad:
-        gu = np.ascontiguousarray(g_x0[:, :, :I].transpose(1, 0, 2))
+        grads["tcn.0.proj"] = np.dot(g_out0, X0.T)[:, :, None]
+    # fb_t is y_{t-1}: its adjoint joins g_y's (fb_0, last_output, is data)
+    GY[:, :-1] += g_x0[I:, 1:]
+    grads["head.W"] = np.tensordot(tops[K:], GY, axes=([0, 2], [1, 2]))
+    grads["head.b"] = GY.sum(axis=(1, 2))
+    gu = g_x0[:I].transpose(2, 1, 0).copy() if need_input_grad else None
     return grads, gu
 
 

@@ -211,6 +211,51 @@ def test_gru_batch_rows_are_independent(mode):
 
 
 @pytest.mark.parametrize("mode", ["nar", "ar"])
+def test_tcn_batch_rows_are_independent(mode):
+    # the TCN twin of the GRU test above, forward and backward: hidden 4
+    # equals the batch, so a core that swapped the (H, B) axes would still
+    # run. Each row of a batch-4 chunk, carried on from a first chunk (so
+    # every tail is non-zero) with a random last output and biases, is the
+    # batch-1 chunk of that row, and the batch-4 gradients are the sums of
+    # the rows' gradients; depth 3 and kernel 3 make blocks of up to 4 rows
+    spec = ModelSpec(arch="tcn", mode=mode, input_dim=2, hidden=4, depth=3, kernel=3)
+    model = Model.create(spec, 14)
+    rng = np.random.default_rng(14)
+    for l in range(spec.depth):
+        model.params[f"tcn.{l}.bias"] = rng.uniform(-0.5, 0.5, spec.hidden)
+    B = 4
+    u = rng.standard_normal((B, 20, 2))
+    g = rng.standard_normal((B, 11, 1))
+    start = model.initial_state(B)
+    if mode == "ar":
+        start.last_output = rng.standard_normal((B, 1))
+    _, start = model.forward(u[:, :9], start)
+    assert all(len(tail) and tail.any() for tail in start.conv.tails)
+    y, state, cache = model.forward(u[:, 9:], start, return_cache=True)
+    grads, du = model.backward(cache, g, need_input_grad=True)
+
+    def close(got, want, rtol):
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    summed = {name: np.zeros_like(a) for name, a in grads.items()}
+    for b in range(B):
+        row = HiddenState(conv=ConvCache(spec, [tail[:, b : b + 1] for tail in start.conv.tails]),
+                          last_output=None if mode == "nar" else start.last_output[b : b + 1])
+        y_b, state_b, cache_b = model.forward(u[b : b + 1, 9:], row, return_cache=True)
+        grads_b, du_b = model.backward(cache_b, g[b : b + 1], need_input_grad=True)
+        close(y[b], y_b[0], 1e-14)
+        for tail, tail_b in zip(state.conv.tails, state_b.conv.tails, strict=True):
+            close(tail[:, b], tail_b[:, 0], 1e-14)
+        if mode == "ar":
+            close(state.last_output[b], state_b.last_output[0], 1e-14)
+        close(du[b], du_b[0], 1e-12)
+        for name in summed:
+            summed[name] += grads_b[name]
+    for name, a in grads.items():
+        close(a, summed[name], 1e-12)
+
+
+@pytest.mark.parametrize("mode", ["nar", "ar"])
 @pytest.mark.parametrize("input_dim", [1, 2])
 def test_gru_backward_vs_finite_differences_with_input_gradient(input_dim, mode):
     # the input gradient too, at one input column, where the layer-0
@@ -460,7 +505,7 @@ def test_tcn_nar_ring_buffers_hold_each_layers_last_inputs(T, kernel):
             if mode == "nar":
                 inputs = cache["xs"][l].transpose(2, 0, 1)
             else:
-                inputs = cache["a_pad"][l][n:]
+                inputs = cache["xs"][l][:, n:].transpose(1, 2, 0)
             assert tail.shape == (min(T, n), 2, spec.feed_dim if l == 0 else 3)
             np.testing.assert_allclose(tail, inputs[T - len(tail) :], rtol=1e-12, atol=1e-12)
 

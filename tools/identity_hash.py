@@ -18,9 +18,14 @@ unchanged in their own lines. The grid is fixed:
     and per arch one AR spec with output_dim 2 x B 1/3 x teacher forcing,
     where the head's products have more than one column;
     and the benchmark's GRU shape: hidden 32, depth 1 x NAR/AR x B 1/16
-    (x teacher forcing in AR), the path of its train and evaluate phases.
+    (x teacher forcing in AR), the path of its train and evaluate phases;
+    and the benchmark's TCN shape: hidden 4, depth 10, kernel 2, input_dim
+    1 x NAR/free-running AR x B 1/16, over 2,130 samples split 1,030 +
+    1,100, so that blocks of up to 512 rows and carried tails of up to 512
+    rows are hashed (the other cases run 7 + 13 samples).
 
-Parameters are drawn at random (biases non-zero), so ReLU patterns mix.
+Parameters are drawn at random (biases non-zero), so ReLU patterns mix; the
+depth-10 cases draw them at 0.2 standard deviations, the others at 0.5.
 
 With --parent, REV is exported with `git archive` into a temporary directory
 (as `bench_pairs.py` does) and its package imported as `sidnn_parent`, beside
@@ -30,7 +35,8 @@ largest magnitude of the parent's array. A change that moves numbers in the
 last bits reports that figure. There the teacher-forced AR cases get their
 own line per arch ("GRU-AR teacher-forced"), apart from the free-running ones,
 since the two run different code, and so do the output_dim 2 cases
-("GRU-AR teacher-forced output_dim 2").
+("GRU-AR teacher-forced output_dim 2") and the depth-10 TCN cases
+("TCN-AR depth 10").
 """
 
 from __future__ import annotations
@@ -49,13 +55,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sidnn import models as checkout_models  # noqa: E402
 
-T1, T2 = 7, 13  # the split chunk; T1 + T2 exceeds the receptive field of depth 3, kernel 3
+# (chunk lengths, parameter scale): 7 + 13 exceeds the receptive field of
+# depth 3, kernel 3; each deep chunk exceeds depth 10's, 1023, and the
+# smaller scale keeps its free-running feedback bounded over 2,130 steps
+SPLIT = ((7, 13), 0.5)
+DEEP_SPLIT = ((1030, 1100), 0.2)
 INPUT_DIM = 2
 BATCHES = (1, 3)
 
 
 def _specs(models):
-    """(spec, teacher forced, batch sizes) of every spec of the grid."""
+    """(spec, teacher forced, batch sizes, (split, scale)) of every spec of the grid."""
     ModelSpec = models.ModelSpec
     for mode, depth, dropout, teacher in itertools.product(
             ("nar", "ar"), (1, 2, 3), (0.0, 0.3), (False, True)):
@@ -63,7 +73,7 @@ def _specs(models):
             continue
         spec = ModelSpec(arch="gru", mode=mode, input_dim=INPUT_DIM, hidden=4,
                          depth=depth, dropout=dropout)
-        yield spec, teacher, BATCHES
+        yield spec, teacher, BATCHES, SPLIT
     for mode, depth, kernel, skip, teacher in itertools.product(
             ("nar", "ar"), (1, 2, 3), (1, 2, 3), ("identity", "off", "proj"),
             (False, True)):
@@ -73,13 +83,16 @@ def _specs(models):
         spec = ModelSpec(arch="tcn", mode=mode, input_dim=INPUT_DIM,
                          hidden=feed if skip == "identity" else 4, depth=depth,
                          kernel=kernel, residual=skip != "off")
-        yield spec, teacher, BATCHES
+        yield spec, teacher, BATCHES, SPLIT
     for arch, teacher in itertools.product(("gru", "tcn"), (False, True)):
         yield ModelSpec(arch=arch, mode="ar", input_dim=INPUT_DIM, hidden=4, depth=2,
-                        output_dim=2), teacher, BATCHES
+                        output_dim=2), teacher, BATCHES, SPLIT
     for mode, teacher in (("nar", False), ("ar", False), ("ar", True)):
         yield ModelSpec(arch="gru", mode=mode, input_dim=INPUT_DIM, hidden=32,
-                        depth=1), teacher, (1, 16)
+                        depth=1), teacher, (1, 16), SPLIT
+    for mode in ("nar", "ar"):
+        yield ModelSpec(arch="tcn", mode=mode, input_dim=1, hidden=4, depth=10,
+                        kernel=2), False, (1, 16), DEEP_SPLIT
 
 
 def _state_arrays(state):
@@ -89,12 +102,13 @@ def _state_arrays(state):
     return arrays + ([] if state.last_output is None else [state.last_output])
 
 
-def _case_arrays(models, spec, teacher_forced: bool, batch: int, seed: int):
+def _case_arrays(models, spec, teacher_forced: bool, batch: int, run, seed: int):
+    split, scale = run
     rng = np.random.default_rng(seed)
-    params = models.ParamStore({name: 0.5 * rng.standard_normal(shape)
+    params = models.ParamStore({name: scale * rng.standard_normal(shape)
                                 for name, shape in models.param_shapes(spec).items()})
     model = models.Model(spec=spec, params=params)
-    T = T1 + T2
+    T1, T = split[0], sum(split)
     u = rng.standard_normal((batch, T, spec.input_dim))
     teacher = rng.standard_normal((batch, T, spec.output_dim)) if teacher_forced else None
     g_y = rng.standard_normal((batch, T, spec.output_dim))
@@ -123,11 +137,11 @@ def _family(spec) -> str:
 def _grid(models):
     """(spec, teacher forced, case arrays) of every case of the grid, in order."""
     seed = 0
-    for spec, teacher_forced, batches in _specs(models):
+    for spec, teacher_forced, batches, run in _specs(models):
         for batch in batches:
             yield (spec, teacher_forced,
                    [np.array(a, order="C")
-                    for a in _case_arrays(models, spec, teacher_forced, batch, seed)])
+                    for a in _case_arrays(models, spec, teacher_forced, batch, run, seed)])
             seed += 1
 
 
@@ -174,6 +188,7 @@ def compare(parent, change, rev: str) -> None:
                                                       strict=True):
         name = _family(spec) + (" teacher-forced" if forced else "")
         name += f" output_dim {spec.output_dim}" if spec.output_dim > 1 else ""
+        name += f" depth {spec.depth}" if spec.depth > 3 else ""
         family = families.setdefault(name, [hashlib.sha256(), hashlib.sha256(), 0.0])
         for a, b in zip(case_p, case_c, strict=True):
             _update(family[0], a)
