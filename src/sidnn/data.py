@@ -31,7 +31,8 @@ class SequenceData:
     """A multi-sequence dataset of (u, y) signal pairs.
 
     transient_n is the benchmark-given number of initial samples to skip
-    when scoring a simulation.
+    when scoring a simulation. A NaN or Inf sample is a DataError naming
+    its sequence.
     """
 
     sequences: list[tuple[Array, Array]]
@@ -50,6 +51,9 @@ class SequenceData:
                 raise DataError(
                     f"sequence {i}: u has {u.shape[0]} samples but y has {y.shape[0]}"
                 )
+            for name, a in (("u", u), ("y", y)):
+                if not np.isfinite(a).all():
+                    raise DataError(f"sequence {i}: non-finite values in {name}")
 
     @property
     def input_dim(self) -> int:
@@ -169,9 +173,10 @@ def load_csv(path: str | Path, u_cols: list[str], y_cols: list[str]) -> Sequence
         raise ParseError(f"{path}: {exc}") from None
     u, y = _parse_columns(path, rows, [header.index(c) for c in u_cols],
                           [header.index(c) for c in y_cols])
-    u = nk.check_finite(f"{path}: input columns", u)
-    y = nk.check_finite(f"{path}: output columns", y)
-    return SequenceData(sequences=[(u, y)], y_names=list(y_cols))
+    try:
+        return SequenceData(sequences=[(u, y)], y_names=list(y_cols))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _parse_columns(path: Path, rows: list[list[str]], u_idx: list[int],

@@ -27,7 +27,8 @@ def simulate(model: Model, u: Array, standardizer: Standardizer) -> Array:
     """Free-running trajectory for one sequence, in physical units.
 
     u is (T, I) raw input; it is standardized internally, the model runs from
-    zero initial state, and the output is de-standardized.
+    zero initial state, and the output is de-standardized. A NaN or Inf
+    input sample is an InputError.
     """
     u = nk.as_f64(u)
     if u.ndim != 2:
@@ -36,6 +37,8 @@ def simulate(model: Model, u: Array, standardizer: Standardizer) -> Array:
         raise InputError(
             f"sequence has {u.shape[1]} input channels, model expects {model.spec.input_dim}"
         )
+    if not np.isfinite(u).all():
+        raise InputError("simulate input holds NaN or Inf values")
     u_std = standardizer.apply_u(u)[None, :, :]
     y_std, _ = model.forward(u_std, None)
     return standardizer.invert_y(y_std[0])

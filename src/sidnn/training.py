@@ -1,6 +1,6 @@
-"""Training workflow: masked MSE, RAdam+Lookahead, plateau-triggered cosine
-annealing, a learning-rate finder, and the TBPTT epoch loop with hidden-state
-and AR-output carry across chunks.
+"""Training workflow: MSE that skips each window's leading warm-up samples,
+RAdam+Lookahead, plateau-triggered cosine annealing, a learning-rate finder,
+and the TBPTT epoch loop with hidden-state and AR-output carry across chunks.
 """
 
 from __future__ import annotations
@@ -106,30 +106,20 @@ class TrainState:
 # ---------------------------------------------------------------------------
 
 
-def masked_mse_grad(
-    y_hat: Array, y: Array, mask: Array | None = None
-) -> tuple[float, Array]:
-    """Loss plus its gradient w.r.t. y_hat; masked samples get exact zeros."""
+def masked_mse_grad(y_hat: Array, y: Array, skip: int = 0) -> tuple[float, Array]:
+    """Mean squared error over (B, T, C) arrays plus its gradient w.r.t.
+    y_hat; the first `skip` samples of every sequence are left out of the
+    mean and get exact zeros in the gradient."""
     if y_hat.shape != y.shape:
         raise DimensionError(f"prediction shape {y_hat.shape} != target shape {y.shape}")
+    if not 0 <= skip <= y.shape[1]:
+        raise LossError(f"skip {skip} outside [0, {y.shape[1]}] samples")
     d = y_hat - y
-    n_channels = y.shape[-1] if y.ndim >= 1 else 1
-    if mask is None:
-        n = d.size
-        if n == 0:
-            raise LossError("empty batch")
-        loss = float(np.sum(d * d) / n)
-        return loss, (2.0 / n) * d
-    if mask.shape != y.shape[:-1]:
-        raise DimensionError(f"mask shape {mask.shape} != sample shape {y.shape[:-1]}")
-    keep = ~mask
-    n = int(keep.sum()) * n_channels
+    d[:, :skip] = 0.0
+    n = d[:, skip:].size
     if n == 0:
-        raise LossError(
-            "every sample in the batch is masked; check window/chunk sizes "
-            "against the warm-up mask length"
-        )
-    d = d * keep[..., None]
+        raise LossError("no sample left for the loss: the batch is empty or wholly in the "
+                        "warm-up mask; check window/chunk sizes against the mask length")
     loss = float(np.sum(d * d) / n)
     return loss, (2.0 / n) * d
 
@@ -144,13 +134,18 @@ def resolved_warmup_mask(spec: ModelSpec, config: TrainConfig) -> int:
 
 
 def window_problems(spec: ModelSpec, config: TrainConfig) -> list[str]:
-    """A message when the warm-up mask covers whole windows, so that no
-    sample could ever be trained on."""
+    """A message for each window that cannot train: one the warm-up mask
+    covers, so that no sample is ever trained on, and one that its chunks
+    do not tile (`WindowPlan`'s rule, reported before any data loads)."""
     n_mask = resolved_warmup_mask(spec, config)
-    if config.window_len > n_mask:
-        return []
-    return [f"window_len must exceed the {n_mask}-sample warm-up mask, "
-            f"got {config.window_len}"]
+    problems = []
+    if config.window_len <= n_mask:
+        problems.append(f"window_len must exceed the {n_mask}-sample warm-up mask, "
+                        f"got {config.window_len}")
+    if config.window_len % config.chunk_len:
+        problems.append(f"window_len {config.window_len} is not a multiple of "
+                        f"chunk_len {config.chunk_len}")
+    return problems
 
 
 def _check_window(spec: ModelSpec, config: TrainConfig) -> None:
@@ -159,20 +154,10 @@ def _check_window(spec: ModelSpec, config: TrainConfig) -> None:
         raise ParameterError("invalid training settings: " + "; ".join(problems))
 
 
-def _all_masked(spec: ModelSpec, config: TrainConfig, batch: ChunkBatch) -> bool:
-    """Whether every sample of the chunk lies in the warm-up mask."""
-    return batch.offset + batch.u.shape[1] <= resolved_warmup_mask(spec, config)
-
-
-def chunk_loss_mask(spec: ModelSpec, config: TrainConfig, batch: ChunkBatch) -> Array | None:
-    """Boolean (B, T) array, True where the sample is excluded from the loss."""
-    n_mask = resolved_warmup_mask(spec, config)
-    B, T, _ = batch.y.shape
-    window_pos = batch.offset + np.arange(T)
-    row = window_pos < n_mask
-    if not row.any():
-        return None
-    return np.broadcast_to(row, (B, T)).copy()
+def chunk_skip(spec: ModelSpec, config: TrainConfig, batch: ChunkBatch) -> int:
+    """Leading samples of the chunk that lie in the window's warm-up mask;
+    the chunk's length when it lies wholly in it."""
+    return min(max(resolved_warmup_mask(spec, config) - batch.offset, 0), batch.u.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +260,17 @@ def _chunk_step(
     config: TrainConfig,
     rng,
 ):
-    """Forward + loss + backward for one chunk; state crosses as values only."""
-    spec = model.spec
+    """Forward + loss + backward for one chunk; state crosses as values only.
+    The chunk's `chunk_skip` leading samples are left out of the loss and of
+    the returned per-channel squared errors and sample count."""
     y_hat, new_state, cache = _chunk_forward(model, batch, state_h, config, rng, True)
-    mask = chunk_loss_mask(spec, config, batch)
-    loss, g = masked_mse_grad(y_hat, batch.y, mask)
+    skip = chunk_skip(model.spec, config, batch)
+    loss, g = masked_mse_grad(y_hat, batch.y, skip)
     grads, _ = model.backward(cache, g)
     d = y_hat - batch.y
-    if mask is not None:
-        d = d * (~mask)[..., None]
-        n_samples = int((~mask).sum())
-    else:
-        n_samples = d.shape[0] * d.shape[1]
+    d[:, :skip] = 0.0
     ch_sq = np.sum(d * d, axis=(0, 1))
-    return loss, grads, new_state, ch_sq, n_samples
+    return loss, grads, new_state, ch_sq, d.shape[0] * (d.shape[1] - skip)
 
 
 @dataclass
@@ -303,8 +285,8 @@ def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: Tr
     `data` must already be standardized. Hidden state (and for AR models the
     last generated output) carries across chunk boundaries as plain values,
     so gradients stay inside each chunk. A chunk that lies wholly in the
-    warm-up mask runs forward only, for the state it carries on: it has no
-    loss, no backward and no optimizer step.
+    warm-up mask (its `chunk_skip` is its length) runs forward only, for the
+    state it carries on: it has no loss, no backward and no optimizer step.
     """
     epoch = state.epoch
     rng = np.random.default_rng([config.seed, epoch, 1])
@@ -314,7 +296,7 @@ def train_epoch(model: Model, data: SequenceData, config: TrainConfig, state: Tr
     for batch in sample_windows(data, config.plan(), epoch):
         if batch.offset == 0:
             state_h = model.initial_state(batch.u.shape[0])
-        if _all_masked(model.spec, config, batch):
+        if chunk_skip(model.spec, config, batch) == batch.u.shape[1]:
             _, state_h = _chunk_forward(model, batch, state_h, config, rng, False)
             continue
         loss, grads, state_h, ch_sq, n_samples = _chunk_step(model, batch, state_h, config, rng)
@@ -405,7 +387,7 @@ def _chunk_stream(model: Model, data: SequenceData, config: TrainConfig, epoch0:
     epoch = epoch0
     while True:
         for batch in sample_windows(data, config.plan(), epoch):
-            if not _all_masked(model.spec, config, batch):
+            if chunk_skip(model.spec, config, batch) < batch.u.shape[1]:
                 yield batch, model.initial_state(batch.u.shape[0]), rng
         epoch += 1
 
@@ -461,6 +443,7 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
     `data` is the raw estimation set; it is split (contiguous tails) into
     train/validation, standardized on the train part only, and windowed.
     Returns the best-validation checkpoint; the model is left holding it.
+    Raises TrainingError when no epoch gives a finite validation RMSE.
     """
     _check_window(model.spec, config)
     train, valid = split_estimation(data, config.valid_fraction)
@@ -471,7 +454,7 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
         lr_max = lr_finder(model, train_std, config)
     state = TrainState.init(model.params, lr_max)
     history: list[HistoryRow] = []
-    best_params = model.params.copy()
+    best_params = None  # set by the first epoch with a finite validation RMSE
     best_rmse = math.inf
     best_epoch = -1
     since_best = 0  # epochs since the validation RMSE last improved
@@ -502,6 +485,9 @@ def fit(model: Model, data: SequenceData, config: TrainConfig) -> FitResult:
             and epoch + 1 < config.max_epochs
         ):
             cosine_start = epoch + 1
+    if best_epoch < 0:
+        raise TrainingError(f"no epoch of {config.max_epochs} gave a finite validation RMSE "
+                            f"(last {history[-1].valid_rmse}); the model diverged")
     model.params = best_params
     return FitResult(
         params=best_params,

@@ -168,9 +168,9 @@ def gru_ar_explicit(u: Array, state: HiddenState, params: ParamStore, spec: Mode
     return np.stack(ys, axis=1), HiddenState(gru_h=hs, last_output=fb.copy())
 
 
-def masked_mse(y_hat: Array, y: Array, mask: Array | None = None) -> float:
-    """Mean squared error over unmasked elements; mask marks excluded samples."""
-    loss, _ = masked_mse_grad(y_hat, y, mask)
+def masked_mse(y_hat: Array, y: Array, skip: int = 0) -> float:
+    """Mean squared error over the samples after each sequence's first `skip`."""
+    loss, _ = masked_mse_grad(y_hat, y, skip)
     return loss
 
 

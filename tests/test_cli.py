@@ -103,6 +103,18 @@ def test_config_reports_windows_the_warmup_mask_covers(tmp_path):
     assert load_config(ok)["train"]["window_len"] == 1536
 
 
+def test_config_reports_a_window_its_chunks_do_not_tile(tmp_path):
+    # WindowPlan would reject it only after the dataset has loaded
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": "missing.json", "bogus": 1,
+                                "train": {"window_len": 1000, "chunk_len": 512}}))
+    with pytest.raises(SchemaError) as exc:
+        load_config(path)
+    msg = str(exc.value)
+    assert "train.window_len 1000 is not a multiple of chunk_len 512" in msg
+    assert "bogus" in msg
+
+
 @pytest.mark.parametrize("section, field", [
     ({"model": {"depth": 0}}, "depth"),
     ({"model": {"kernel": 0}}, "kernel"),

@@ -105,6 +105,17 @@ def test_load_csv_rejects_non_finite_spellings(tmp_path, cell):
     assert "non-finite" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_sequence_data_names_a_nonfinite_sequence(bad):
+    # a NaN used to reach fit as a NaN standardizer std, which passes its
+    # zero-variance check, and failed there as a diverged lr finder
+    clean = (np.zeros((4, 1)), np.ones((4, 1)))
+    y = np.ones((4, 1))
+    y[2, 0] = bad
+    with pytest.raises(DataError, match="sequence 1: non-finite values in y"):
+        SequenceData(sequences=[clean, (np.zeros((4, 1)), y)])
+
+
 def test_load_descriptor_round_trip(tmp_path):
     (tmp_path / "s.csv").write_text("u,y\n1,2\n3,4\n5,6\n")
     desc = tmp_path / "d.json"

@@ -68,6 +68,18 @@ def test_simulate_rejects_channel_mismatch():
         simulate(model, np.zeros((10, 1)), std)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_rejects_nonfinite_input(bad):
+    # a NaN sample used to turn the rest of the trajectory into NaN, and an
+    # Inf sample gave finite numbers
+    data, std = _fitted_standardizer(3)
+    model = Model.create(ModelSpec(arch="gru", mode="nar", input_dim=1, hidden=4, depth=1), 4)
+    u = data.sequences[0][0].copy()
+    u[50, 0] = bad
+    with pytest.raises(InputError, match="NaN or Inf"):
+        simulate(model, u, std)
+
+
 # ---------------------------------------------------------------------------
 # conv_cache_step
 # ---------------------------------------------------------------------------

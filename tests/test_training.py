@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sidnn.data import SequenceData, WindowPlan, sample_windows, split_estimation
+from sidnn.data import (
+    SequenceData,
+    WindowPlan,
+    sample_windows,
+    split_estimation,
+    synth_wiener_hammerstein,
+)
 from sidnn.errors import (
     DimensionError,
     FinderError,
@@ -20,7 +26,7 @@ from sidnn.training import (
     TrainConfig,
     TrainState,
     _chunk_step,
-    chunk_loss_mask,
+    chunk_skip,
     cosine_schedule,
     fit,
     lr_finder,
@@ -47,8 +53,7 @@ def test_masked_mse_perfect_prediction():
 def test_masked_mse_ignores_masked_element():
     y_hat = np.array([[[9.0], [2.0]]])
     y = np.array([[[1.0], [2.0]]])
-    mask = np.array([[True, False]])
-    assert masked_mse(y_hat, y, mask) == 0.0
+    assert masked_mse(y_hat, y, 1) == 0.0
 
 
 def test_masked_mse_direct_value():
@@ -59,9 +64,15 @@ def test_masked_mse_direct_value():
 
 def test_masked_mse_fully_masked_raises():
     y = np.zeros((1, 3, 1))
-    mask = np.ones((1, 3), dtype=bool)
     with pytest.raises(LossError):
-        masked_mse(y, y, mask)
+        masked_mse(y, y, 3)
+
+
+@pytest.mark.parametrize("skip", [-1, 4])
+def test_masked_mse_rejects_skip_outside_the_chunk(skip):
+    y = np.zeros((2, 3, 1))
+    with pytest.raises(LossError, match="outside"):
+        masked_mse_grad(y, y, skip)
 
 
 def test_masked_mse_shape_mismatch():
@@ -361,8 +372,8 @@ def test_single_chunk_gradients_equal_full_bptt(spec):
 
     y_hat, _, cache = model.forward(batch.u, model.initial_state(2), training=True,
                                     return_cache=True)
-    mask = chunk_loss_mask(spec, cfg, batch)
-    _, g = masked_mse_grad(y_hat, batch.y, mask)
+    skip = chunk_skip(spec, cfg, batch)
+    _, g = masked_mse_grad(y_hat, batch.y, skip)
     grads_ref, _ = model.backward(cache, g)
     for name in grads:
         err = np.abs(grads[name] - grads_ref[name]).max()
@@ -422,8 +433,7 @@ def test_masked_targets_leave_updates_bitwise_unchanged():
     for kernel, n_warm in ((2, 7), (3, 14)):
         spec = ModelSpec(arch="tcn", mode="nar", input_dim=1, hidden=4, depth=3,
                          kernel=kernel)
-        mask = chunk_loss_mask(spec, cfg, batch)
-        assert mask is not None and mask[0].sum() == n_warm
+        assert chunk_skip(spec, cfg, batch) == n_warm
 
         def updated_params(target_noise):
             model = Model.create(spec, 10)
@@ -595,6 +605,21 @@ def test_fit_history_is_deterministic():
     for a, b in zip(r1.history, r2.history):
         assert (a.epoch, a.train_rmse, a.valid_rmse, a.lr) == \
                (b.epoch, b.train_rmse, b.valid_rmse, b.lr)
+
+
+def test_fit_raises_when_validation_never_goes_finite():
+    # initial weights x6 make the free-running validation simulation diverge
+    # in every epoch; fit used to return the initial weights with an
+    # infinite best RMSE, which the CLI then saved
+    data = synth_wiener_hammerstein(3000, seed=0)
+    spec = ModelSpec(arch="tcn", mode="ar", input_dim=1, hidden=8, depth=3)
+    model = Model.create(spec, 0)
+    for name in model.params.names():
+        model.params[name] *= 6.0
+    cfg = TrainConfig(max_epochs=2, window_len=256, chunk_len=128, batch_size=4,
+                      teacher_forcing=True, lr_max=1e-3)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="finite validation"):
+        fit(model, data, cfg)
 
 
 def test_chunked_tcn_nar_fit_history_is_deterministic():

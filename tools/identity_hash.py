@@ -1,5 +1,6 @@
 """Print one sha256 over what all four model variants compute on a fixed grid,
-then one sha256 per variant (GRU-NAR, GRU-AR, TCN-NAR, TCN-AR).
+and what a fixed-seed `fit` trains, then one sha256 per variant (GRU-NAR,
+GRU-AR, TCN-NAR, TCN-AR) and one for the fits (FIT).
 
     python tools/identity_hash.py [--parent REV]
 
@@ -27,6 +28,15 @@ unchanged in their own lines. The grid is fixed:
 Parameters are drawn at random (biases non-zero), so ReLU patterns mix; the
 depth-10 cases draw them at 0.2 standard deviations, the others at 0.5.
 
+The fit cases train GRU-NAR, GRU-AR, teacher-forced GRU-AR (hidden 4, depth
+2), TCN-NAR, TCN-AR and teacher-forced TCN-AR (hidden 4, depth 6) from seed
+0 for 2 epochs, the lr finder choosing lr_max, on 2,000 synthetic
+Wiener-Hammerstein samples in windows of 128 cut into chunks of 32. Each
+window's first chunk lies wholly in the warm-up mask (40 samples for the
+GRU, the TCN's receptive field of 63) and the second partly. A case hashes
+its history rows (wall_seconds left out), its lr_max and its final
+parameters.
+
 With --parent, REV is exported with `git archive` into a temporary directory
 (as `bench_pairs.py` does) and its package imported as `sidnn_parent`, beside
 the checkout's; both run the grid, and each family's line gives both hashes
@@ -36,13 +46,14 @@ last bits reports that figure. There the teacher-forced AR cases get their
 own line per arch ("GRU-AR teacher-forced"), apart from the free-running ones,
 since the two run different code, and so do the output_dim 2 cases
 ("GRU-AR teacher-forced output_dim 2") and the depth-10 TCN cases
-("TCN-AR depth 10").
+("TCN-AR depth 10"), and each fit variant ("fit TCN-AR teacher-forced depth 6").
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import sys
 import tempfile
@@ -130,19 +141,47 @@ def _case_arrays(models, spec, teacher_forced: bool, batch: int, run, seed: int)
                 yield from _state_arrays(state)
 
 
+def _fit_arrays(models, spec, teacher_forced: bool):
+    package = models.__package__
+    data = importlib.import_module(f"{package}.data").synth_wiener_hammerstein(2000, seed=0)
+    training = importlib.import_module(f"{package}.training")
+    config = training.TrainConfig(max_epochs=2, window_len=128, chunk_len=32, batch_size=4,
+                                  teacher_forcing=teacher_forced, warmup_mask_n=40)
+    result = training.fit(models.Model.create(spec, 0), data, config)
+    yield np.array([(r.epoch, r.train_rmse, r.valid_rmse, r.lr) for r in result.history])
+    yield np.array([result.lr_max])
+    yield from (result.params[name] for name in result.params.names())
+
+
 def _family(spec) -> str:
     return f"{spec.arch}-{spec.mode}".upper()
 
 
+def _detail(spec, teacher_forced: bool) -> str:
+    """The family name with what runs different code: teacher forcing, an
+    output_dim above 1 and a depth above 3."""
+    name = _family(spec) + (" teacher-forced" if teacher_forced else "")
+    name += f" output_dim {spec.output_dim}" if spec.output_dim > 1 else ""
+    return name + (f" depth {spec.depth}" if spec.depth > 3 else "")
+
+
 def _grid(models):
-    """(spec, teacher forced, case arrays) of every case of the grid, in order."""
+    """(family, detailed family, case arrays) of every case, in order: the
+    model grid, then the fits."""
     seed = 0
     for spec, teacher_forced, batches, run in _specs(models):
         for batch in batches:
-            yield (spec, teacher_forced,
+            yield (_family(spec), _detail(spec, teacher_forced),
                    [np.array(a, order="C")
                     for a in _case_arrays(models, spec, teacher_forced, batch, run, seed)])
             seed += 1
+    for arch, mode, teacher_forced in (("gru", "nar", False), ("gru", "ar", False),
+                                       ("gru", "ar", True), ("tcn", "nar", False),
+                                       ("tcn", "ar", False), ("tcn", "ar", True)):
+        spec = models.ModelSpec(arch=arch, mode=mode, input_dim=1, hidden=4,
+                                depth=2 if arch == "gru" else 6)
+        yield ("FIT", "fit " + _detail(spec, teacher_forced),
+               [np.array(a, order="C") for a in _fit_arrays(models, spec, teacher_forced)])
 
 
 def _update(h, a: np.ndarray) -> None:
@@ -168,8 +207,8 @@ def report(models) -> None:
     digest = hashlib.sha256()
     families: dict[str, list] = {}  # variant -> [sha256, cases, arrays]
     cases = arrays = 0
-    for spec, _, case in _grid(models):
-        family = families.setdefault(_family(spec), [hashlib.sha256(), 0, 0])
+    for name, _, case in _grid(models):
+        family = families.setdefault(name, [hashlib.sha256(), 0, 0])
         for a in case:
             for h in (digest, family[0]):
                 _update(h, a)
@@ -184,11 +223,7 @@ def report(models) -> None:
 
 def compare(parent, change, rev: str) -> None:
     families: dict[str, list] = {}  # variant -> [parent sha256, change sha256, largest diff]
-    for (spec, forced, case_p), (_, _, case_c) in zip(_grid(parent), _grid(change),
-                                                      strict=True):
-        name = _family(spec) + (" teacher-forced" if forced else "")
-        name += f" output_dim {spec.output_dim}" if spec.output_dim > 1 else ""
-        name += f" depth {spec.depth}" if spec.depth > 3 else ""
+    for (_, name, case_p), (_, _, case_c) in zip(_grid(parent), _grid(change), strict=True):
         family = families.setdefault(name, [hashlib.sha256(), hashlib.sha256(), 0.0])
         for a, b in zip(case_p, case_c, strict=True):
             _update(family[0], a)
