@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numkit as nk
 from .data import Standardizer, atomic_open
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, DataError, FormatError
 from .models import SPEC_TYPES, ModelSpec, ParamStore, type_problems
 
 MAGIC = b"SIDNN"
@@ -98,7 +98,10 @@ def _header_section(path, header, name: str, keys: list[str]) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
     r = _Reader(blob)
     if r.take(len(MAGIC)) != MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic bytes)")

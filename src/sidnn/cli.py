@@ -22,6 +22,7 @@ from .errors import (
     ReportError,
     SchemaError,
     SidnnError,
+    UsageError,
 )
 from .hpo import HPO_LOWS, SearchSpace, run_search
 from .inference import bench_inference_cells, bench_training_cells, pooled_rmse, simulate
@@ -163,7 +164,10 @@ def _build(cfg: dict, config_dir: Path):
 
 def _out_dir(out: str | None) -> Path:
     out_dir = Path(out) if out is not None else Path("runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out_dir}: {exc.strerror or exc}") from None
     return out_dir
 
 

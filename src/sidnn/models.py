@@ -22,19 +22,23 @@ input [u_t | y_{t-1}], y_{-1} being the carried last output, and carries the
 teacher's last sample on; both architectures take this one route. The cores
 tell a known input from a free-running one by its width: feed_dim columns
 are all known (NAR, teacher-forced AR), input_dim < feed_dim leaves the
-feedback to the model's own output. Each cache records its input's shape,
-which the backward checks g_y against and dispatches on.
+feedback to the model's own output. Each cache records the spec, the input's
+shape and the backward of the core that made it; `Model.backward` refuses a
+cache of another spec, checks g_y against the shape and calls that backward.
 
 The GRU runs one recurrence for both modes (NAR carries a zero-width
 feedback). Its core is feature-major: a step's state and scratch are
 (features, B) and every per-chunk array is (T, features, B), so each gate
 block a step touches is contiguous; the carried state is (B, H), transposed
-once per chunk on entry and exit. Every GRU chunk computes its layer-0 input
-projection in one matmul; free-running AR adds its feedback per step as
+once per chunk on entry and exit. Every GRU chunk builds its layer-0 inputs
+X0 = [u_t | fb_t] and projects them in one matmul. With the input known fb
+is given (none in NAR); free-running AR starts from fb_0 = the carried last
+output and fb_t = head.b, and adds the rest of its feedback per step as
 F @ h_top, F = (head.W @ W0_fb)^T (W0_fb: the feedback rows of the layer-0
-input weights), and the head runs once per chunk. The backward reads the
-fed-back outputs from the cache and is unchanged by the fold; with the input
-known it forms the head adjoint once per chunk. A GRU step forms both gates
+input weights); the head runs once per chunk and fills in X0's fed-back
+outputs. The backward reads X0 from the cache and is unchanged by the fold;
+it forms the input adjoint once per chunk in every mode, and with the input
+known the head adjoint too. A GRU step forms both gates
 with one tanh, as sig(a) = 1/2 + tanh(a/2)/2 on z/r weight rows halved once
 per chunk; a cached forward then forms the backward's per-step factors for
 the whole chunk at once, so a backward step is a few multiplies and two
@@ -42,8 +46,8 @@ matmuls. Every product that NAR and AR share, forward and backward, goes
 through np.dot into a buffer allocated once per call, with a projection or
 bias added after it (x + y == y + x bitwise); a recorded step writes its
 gates and candidate straight into the cache. The AR-only feedback products
-(F @ h_top, and the backward's output and layer-0 input adjoints) stay
-plain matmuls. Both TCN modes carry the same state, each layer's
+(F @ h_top, and the backward's output and feedback adjoints) stay plain
+matmuls. Both TCN modes carry the same state, each layer's
 last (kernel-1)*2**l inputs as a plain tail, oldest first (`ConvCache`). A
 TCN whose input is known (NAR; AR given a teacher, over [u_t | y_{t-1}];
 `conv_cache_step` streaming a sample) convolves the chunk layer by layer into
@@ -385,10 +389,14 @@ def _step_mats(mats, H: int, B: int):
 def _chunk_product(a: Array, X: Array) -> Array:
     """a (M, K) times every (K, B) block of a chunk X (T, K, B): (T, M, B).
     At B 1 the chunk is (T, K) in memory, and one product over it costs a
-    fifth of T matrix-vector products."""
+    fifth of T matrix-vector products. At K 1 and B > 1 a broadcast multiply
+    gives the same bits as the batched matmul, in less time at short
+    chunks."""
     T, K, B = X.shape
     if B == 1:
         return np.dot(X.reshape(T, K), a.T).reshape(T, -1, 1)
+    if K == 1:
+        return a[None] * X
     return np.matmul(a, X)
 
 
@@ -485,15 +493,15 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
 
     u is the layer-0 input: all feed_dim columns when known (NAR; AR given a
     teacher, as `Model.forward` builds it), or the input_dim columns of u_t
-    when AR runs free, its layer-0 input at t being concat(u_t, fb) with fb
-    its own previous standardized output. A known input's layer-0
-    projection is computed for the whole chunk in one matmul before the time
-    loop. Free-running AR hoists the u part, and folds the feedback
-    fb = head.W^T @ h + head.b through F = (head.W @ W0_fb)^T, so a step
-    adds one F @ h_top; its first step uses state.last_output instead. The
-    head runs once after the loop. The z/r rows of every transposed weight,
-    bias and F are halved once per chunk for `_gru_step`, in copies; params
-    is not written.
+    when AR runs free, its layer-0 input at t being X0[t] = [u_t | fb_t]
+    with fb_t its own previous standardized output. Every mode projects X0
+    for the whole chunk in one matmul before the time loop. Free-running,
+    fb_0 is state.last_output and fb_t (t >= 1) is head.b in that
+    projection; the rest of fb_t = head.W^T @ h_top(t-1) + head.b enters
+    through F = (head.W @ W0_fb)^T, so a step adds one F @ h_top. The head
+    runs once after the loop and writes the fed-back outputs into X0, which
+    the cache keeps. The z/r rows of every transposed weight, bias and F are
+    halved once per chunk for `_gru_step`, in copies; params is not written.
 
     The core is feature-major: a step's state and scratch are (features, B)
     and every per-chunk array is time-major (T, features, B), so each block a
@@ -505,32 +513,24 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
     the factors the backward multiplies by.
     """
     B, T, W = u.shape
-    H, L, O, I = spec.hidden, spec.depth, spec.output_dim, spec.input_dim
+    H, L, I = spec.hidden, spec.depth, spec.input_dim
     free = W < spec.feed_dim  # AR feeding back its own output
     mats = [_gru_layer_mats(params, l) for l in range(L)]
     steps = [_step_mats(m, H, B) for m in mats]
     masks = _dropout_masks(spec, B, training, rng)
     w_y, b_y = params["head.W"], params["head.b"]
     w0, b0, _, _ = steps[0]
-    X0 = U = u.transpose(1, 2, 0).copy()  # (T, W, B)
+    X0 = np.empty((T, spec.feed_dim, B))  # layer-0 inputs
+    X0[:, :W] = u.transpose(1, 2, 0)
     if free:
-        # fb_t = head.W^T @ h_top(t-1) + b_y enters layer 0 as F @ h_top(t-1)
-        # plus W0_fb^T @ b_y, so only the product by F stays in the loop
-        w0_fb = w0[:, I:]  # (3H, O)
-        F = w0_fb @ w_y.T  # (3H, H)
-        proj0 = _chunk_product(w0[:, :I], U)
-        proj0 += b0
-        proj0[0] += w0_fb @ state.last_output.T
-        proj0[1:] += (w0_fb @ b_y)[:, None]
-        if record:
-            # layer-0 inputs [u_t | fb_t]: fb_0 is last_output, fb_t is
-            # Y[t-1], filled in after the loop
-            X0 = np.empty((T, I + O, B))
-            X0[:, :I] = U
-            X0[0, I:] = state.last_output.T
-    else:
-        proj0 = _chunk_product(w0, X0)
-        proj0 += b0
+        # fb_0 is last_output and fb_t is b_y until the loop's outputs fill
+        # in Y[t-1]: fb_t = head.W^T @ h_top(t-1) + b_y, so a step adds the
+        # rest as F @ h_top(t-1)
+        X0[0, I:] = state.last_output.T
+        X0[1:, I:] = b_y[:, None]
+        F = w0[:, I:] @ w_y.T  # (3H, H)
+    proj0 = _chunk_product(w0, X0)
+    proj0 += b0
     P_zr, P_h = proj0[:, : 2 * H], proj0[:, 2 * H :]
     # S[l][0] is the carried state and S[l][t+1] the state after step t, so
     # the previous states are the view S[l][:-1]
@@ -580,8 +580,7 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
     last_output = None
     if free:
         last_output = Y[T - 1].T.copy()
-        if record:
-            X0[1:, I:] = Y[:-1]
+        X0[1:, I:] = Y[:-1]
     new_state = HiddenState(gru_h=[h.T.copy() for h in hs], last_output=last_output)
     cache = None
     if record:
@@ -603,7 +602,7 @@ def _gru_forward(u: Array, state: HiddenState, params: ParamStore, spec: ModelSp
             FR.append(fr)
         cache = {"X0": X0, "H": Hs, "HP": HP, "R": Rs, "omz": Zs, "fz": FZ, "fc": Cs,
                  "fr": FR, "masks": masks, "mats": mats, "spec": spec, "params": params,
-                 "shape": u.shape}
+                 "shape": u.shape, "backward": _gru_backward}
     return y, new_state, cache
 
 
@@ -617,15 +616,16 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     adjoints are g times the factors the forward cached: 1-z for the carried
     state, (c - h_prev)*z*(1-z) for z, z*(1-c**2) for the candidate, and
     h_prev*r*(1-r) times the candidate's adjoint pulled through Uh for r.
-    With the input known (NAR, teacher-forced AR) the top layer's adjoint
-    from the head and the input's adjoint (du) are one product per chunk
-    each; free-running, each output's adjoint also collects the adjoint of
-    the next step's fed-back input, so both are formed per step. Each
-    layer's carried adjoint is one (H, B) buffer that a step updates in
-    place, and the products through Uh, [Uz|Ur] and
-    (above layer 0) the input weights go through np.dot into buffers
-    allocated once per call, where the dropout mask is applied in place; the
-    feedback's per-step products stay matmuls. The cache is only read.
+    In every mode the input's adjoint (du) is one product per chunk. With
+    the input known (NAR, teacher-forced AR) so is the top layer's adjoint
+    from the head; free-running, each output's adjoint also collects the
+    adjoint of the next step's fed-back input, W0_fb @ GA[0][t], so a step
+    forms that and the head adjoint. Each layer's carried adjoint is one
+    (H, B) buffer that a step updates in place, and the products through Uh,
+    [Uz|Ur] and (above layer 0) the input weights go through np.dot into
+    buffers allocated once per call, where the dropout mask is applied in
+    place; the feedback's per-step products stay matmuls. The cache is only
+    read.
     """
     params = cache["params"]
     spec = cache["spec"]
@@ -646,7 +646,7 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
     gh_carry = [np.zeros((H, B)) for _ in range(L)]
     g_rh, g_zr = np.empty((H, B)), np.empty((H, B))
     gx = np.empty((H, B))
-    gu = np.empty((T, I, B)) if need_input_grad and feedback else None
+    w0_fb = mats[0][0][I:]  # the feedback rows of w_cat, (O, 3H)
     g_fb = np.zeros((O, B))
     for t in range(T - 1, -1, -1):
         if feedback:
@@ -671,17 +671,11 @@ def _gru_backward(cache, g_y: Array, need_input_grad: bool):
                 if masks:
                     g_above *= masks[l - 1]
         if feedback:
-            gx0 = mats[0][0] @ GA[0][t]  # (W, B)
-            g_fb = gx0[I:]
-            if need_input_grad:
-                gu[t] = gx0[:I]
-    if need_input_grad and not feedback:  # a known input's adjoint, once per chunk
-        gu = np.matmul(mats[0][0], GA[0])[:, :I]
+            g_fb = w0_fb @ GA[0][t]
     grads = _gru_weight_grads(cache, GA)
     grads["head.W"] = _sum_outer(Hs[L - 1], GY)
     grads["head.b"] = GY.sum(axis=(0, 2))
-    if gu is not None:
-        gu = gu.transpose(2, 0, 1).copy()
+    gu = np.matmul(mats[0][0], GA[0])[:, :I].transpose(2, 0, 1).copy() if need_input_grad else None
     return grads, gu
 
 
@@ -747,7 +741,7 @@ def _tcn_nar_forward(u: Array, conv: ConvCache, params: ParamStore, spec: ModelS
     cache = None
     if record:
         cache = {"xs": xs, "ctxs": ctxs, "masks": masks, "spec": spec, "params": params,
-                 "shape": u.shape}
+                 "shape": u.shape, "backward": _tcn_nar_backward}
     return y, HiddenState(conv=ConvCache(spec, tails)), cache
 
 
@@ -967,7 +961,7 @@ def _tcn_ar_forward(u, conv, last_output, params, spec, record):
             xs.append(np.ascontiguousarray(ins[l].transpose(1, 0, 2)))
             pads[l] = ins[l] = None
         cache = {"xs": xs, "tops": tops, "mask0": mask0, "spec": spec, "params": params,
-                 "shape": u.shape}
+                 "shape": u.shape, "backward": _tcn_ar_backward}
     state = HiddenState(conv=ConvCache(spec, tails), last_output=Y[T - 1].T.copy())
     return Y.transpose(2, 0, 1).copy(), state, cache
 
@@ -1113,8 +1107,9 @@ class Model:
     """A spec plus its parameters: the only entry for running a chunk.
 
     forward checks every chunk (input, teacher, carried state) against the
-    spec and routes it to its architecture's core; backward checks g_y
-    against the cache and runs the backward of the core that built it.
+    spec and routes it to its architecture's core; backward refuses a cache
+    of another spec, checks g_y against the cache and runs the backward of
+    the core that built it.
     """
 
     spec: ModelSpec
@@ -1188,13 +1183,13 @@ class Model:
 
     def backward(self, cache, g_y: Array, *, need_input_grad: bool = False):
         """Gradients for a cached forward chunk, g_y being the adjoint of its
-        y; returns (grads, du), du being None unless need_input_grad."""
-        B, T, width = cache["shape"]
+        y; returns (grads, du), du being None unless need_input_grad. The
+        cache must come from a forward of a model with this spec."""
+        if cache["spec"] != self.spec:
+            raise UsageError(f"the cache is from a forward of {cache['spec']}, "
+                             f"not of this model's {self.spec}")
+        B, T, _ = cache["shape"]
         if np.shape(g_y) != (B, T, self.spec.output_dim):
             raise DimensionError(f"g_y has shape {np.shape(g_y)}, "
                                  f"expected {(B, T, self.spec.output_dim)}")
-        if self.spec.arch == "gru":
-            return _gru_backward(cache, g_y, need_input_grad)
-        if width == self.spec.feed_dim:
-            return _tcn_nar_backward(cache, g_y, need_input_grad)
-        return _tcn_ar_backward(cache, g_y, need_input_grad)
+        return cache["backward"](cache, g_y, need_input_grad)

@@ -175,6 +175,22 @@ def test_cli_main_reports_schema_errors(tmp_path, capsys):
     assert "error[schema]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,out", [
+    ("train", "file"), ("bench", "file"), ("train", "file/sub"), ("bench", "file/sub"),
+], ids=["train_file", "bench_file", "train_below_file", "bench_below_file"])
+def test_cli_main_reports_an_output_path_it_cannot_make_as_usage_error(tmp_path, capsys,
+                                                                       command, out):
+    # mkdir raised a raw FileExistsError (an existing file) or
+    # NotADirectoryError (a path below a file)
+    (tmp_path / "file").write_text("kept")
+    argv = (["train", "--config", str(write_config(tmp_path))] if command == "train"
+            else ["bench", "--lengths", "16", "--repeats", "1"])
+    assert main([*argv, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert "error[usage]" in err and str(tmp_path / out) in err
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 # ---------------------------------------------------------------------------
 # run inputs: config, CSV descriptor, CSV
 # ---------------------------------------------------------------------------
@@ -332,6 +348,22 @@ def test_simulate_writes_trajectories(tmp_path):
     sim_dir = cmd_simulate(str(out / "checkpoint.bin"), str(tmp_path / "dataset.json"),
                            out=str(tmp_path / "sim"))
     assert (sim_dir / "sim_0.csv").exists()
+
+
+@pytest.mark.parametrize("command,checkpoint", [
+    ("evaluate", "missing.bin"), ("simulate", "missing.bin"), ("evaluate", "."),
+], ids=["evaluate_missing", "simulate_missing", "evaluate_directory"])
+def test_cli_main_reports_an_unreadable_checkpoint_as_data_error(tmp_path, capsys, command,
+                                                                 checkpoint):
+    # the checkpoint was read unguarded: FileNotFoundError, IsADirectoryError
+    write_config(tmp_path)
+    path = tmp_path / checkpoint
+    argv = [command, "--checkpoint", str(path), "--dataset", str(tmp_path / "dataset.json"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error[data]" in err and "cannot read checkpoint" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])

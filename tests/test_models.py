@@ -366,6 +366,20 @@ def test_mismatched_output_gradient_raises(spec, shape):
         model.backward(cache, np.zeros(shape))
 
 
+@pytest.mark.parametrize("made_by,given_to", [
+    (GRU_NAR, TCN_NAR),
+    (TCN_NAR, GRU_NAR),
+    (replace(GRU_NAR, hidden=4), replace(GRU_NAR, hidden=8)),
+], ids=["gru_cache_to_tcn", "tcn_cache_to_gru", "gru_h4_cache_to_gru_h8"])
+def test_backward_refuses_a_cache_from_another_spec(made_by, given_to):
+    # the backward picked its core from the cache's input width: a cache of
+    # another architecture failed with a KeyError, and a hidden-4 GRU cache
+    # gave a hidden-8 GRU model hidden-4 gradients without complaint
+    _, _, cache = Model.create(made_by, 0).forward(np.zeros((2, 5, 2)), return_cache=True)
+    with pytest.raises(UsageError):
+        Model.create(given_to, 0).backward(cache, np.zeros((2, 5, 1)))
+
+
 def test_gru_gates_stay_bounded_at_extreme_pre_activations():
     # each hidden unit's gate and candidate biases take one extreme value;
     # the z/r halving must neither overflow nor turn an infinity into a NaN
